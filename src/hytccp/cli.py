@@ -1,7 +1,8 @@
 """Command-line driver: parse, check, run and explore .hyt models.
 
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
-1 tool or input error (missing file, parse error, bad flags),
+1 tool, input or runtime model error (missing file, parse error, bad flags,
+an unbound change value, random() under explore),
 2 model pathology (timelock, instantaneous divergence).
 """
 from __future__ import annotations
@@ -13,17 +14,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+from .constraints import LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational
+from .flows import UninitializedContinuousVariableError
 from .parser import ParseError, parse_program
-from .simulator import (
-    DEFAULT_DIVERGENCE_BUDGET,
-    ReachabilityReport,
-    RunOptions,
-    Trace,
-    explore,
-    run,
-)
-from .syntax import Agent, Call, Change, Choice, Hide, KEEP, Now, Parallel, Program, Tell
-from .constraints import LinCmp, TermEq, Num
+from .semantics import EvaluationError
+from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
+from .syntax import Change, Choice, KEEP, Program, nodes, pretty
 
 
 def _fraction(text: str) -> Fraction:
@@ -84,32 +80,18 @@ def static_diagnostics(program: Program) -> List[str]:
     initialized: set = set()
     kept: set = set()
     invariant_reads: set = set()
-
-    def walk(agent: Agent):
-        if isinstance(agent, Change):
-            if agent.value is KEEP or agent.flow is KEEP:
-                kept.add(agent.var)
-            else:
-                initialized.add(agent.var)
-        elif isinstance(agent, Parallel):
-            walk(agent.left)
-            walk(agent.right)
-        elif isinstance(agent, Hide):
-            walk(agent.body)
-        elif isinstance(agent, Choice):
-            for br in agent.ask_branches:
-                walk(br.body)
-            for inv in agent.cont_branches:
-                for a in inv.atoms:
-                    if isinstance(a, LinCmp) or (isinstance(a, TermEq) and isinstance(a.term, Num)):
-                        invariant_reads.add(a.var)
-        elif isinstance(agent, Now):
-            walk(agent.then)
-            walk(agent.orelse)
-
-    for decl in program.declarations:
-        walk(decl.body)
-    walk(program.initial)
+    for root in (*(decl.body for decl in program.declarations), program.initial):
+        for agent in nodes(root):
+            if isinstance(agent, Change):
+                if agent.value is KEEP or agent.flow is KEEP:
+                    kept.add(agent.var)
+                else:
+                    initialized.add(agent.var)
+            elif isinstance(agent, Choice):
+                for inv in agent.cont_branches:
+                    for a in inv.atoms:
+                        if isinstance(a, LinCmp) or (isinstance(a, TermEq) and isinstance(a.term, Num)):
+                            invariant_reads.add(a.var)
     issues = []
     for var in sorted((kept | invariant_reads) - initialized):
         issues.append(f"uninitialized continuous variable {var}: read or kept before any change({var}, value, flow)")
@@ -156,13 +138,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    from .syntax import pretty
-
     program = _read_model(args.input)
     lines = []
     for name, value in program.constants.items():
-        from .constraints import format_rational
-
         lines.append(f"const {name} = {format_rational(value)};")
     for decl in program.declarations:
         params = f"({', '.join(decl.params)})" if decl.params else ""
@@ -183,6 +161,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except ParseError as exc:
         print(f"error: {args.input}:{exc}", file=sys.stderr)
+        return 1
+    except (EvaluationError, UninitializedContinuousVariableError, MissingContinuousVariableError) as exc:
+        print(f"error: {args.input}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -2,8 +2,9 @@
 
 One concrete instantiation: term equations in solved form (covering atoms,
 numbers and open-ended streams) plus comparisons of a single variable against
-a rational constant.  Conjunction, entailment and hiding are the lattice
-operations; inconsistency is a value (FALSE), never an exception.
+a rational constant.  Conjunction and entailment are the lattice operations;
+inconsistency is a value (FALSE), never an exception.  Hiding lives in the
+engine: a scope keeps its own local store and publishes under generated names.
 
 Terms and atomic constraints are immutable; they cache their hash (and their
 variable sets) at construction because stores grow monotonically and the same
@@ -169,16 +170,17 @@ def format_rational(q: Union[Fraction, float]) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def term_vars(t: Term) -> set:
-    out: set = set()
+def term_vars(t: Term) -> list:
+    """The variable names of a term, left to right, repeats included."""
+    out = []
     stack = [t]
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            out.add(node.name)
+            out.append(node.name)
         elif isinstance(node, Cons):
-            stack.append(node.head)
             stack.append(node.tail)
+            stack.append(node.head)
     return out
 
 
@@ -206,7 +208,8 @@ def reset_fresh_counter() -> None:
 # ---------------------------------------------------------------------------
 # atomic constraints
 
-CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# comparison operator -> its spelling in .hyt source
+OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
 class TermEq:
@@ -222,7 +225,7 @@ class TermEq:
 
     def variables(self) -> frozenset:
         if self._vars is None:
-            self._vars = frozenset(term_vars(self.term) | {self.var})
+            self._vars = frozenset({self.var, *term_vars(self.term)})
         return self._vars
 
     def __eq__(self, other) -> bool:
@@ -274,8 +277,7 @@ class LinCmp:
         return f"LinCmp({self.var!r}, {self.op!r}, {self.bound!r})"
 
     def __str__(self) -> str:
-        op = {"<=": "=<", ">=": ">=", "!=": "!=", "=": "=", "<": "<", ">": ">"}[self.op]
-        return f"{self.var}{op}{format_rational(self.bound)}"
+        return f"{self.var}{OP_TEXT[self.op]}{format_rational(self.bound)}"
 
 
 AtomicConstraint = Union[TermEq, LinCmp]
@@ -357,6 +359,9 @@ def constraint(*atoms: AtomicConstraint) -> Constraint:
 
 class MissingContinuousVariableError(KeyError):
     """A guard reads a continuous variable with no entry in the snapshot."""
+
+    def __str__(self) -> str:
+        return f"a guard reads continuous variable {self.args[0]}, which has no value yet"
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +455,7 @@ def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
         solved.add(TermEq(name, t))
 
     for c in cmps:
-        if isinstance(rep := _deep(Var(c.var), subst), Num):
-            if not compare(rep.value, c.op, c.bound):
-                return FALSE
-        elif isinstance(rep, Var):
-            solved.add(LinCmp(rep.name, c.op, c.bound))
-        else:
+        if not _resolve_cmp(c, subst, solved):
             return FALSE
     return Constraint(frozenset(solved))
 
@@ -601,48 +601,6 @@ def entails(store: Constraint, guard: Constraint, locals_: frozenset = frozenset
             else:
                 return False
     return True
-
-
-def _rename_var_in_term(t: Term, old: str, new: Term) -> Term:
-    if isinstance(t, Var):
-        return new if t.name == old else t
-    if isinstance(t, Cons):
-        return Cons(_rename_var_in_term(t.head, old, new), _rename_var_in_term(t.tail, old, new))
-    return t
-
-
-def hide(c: Constraint, x: str) -> Constraint:
-    """Existentially quantify ``x``: substitute its binding away, then forget it.
-
-    Information about other variables routed through ``x`` is preserved by
-    renaming residual occurrences of ``x`` to a fresh variable.
-    """
-    if not c.consistent:
-        return FALSE
-    kept = [a for a in c.atoms if not (isinstance(a, TermEq) and a.var == x)]
-    mentions = any(x in a.variables() for a in kept)
-    if not mentions:
-        return Constraint(frozenset(kept))
-    linked = any(isinstance(a, TermEq) and x in term_vars(a.term) for a in kept)
-    if not linked:
-        # only comparisons on an otherwise unlinked x remain: pure x-facts, drop
-        kept = [a for a in kept if a.var != x]
-        return Constraint(frozenset(kept))
-    fresh = Var(fresh_var(x))
-    out = []
-    for a in kept:
-        if isinstance(a, TermEq):
-            var = fresh.name if a.var == x else a.var
-            out.append(TermEq(var, _rename_var_in_term(a.term, x, fresh)))
-        else:
-            out.append(LinCmp(fresh.name, a.op, a.bound) if a.var == x else a)
-    return solve(out)
-
-
-def hide_all(c: Constraint, xs: Iterable[str]) -> Constraint:
-    for x in xs:
-        c = hide(c, x)
-    return c
 
 
 def eval_cont_atoms(guard: Constraint, snapshot: Mapping[str, object]) -> bool:

@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .constraints import LinCmp, compare, format_rational
+from .constraints import LinCmp, MissingContinuousVariableError, compare, format_rational
 from .syntax import Flow, KEEP, Keep
 
 Value = Union[Fraction, float]
@@ -60,6 +60,9 @@ EMPTY_STORE = ContinuousStore()
 
 class UninitializedContinuousVariableError(KeyError):
     """change with a KEEP component on a variable that has no entry yet."""
+
+    def __str__(self) -> str:
+        return f"change keeps a component of continuous variable {self.args[0]}, which has no value yet"
 
 
 def apply_change(store: ContinuousStore, x: str, v: Union[Value, Keep], f: Union[Flow, Keep]) -> ContinuousStore:
@@ -247,8 +250,6 @@ def atoms_truth_interval(atoms: Sequence[LinCmp], store: ContinuousStore) -> Int
     for atom in atoms:
         entry = entries.get(atom.var)
         if entry is None:
-            from .constraints import MissingContinuousVariableError
-
             raise MissingContinuousVariableError(atom.var)
         iv = intersect(iv, truth_interval(entry.value, entry.flow, atom))
         if iv.empty:
@@ -265,6 +266,10 @@ class DelayCause(Enum):
     INVARIANT_EXPIRES = "invariant"
     HORIZON = "horizon"
     TIMELOCK = "timelock"
+
+
+# the cause that wins when several bounds fall at the same instant
+DELAY_PRIORITY = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, DelayCause.HORIZON: 2}
 
 
 @dataclass(frozen=True)
@@ -295,7 +300,8 @@ def max_delay(
     pass (TIMELOCK).  The chosen tau is the minimum of: the earliest instant a
     currently-false waiting guard becomes satisfiable, the latest instant up to
     which some currently-true invariant keeps holding, and the horizon.  Ties
-    prefer GuardEnables over InvariantExpires over Horizon.
+    prefer a closed bound over an open one, then GuardEnables over
+    InvariantExpires over Horizon.
     """
     # invariant bound: max over currently-true branches of their expiry
     inv_bound: Optional[Value] = None  # None = no true invariant yet
@@ -342,8 +348,9 @@ def max_delay(
     if not bounds:
         return DelayOutcome(None, DelayCause.TIMELOCK)
 
-    priority = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, DelayCause.HORIZON: 2}
-    bounds.sort(key=lambda b: (b[0], priority[b[1]]))
+    # at one instant a closed bound comes first: a guard true only strictly
+    # after t must not carry time past an invariant that ends at t
+    bounds.sort(key=lambda b: (b[0], b[3], DELAY_PRIORITY[b[1]]))
     tau, cause, branch, is_open = bounds[0]
     if is_open:
         # the guard only becomes true strictly after tau: land inside the open

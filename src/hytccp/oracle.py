@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
-from .constraints import Constraint, TRUE, conj, hide_all
+from .constraints import Constraint, conj, entails, split_guard
 from .flows import ContinuousStore, UNBOUNDED, atoms_truth_interval, apply_change, evolve
 from .semantics import (
     Configuration,
@@ -21,11 +21,9 @@ from .semantics import (
     hide_aliases,
     hide_effective,
 )
-from .constraints import split_guard, entails, eval_cont_atoms
-from .syntax import rename_constraint
+from .simulator import canonical_key
 from .syntax import (
     Agent,
-    AskBranch,
     Call,
     Change,
     Choice,
@@ -37,26 +35,14 @@ from .syntax import (
     STOP,
     Stop,
     Tell,
+    nodes,
+    rename_constraint,
     substitute,
 )
 
 
 class OracleSizeError(Exception):
     """Configuration exceeds the size cap the oracle is meant for."""
-
-
-def _agent_size(agent: Agent) -> int:
-    if isinstance(agent, (Stop, Tell, Call, Change)):
-        return 1
-    if isinstance(agent, Parallel):
-        return 1 + _agent_size(agent.left) + _agent_size(agent.right)
-    if isinstance(agent, Hide):
-        return 1 + _agent_size(agent.body)
-    if isinstance(agent, Choice):
-        return 1 + sum(_agent_size(b.body) for b in agent.ask_branches)
-    if isinstance(agent, Now):
-        return 1 + _agent_size(agent.then) + _agent_size(agent.orelse)
-    raise TypeError(f"not an agent: {agent!r}")
 
 
 def _step(
@@ -125,7 +111,7 @@ def _step(
 
 def oracle_successors(cfg: Configuration, program: Program, size_cap: int = 200) -> List[Configuration]:
     """All one-step discrete successors, computed naively from the rules."""
-    if _agent_size(cfg.agent) > size_cap:
+    if sum(1 for _ in nodes(cfg.agent)) > size_cap:
         raise OracleSizeError(f"agent size exceeds the oracle cap ({size_cap})")
     snapshot = cfg.continuous.snapshot()
     steps = _step(cfg.agent, cfg.discrete, cfg.continuous, snapshot, program, frozenset())
@@ -181,8 +167,6 @@ def oracle_reachable(
     ``taus_for`` maps a configuration to the candidate continuous durations;
     by default the engine's earliest-event delay supplies the witness.
     """
-    from .simulator import canonical_key
-
     if taus_for is None:
 
         def taus_for(cfg):

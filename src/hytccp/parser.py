@@ -14,8 +14,8 @@ from typing import List, Optional, Tuple
 
 from .constraints import (
     Constraint,
-    TRUE,
     FALSE,
+    OP_TEXT,
     TermEq,
     LinCmp,
     Term,
@@ -35,7 +35,6 @@ from .syntax import (
     Change,
     Choice,
     Declaration,
-    Flow,
     FlowSpec,
     Hide,
     KEEP,
@@ -45,7 +44,11 @@ from .syntax import (
     Program,
     STOP,
     Tell,
+    nodes,
 )
+
+# source spelling -> comparison operator; '=' parses as a term equation
+_CMP_OPS = {text: op for op, text in OP_TEXT.items() if op != "="}
 
 KEYWORDS = {"stop", "tell", "ask", "now", "then", "else", "exists", "change", "der", "const", "true", "false", "random"}
 
@@ -376,11 +379,9 @@ class Parser:
             self.next()
             term = self.parse_term(allow_wildcard)
             return TermEq(var, term)
-        if tok.text in ("!=", "<", "=<", ">", ">="):
+        if tok.text in _CMP_OPS:
             self.next()
-            op = {"=<": "<=", ">=": ">=", "!=": "!=", "<": "<", ">": ">"}[tok.text]
-            bound = self.const_expr()
-            return LinCmp(var, op, bound)
+            return LinCmp(var, _CMP_OPS[tok.text], self.const_expr())
         self.error("expected a comparison operator")
 
     def parse_term(self, allow_wildcard: bool) -> Term:
@@ -545,27 +546,10 @@ class Parser:
     # -- static checks
 
     def check_arities(self, program: Program) -> None:
-        def walk(agent: Agent):
-            if isinstance(agent, Call):
-                if not program.lookup(agent.name, len(agent.args)):
-                    raise ParseError(
-                        f"call to undeclared process {agent.name}/{len(agent.args)}", 0, 0
-                    )
-            elif isinstance(agent, Parallel):
-                walk(agent.left)
-                walk(agent.right)
-            elif isinstance(agent, Hide):
-                walk(agent.body)
-            elif isinstance(agent, Choice):
-                for br in agent.ask_branches:
-                    walk(br.body)
-            elif isinstance(agent, Now):
-                walk(agent.then)
-                walk(agent.orelse)
-
-        for decl in program.declarations:
-            walk(decl.body)
-        walk(program.initial)
+        for root in (*(decl.body for decl in program.declarations), program.initial):
+            for agent in nodes(root):
+                if isinstance(agent, Call) and not program.lookup(agent.name, len(agent.args)):
+                    raise ParseError(f"call to undeclared process {agent.name}/{len(agent.args)}", 0, 0)
 
 
 def parse_program(text: str, source: str = "") -> Program:

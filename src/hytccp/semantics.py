@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     Constraint,
@@ -25,24 +25,23 @@ from .constraints import (
     conj,
     entails,
     eval_cont_atoms,
-    hide_all,
+    fresh_var,
     solve,
     split_guard,
 )
 from .flows import (
+    DELAY_PRIORITY,
     ContinuousStore,
     DelayCause,
     DelayOutcome,
     EMPTY_STORE,
     GuardWatch,
-    UninitializedContinuousVariableError,
     apply_change,
     evolve,
     max_delay,
 )
 from .syntax import (
     Agent,
-    AskBranch,
     Call,
     Change,
     Choice,
@@ -56,21 +55,21 @@ from .syntax import (
     STOP,
     Stop,
     Tell,
-    free_vars,
+    nodes,
+    rebuild,
     rename_constraint,
     substitute,
 )
-from .constraints import fresh_var
 
 DrawFn = Callable[[Fraction, Fraction], Fraction]
 
 
-def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
-    raise RuntimeError("random() reached without a draw function (no seeded generator)")
-
-
 class EvaluationError(Exception):
-    """A change argument or flow expression could not be evaluated to a number."""
+    """A value the model needs could not be evaluated to a number."""
+
+
+def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
+    raise EvaluationError("random() needs a seeded generator; explore does not draw random values")
 
 
 @dataclass(frozen=True)
@@ -174,12 +173,7 @@ def alpha_convert(agent: Hide, store: Constraint, snapshot) -> Hide:
     clash = {x: fresh_var(x) for x in agent.vars if x in outer and x not in snapshot}
     if not clash:
         return agent
-    return Hide(
-        tuple(clash.get(x, x) for x in agent.vars),
-        substitute(agent.body, clash),
-        rename_constraint(agent.local_store, clash),
-        agent.alias,
-    )
+    return rebuild(agent, (substitute(agent.body, clash),), clash)
 
 
 def hide_aliases(agent: Hide) -> Tuple[str, ...]:
@@ -344,51 +338,48 @@ def analyze_waiting(
     store: Constraint,
     snapshot: Dict[str, object],
     locals_: frozenset = frozenset(),
-    state: Optional[WaitState] = None,
-    branch_counter: Optional[List[int]] = None,
 ) -> WaitState:
     """Collect ask~ invariants and watchable continuous guards of a quiescent agent.
 
     Must only be called when ``agent`` has no discrete successor; active
     positions are then stop, suspended choices, and hide bodies.
     """
-    if state is None:
-        state = WaitState()
-        branch_counter = [0]
-    if isinstance(agent, Stop):
-        return state
-    if isinstance(agent, Parallel):
-        analyze_waiting(agent.left, store, snapshot, locals_, state, branch_counter)
-        analyze_waiting(agent.right, store, snapshot, locals_, state, branch_counter)
-        return state
-    if isinstance(agent, Hide):
-        effective = hide_effective(agent, store)
-        analyze_waiting(agent.body, effective, snapshot, locals_ | set(agent.vars), state, branch_counter)
-        return state
-    if isinstance(agent, Choice):
-        state.all_stop = False
-        for branch in agent.ask_branches:
-            disc, cont = split_guard(branch.guard, snapshot.keys())
-            if not cont:
-                continue  # purely discrete guard: time passage cannot enable it
-            if not entails(store, disc, locals_):
-                continue
-            if eval_cont_atoms(Constraint(frozenset(cont)), snapshot):
-                continue  # already true now (guard suspended on its discrete part)
-            branch_counter[0] += 1
-            state.guard_watches.append(GuardWatch(tuple(cont), branch_counter[0]))
-        if agent.cont_branches:
-            group = []
-            for inv in agent.cont_branches:
-                disc, cont = split_guard(inv, snapshot.keys())
+    state = WaitState()
+    watched = 0
+    todo = [(agent, store, locals_)]
+    while todo:
+        node, store, locals_ = todo.pop()
+        if isinstance(node, Stop):
+            continue
+        if isinstance(node, Parallel):
+            todo.append((node.right, store, locals_))
+            todo.append((node.left, store, locals_))
+        elif isinstance(node, Hide):
+            todo.append((node.body, hide_effective(node, store), locals_ | set(node.vars)))
+        elif isinstance(node, Choice):
+            state.all_stop = False
+            for branch in node.ask_branches:
+                disc, cont = split_guard(branch.guard, snapshot.keys())
+                if not cont:
+                    continue  # purely discrete guard: time passage cannot enable it
                 if not entails(store, disc, locals_):
-                    continue  # discrete part false: this invariant cannot hold
-                group.append(list(cont))
-            state.invariant_groups.append(group)
-        return state
-    # a suspended now/call/tell cannot occur here; anything else blocks time
-    state.all_stop = False
-    state.blocked = True
+                    continue
+                if eval_cont_atoms(Constraint(frozenset(cont)), snapshot):
+                    continue  # already true now (guard suspended on its discrete part)
+                watched += 1
+                state.guard_watches.append(GuardWatch(tuple(cont), watched))
+            if node.cont_branches:
+                group = []
+                for inv in node.cont_branches:
+                    disc, cont = split_guard(inv, snapshot.keys())
+                    if not entails(store, disc, locals_):
+                        continue  # discrete part false: this invariant cannot hold
+                    group.append(list(cont))
+                state.invariant_groups.append(group)
+        else:
+            # a suspended now/call/tell cannot occur here; anything else blocks time
+            state.all_stop = False
+            state.blocked = True
     return state
 
 
@@ -420,18 +411,10 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
             return DelayResult(None, "timelock")
         if best is None or outcome.tau < best.tau:
             best = outcome
-        elif outcome.tau == best.tau:
-            priority = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, DelayCause.HORIZON: 2}
-            if priority[outcome.cause] < priority[best.cause]:
-                best = outcome
+        elif outcome.tau == best.tau and DELAY_PRIORITY[outcome.cause] < DELAY_PRIORITY[best.cause]:
+            best = outcome
     return DelayResult(best, "delay")
 
 
 def is_all_stop(agent: Agent) -> bool:
-    if isinstance(agent, Stop):
-        return True
-    if isinstance(agent, Parallel):
-        return is_all_stop(agent.left) and is_all_stop(agent.right)
-    if isinstance(agent, Hide):
-        return is_all_stop(agent.body)
-    return False
+    return all(isinstance(node, (Stop, Parallel, Hide)) for node in nodes(agent))

@@ -13,45 +13,37 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .constraints import (
     Constraint,
     TermEq,
-    LinCmp,
-    Cons,
-    Var,
     format_rational,
     is_fresh_name,
     reset_fresh_counter,
+    term_vars,
 )
-from .flows import ContinuousStore, DelayCause, Entry
+from .flows import ContinuousStore, DelayCause
 from .semantics import (
     ChoiceRecord,
     Configuration,
-    DelayResult,
-    Outcome,
     compute_delay,
     continuous_step,
     discrete_successors,
+    hide_effective,
+    is_all_stop,
 )
 from .syntax import (
     Agent,
-    AskBranch,
-    Call,
-    Change,
-    Choice,
-    Flow,
-    FlowSpec,
     Hide,
     KEEP,
-    Now,
-    Parallel,
     Program,
-    Stop,
-    Tell,
     builtin_random,
+    children,
+    parts,
     pretty,
+    rebuild,
+    rename_constraint,
 )
 
 DEFAULT_DIVERGENCE_BUDGET = 10000
@@ -83,12 +75,8 @@ def value_json(v) -> Union[str, float]:
     return float(v)
 
 
-def flow_json(f: Flow) -> str:
-    return f"{format_rational(f.a)}+{format_rational(f.b)}*x"
-
-
 def vars_json(store: ContinuousStore) -> dict:
-    return {name: {"v": value_json(e.value), "flow": flow_json(e.flow)} for name, e in store.entries}
+    return {name: {"v": value_json(e.value), "flow": str(e.flow)} for name, e in store.entries}
 
 
 @dataclass(frozen=True)
@@ -190,7 +178,7 @@ def _describe_changes(changes) -> Tuple[Tuple[str, str, str], ...]:
     out = []
     for x, v, f in changes:
         vs = "_" if v is KEEP else value_json(v) if not isinstance(v, str) else v
-        fs = "_" if f is KEEP else flow_json(f)
+        fs = "_" if f is KEEP else str(f)
         out.append((x, str(vs), fs))
     return tuple(out)
 
@@ -237,8 +225,6 @@ def run(program: Program, options: RunOptions) -> Trace:
 
         # discretely quiescent
         if cfg.clock >= options.max_time:
-            from .semantics import is_all_stop
-
             kind = "all_stop" if is_all_stop(cfg.agent) else "max_time"
             trace.events.append(TerminalEvent(kind, cfg.clock))
             return trace
@@ -271,122 +257,46 @@ def _mask(s: str) -> str:
     return _FRESH_PLACEHOLDER.sub("#", s)
 
 
-def _collect_fresh(agent: Agent, mapping: Dict[str, str]) -> None:
+def _number_fresh(agent: Agent, store: Constraint) -> Dict[str, str]:
+    """Name generated variables c1, c2, ... in order of first occurrence.
+
+    The agent is read in field order (``syntax.parts``), then the store; the
+    atoms of each constraint are read in the order of their masked text.
+    """
+    mapping: Dict[str, str] = {}
+
     def note(name: str):
         if is_fresh_name(name) and name not in mapping:
             mapping[name] = f"c{len(mapping) + 1}"
 
-    def note_constraint(c: Constraint):
-        for a in sorted(c.atoms, key=lambda a: _mask(str(a))):
-            note(a.var)
-            if isinstance(a, TermEq):
-                stack = [a.term]
-                while stack:
-                    t = stack.pop()
-                    if isinstance(t, Var):
-                        note(t.name)
-                    elif isinstance(t, Cons):
-                        stack.append(t.tail)
-                        stack.append(t.head)
-
-    def walk(node: Agent):
-        if isinstance(node, Tell):
-            note_constraint(node.constraint)
-        elif isinstance(node, Parallel):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, Hide):
-            for v in node.vars:
-                note(v)
-            walk(node.body)
-            note_constraint(node.local_store)
-        elif isinstance(node, Choice):
-            for br in node.ask_branches:
-                note_constraint(br.guard)
-                walk(br.body)
-            for inv in node.cont_branches:
-                note_constraint(inv)
-        elif isinstance(node, Now):
-            note_constraint(node.guard)
-            walk(node.then)
-            walk(node.orelse)
-        elif isinstance(node, Call):
-            for a in node.args:
-                note(a)
-        elif isinstance(node, Change):
-            note(node.var)
-            if isinstance(node.value, str):
-                note(node.value)
-            if isinstance(node.flow, FlowSpec):
-                for v in sorted(node.flow.expr.variables()):
-                    note(v)
-
-    walk(agent)
+    todo: list = [store, agent]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            note(item)
+        elif isinstance(item, Constraint):
+            for a in sorted(item.atoms, key=lambda a: _mask(str(a))):
+                note(a.var)
+                for name in term_vars(a.term) if isinstance(a, TermEq) else ():
+                    note(name)
+        else:
+            todo.extend(reversed(parts(item)))
+    return mapping
 
 
 def _rename_all(agent: Agent, mapping: Dict[str, str]) -> Agent:
-    from .syntax import rename_constraint
-
-    if isinstance(agent, Stop):
+    """Rename every occurrence of the mapped names, bound ones included."""
+    if not mapping:
         return agent
-    if isinstance(agent, Tell):
-        return Tell(rename_constraint(agent.constraint, mapping))
-    if isinstance(agent, Parallel):
-        return Parallel(_rename_all(agent.left, mapping), _rename_all(agent.right, mapping))
-    if isinstance(agent, Hide):
-        return Hide(
-            tuple(mapping.get(v, v) for v in agent.vars),
-            _rename_all(agent.body, mapping),
-            rename_constraint(agent.local_store, mapping),
-        )
-    if isinstance(agent, Choice):
-        return Choice(
-            tuple(
-                AskBranch(rename_constraint(b.guard, mapping), _rename_all(b.body, mapping))
-                for b in agent.ask_branches
-            ),
-            tuple(rename_constraint(inv, mapping) for inv in agent.cont_branches),
-        )
-    if isinstance(agent, Now):
-        return Now(
-            rename_constraint(agent.guard, mapping),
-            _rename_all(agent.then, mapping),
-            _rename_all(agent.orelse, mapping),
-        )
-    if isinstance(agent, Call):
-        return Call(agent.name, tuple(mapping.get(a, a) for a in agent.args))
-    if isinstance(agent, Change):
-        value = agent.value
-        if isinstance(value, str):
-            value = mapping.get(value, value)
-        flow = agent.flow
-        if isinstance(flow, FlowSpec):
-            flow = FlowSpec(mapping.get(flow.var, flow.var), flow.expr.rename(mapping))
-        return Change(mapping.get(agent.var, agent.var), value, flow)
-    raise TypeError(f"not an agent: {agent!r}")
+    return rebuild(agent, tuple(_rename_all(kid, mapping) for kid in children(agent)), mapping)
 
 
 def canonical_key(cfg: Configuration) -> Tuple:
     """Hashable key identifying configurations up to generated-variable renaming."""
-    from .syntax import rename_constraint
-
-    mapping: Dict[str, str] = {}
-    _collect_fresh(cfg.agent, mapping)
-    for a in sorted(cfg.discrete.atoms, key=lambda a: _mask(str(a))):
-        if is_fresh_name(a.var) and a.var not in mapping:
-            mapping[a.var] = f"c{len(mapping) + 1}"
-        if isinstance(a, TermEq):
-            stack = [a.term]
-            while stack:
-                t = stack.pop()
-                if isinstance(t, Var) and is_fresh_name(t.name) and t.name not in mapping:
-                    mapping[t.name] = f"c{len(mapping) + 1}"
-                elif isinstance(t, Cons):
-                    stack.append(t.tail)
-                    stack.append(t.head)
+    mapping = _number_fresh(cfg.agent, cfg.discrete)
     agent = _rename_all(cfg.agent, mapping)
     store = rename_constraint(cfg.discrete, mapping)
-    cont = tuple((n, value_json(e.value), flow_json(e.flow)) for n, e in cfg.continuous.entries)
+    cont = tuple((n, value_json(e.value), str(e.flow)) for n, e in cfg.continuous.entries)
     return (pretty(agent), _effective_strings(agent, store), str(store), cont, value_json(cfg.clock))
 
 
@@ -397,26 +307,14 @@ def _effective_strings(agent: Agent, store: Constraint) -> Tuple[str, ...]:
     local store, makes the key independent of how much outer knowledge a
     local store happens to cache.
     """
-    from .semantics import hide_effective
-
     out: List[str] = []
-
-    def walk(node: Agent, outer: Constraint):
-        if isinstance(node, Parallel):
-            walk(node.left, outer)
-            walk(node.right, outer)
-        elif isinstance(node, Hide):
-            effective = hide_effective(node, outer)
-            out.append(_mask(str(effective)))
-            walk(node.body, effective)
-        elif isinstance(node, Choice):
-            for br in node.ask_branches:
-                walk(br.body, outer)
-        elif isinstance(node, Now):
-            walk(node.then, outer)
-            walk(node.orelse, outer)
-
-    walk(agent, store)
+    todo = [(agent, store)]
+    while todo:
+        node, outer = todo.pop()
+        if isinstance(node, Hide):
+            outer = hide_effective(node, outer)
+            out.append(_mask(str(outer)))
+        todo.extend((kid, outer) for kid in reversed(children(node)))
     return tuple(out)
 
 

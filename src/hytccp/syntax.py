@@ -6,23 +6,24 @@ the continuous-variable reset agent ``change``.  ASTs are immutable.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .constraints import (
     Constraint,
+    OP_TEXT,
     TRUE,
     Term,
     TermEq,
     LinCmp,
     Var,
     Cons,
-    Num,
     format_rational,
     fresh_var,
-    term_vars,
+    solve,
 )
 
 
@@ -185,40 +186,106 @@ class Program:
         return tuple(d for d in self.declarations if d.name == name and len(d.params) == arity)
 
 
-# --- free variables
+# --- traversal: the one place that knows which fields of each form are
+# sub-agents, names and constraints
 
 
-def free_vars(agent: Agent) -> set:
+def parts(agent: Agent) -> tuple:
+    """What the node holds, in field order: names (str), constraints and sub-agents.
+
+    A choice lists each guard before its body; a scope lists its bound names,
+    its body, then its local store.  The order is the numbering order of
+    generated names in canonical keys.
+    """
     if isinstance(agent, Stop):
-        return set()
+        return ()
     if isinstance(agent, Tell):
-        return agent.constraint.variables()
+        return (agent.constraint,)
     if isinstance(agent, Parallel):
-        return free_vars(agent.left) | free_vars(agent.right)
+        return (agent.left, agent.right)
     if isinstance(agent, Hide):
-        return (free_vars(agent.body) | agent.local_store.variables()) - set(agent.vars)
+        return (*agent.vars, agent.body, agent.local_store)
     if isinstance(agent, Choice):
-        out: set = set()
-        for br in agent.ask_branches:
-            out |= br.guard.variables() | free_vars(br.body)
-        for inv in agent.cont_branches:
-            out |= inv.variables()
-        return out
+        return (*(x for b in agent.ask_branches for x in (b.guard, b.body)), *agent.cont_branches)
     if isinstance(agent, Now):
-        return agent.guard.variables() | free_vars(agent.then) | free_vars(agent.orelse)
+        return (agent.guard, agent.then, agent.orelse)
     if isinstance(agent, Call):
-        return set(agent.args)
+        return agent.args
     if isinstance(agent, Change):
-        out = {agent.var}
+        names = [agent.var]
         if isinstance(agent.value, str):
-            out.add(agent.value)
+            names.append(agent.value)
         if isinstance(agent.flow, FlowSpec):
-            out |= agent.flow.expr.variables()
-        return out
+            names += sorted(agent.flow.expr.variables())
+        return tuple(names)
     raise TypeError(f"not an agent: {agent!r}")
 
 
-# --- capture-avoiding substitution (variable-for-variable)
+def children(agent: Agent) -> Tuple[Agent, ...]:
+    """The sub-agents of ``agent``, left to right: the agents among its ``parts``."""
+    if isinstance(agent, Parallel):
+        return (agent.left, agent.right)
+    if isinstance(agent, Hide):
+        return (agent.body,)
+    if isinstance(agent, Choice):
+        return tuple(b.body for b in agent.ask_branches)
+    if isinstance(agent, Now):
+        return (agent.then, agent.orelse)
+    return ()
+
+
+def nodes(agent: Agent) -> Iterator[Agent]:
+    """``agent`` and every sub-agent below it, in pre-order."""
+    stack = [agent]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
+    """The same node over sub-agents ``kids``, with its own names renamed per ``mapping``.
+
+    Bound names are renamed like any other: capture avoidance is up to the
+    caller.
+    """
+    name = lambda n: mapping.get(n, n)
+    if isinstance(agent, Tell):
+        return Tell(rename_constraint(agent.constraint, mapping))
+    if isinstance(agent, Parallel):
+        return Parallel(*kids)
+    if isinstance(agent, Hide):
+        return Hide(tuple(map(name, agent.vars)), kids[0], rename_constraint(agent.local_store, mapping), agent.alias)
+    if isinstance(agent, Choice):
+        return Choice(
+            tuple(AskBranch(rename_constraint(b.guard, mapping), kid) for b, kid in zip(agent.ask_branches, kids)),
+            tuple(rename_constraint(inv, mapping) for inv in agent.cont_branches),
+        )
+    if isinstance(agent, Now):
+        return Now(rename_constraint(agent.guard, mapping), *kids)
+    if isinstance(agent, Call):
+        return Call(agent.name, tuple(map(name, agent.args)))
+    if isinstance(agent, Change):
+        value = name(agent.value) if isinstance(agent.value, str) else agent.value
+        flow = agent.flow
+        if isinstance(flow, FlowSpec):
+            flow = FlowSpec(name(flow.var), flow.expr.rename(mapping))
+        return Change(name(agent.var), value, flow)
+    return agent
+
+
+def free_vars(agent: Agent) -> set:
+    out: set = set()
+    for p in parts(agent):
+        if isinstance(p, str):
+            out.add(p)
+        elif isinstance(p, Constraint):
+            out |= p.variables()
+        else:
+            out |= free_vars(p)
+    if isinstance(agent, Hide):
+        out -= set(agent.vars)
+    return out
 
 
 def _rename_term(t: Term, mapping: dict) -> Term:
@@ -238,8 +305,6 @@ def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
             atoms.append(TermEq(mapping.get(a.var, a.var), _rename_term(a.term, mapping)))
         else:
             atoms.append(LinCmp(mapping.get(a.var, a.var), a.op, a.bound))
-    from .constraints import solve
-
     return solve(atoms)
 
 
@@ -248,49 +313,14 @@ def substitute(agent: Agent, mapping: dict) -> Agent:
     mapping = {k: v for k, v in mapping.items() if k != v}
     if not mapping:
         return agent
-    if isinstance(agent, Stop):
-        return agent
-    if isinstance(agent, Tell):
-        return Tell(rename_constraint(agent.constraint, mapping))
-    if isinstance(agent, Parallel):
-        return Parallel(substitute(agent.left, mapping), substitute(agent.right, mapping))
     if isinstance(agent, Hide):
-        inner = {k: v for k, v in mapping.items() if k not in agent.vars}
-        taken = set(inner.values()) | set(inner)
-        bound = list(agent.vars)
-        body = agent.body
-        local = agent.local_store
-        renames = {}
-        for i, x in enumerate(bound):
-            if x in taken:
-                renames[x] = fresh_var(x)
-                bound[i] = renames[x]
-        if renames:
-            body = substitute(body, renames)
-            local = rename_constraint(local, renames)
-        return Hide(tuple(bound), substitute(body, inner), rename_constraint(local, inner), agent.alias)
-    if isinstance(agent, Choice):
-        return Choice(
-            tuple(AskBranch(rename_constraint(b.guard, mapping), substitute(b.body, mapping)) for b in agent.ask_branches),
-            tuple(rename_constraint(inv, mapping) for inv in agent.cont_branches),
-        )
-    if isinstance(agent, Now):
-        return Now(
-            rename_constraint(agent.guard, mapping),
-            substitute(agent.then, mapping),
-            substitute(agent.orelse, mapping),
-        )
-    if isinstance(agent, Call):
-        return Call(agent.name, tuple(mapping.get(a, a) for a in agent.args))
-    if isinstance(agent, Change):
-        value = agent.value
-        if isinstance(value, str):
-            value = mapping.get(value, value)
-        flow = agent.flow
-        if isinstance(flow, FlowSpec):
-            flow = FlowSpec(mapping.get(flow.var, flow.var), flow.expr.rename(mapping))
-        return Change(mapping.get(agent.var, agent.var), value, flow)
-    raise TypeError(f"not an agent: {agent!r}")
+        # bound names shadow the mapping; one it would capture is renamed first
+        mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
+        taken = set(mapping.values()) | set(mapping)
+        clash = {x: fresh_var(x) for x in agent.vars if x in taken}
+        if clash:
+            agent = rebuild(agent, (substitute(agent.body, clash),), clash)
+    return rebuild(agent, tuple(substitute(kid, mapping) for kid in children(agent)), mapping)
 
 
 # --- pretty printer (inverse of the parser on parsed ASTs)
@@ -307,8 +337,7 @@ def _pp_constraint(c: Constraint) -> str:
 def _pp_atom(a) -> str:
     if isinstance(a, TermEq):
         return f"{a.var} = {a.term}"
-    op = {"<=": "=<", "!=": "!=", "<": "<", ">": ">", ">=": ">=", "=": "="}[a.op]
-    return f"{a.var} {op} {format_rational(a.bound)}"
+    return f"{a.var} {OP_TEXT[a.op]} {format_rational(a.bound)}"
 
 
 def _pp_change(agent: Change) -> str:
@@ -375,8 +404,6 @@ def builtin_random(lo: Fraction, hi: Fraction, rng: random.Random) -> Fraction:
     """
     if lo > hi:
         raise ValueError(f"random bounds out of order: {lo} > {hi}")
-    import math
-
     low = math.ceil(lo)
     high = math.floor(hi)
     if low > high:

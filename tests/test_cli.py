@@ -95,3 +95,19 @@ def test_parse_output_reparses(tmp_path):
     assert {d.name for d in reparsed.declarations} == {d.name for d in original.declarations}
     for decl in original.declarations:
         assert reparsed.lookup(decl.name, len(decl.params))[0].body == decl.body
+
+
+@pytest.mark.parametrize(
+    "command, source, message",
+    [
+        ("explore", None, "random() needs a seeded generator"),
+        ("run", "init :- change(C, Y, der(C) = 1).", "variable Y is not bound to a number"),
+        ("run", "init :- change(C, _, der(C) = 1).", "continuous variable C, which has no value yet"),
+    ],
+    ids=["explore_random", "unbound_value", "keep_uninitialized"],
+)
+def test_runtime_model_error_is_reported_not_raised(tmp_path, capsys, command, source, message):
+    path = "models/dam.hyt" if source is None else write(tmp_path, "model.hyt", source)
+    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err

@@ -1,4 +1,4 @@
-"""Constraint system: solved form, conjunction, entailment, hiding."""
+"""Constraint system: solved form, conjunction, entailment."""
 from fractions import Fraction
 
 import pytest
@@ -21,8 +21,6 @@ from hytccp.constraints import (
     entails,
     eval_cont_atoms,
     format_rational,
-    hide,
-    hide_all,
     solve,
     split_guard,
 )
@@ -179,42 +177,6 @@ def test_conj_is_lower_bound(a, b):
     both = conj(a, b)
     assert entails(both, a)
     assert entails(both, b)
-
-
-# --- hiding (cylindrification)
-
-
-def test_hide_removes_the_variable():
-    store = c("X = [V|R] /\\ V = 5")
-    out = hide(store, "V")
-    assert "V" not in out.variables()
-    assert entails(out, c("X = [5|R]"))
-
-
-def test_hide_keeps_routing_through_fresh_name():
-    store = c("X = [H|T] /\\ Y = [H|U]")
-    out = hide(store, "H")
-    assert "H" not in out.variables()
-    # the two streams still share their head
-    assert entails(out, c("X = [N|_] /\\ Y = [N|_]"), frozenset({"N"}))
-
-
-def test_hide_drops_pure_facts():
-    out = hide(constraint(LinCmp("X", "<", Fraction(5))), "X")
-    assert out == TRUE
-
-
-def test_hide_all_and_guard_projection():
-    store = c("X = [a|R] /\\ Y = b")
-    g = c("X = [a|_]")
-    assert entails(store, g)
-    assert entails(store, hide(g, "Z"))  # hiding an absent variable is a no-op
-    assert hide_all(store, ["X", "Y", "R"]) == TRUE
-
-
-@given(constraints_st, st.sampled_from("XYZWUV"))
-def test_hide_never_mentions_the_variable(a, x):
-    assert x not in hide(a, x).variables()
 
 
 # --- continuous guard helpers

@@ -14,7 +14,7 @@ from hytccp.oracle import (
 )
 from hytccp.parser import parse_agent, parse_constraint, parse_program
 from hytccp.semantics import Configuration, discrete_successors
-from hytccp.simulator import canonical_key, explore
+from hytccp.simulator import RunOptions, canonical_key, explore, run
 from hytccp.syntax import Flow, Program, STOP
 
 from generators import random_program
@@ -85,3 +85,18 @@ def test_reachable_sets_agree_with_explore():
         reset_fresh_counter()
         oracle = oracle_reachable(Configuration(prog.initial), prog, 5)
         assert report.states == oracle, seed
+
+
+def test_open_guard_bound_does_not_carry_time_past_an_expiring_invariant():
+    # at t = 6 the invariant C =< 7 expires and the guard C > 7 is not yet
+    # true: time cannot pass t = 6
+    text = (
+        "init :- tell(Go = go) || change(C, 1, der(C) = 1)"
+        " || ask(Go = go) -> (ask(C > 7) -> stop + ask~(C =< 7))."
+    )
+    prog = parse_program(text, source=text)
+    terminal = run(prog, RunOptions(max_time=Fraction(100))).terminal
+    assert (terminal.kind, terminal.clock) == ("timelock", 6)
+    report = explore(prog, 6)
+    reset_fresh_counter()
+    assert oracle_reachable(Configuration(prog.initial), prog, 6) == report.states
