@@ -14,12 +14,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .constraints import LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational
+from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational
 from .flows import UninitializedContinuousVariableError
 from .parser import ParseError, parse_program
 from .semantics import EvaluationError
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
-from .syntax import Change, Choice, KEEP, Program, nodes, pretty
+from .syntax import Call, Change, Choice, FlowSpec, KEEP, Program, nodes, parts, pretty
 
 
 def _fraction(text: str) -> Fraction:
@@ -76,17 +76,28 @@ def _write(payload: str, out: Optional[str]) -> None:
 
 
 def static_diagnostics(program: Program) -> List[str]:
-    """Continuous-variable sanity: every read/KEEP variable must be initialized."""
+    """Continuous-variable sanity: every read/KEEP variable must be initialized,
+    and every name a ``change`` value or flow reads must be one something binds."""
     initialized: set = set()
     kept: set = set()
     invariant_reads: set = set()
-    for root in (*(decl.body for decl in program.declarations), program.initial):
+    mentioned: set = set()  # names in a tell or a guard: what can bind a change value
+    change_reads = []  # (name, process)
+    processes = [(decl.name, decl.params, decl.body) for decl in program.declarations]
+    if not isinstance(program.initial, Call):
+        processes.append(("the initial agent", (), program.initial))
+    for process, params, root in processes:
         for agent in nodes(root):
+            mentioned.update(*(p.variables() for p in parts(agent) if isinstance(p, Constraint)))
             if isinstance(agent, Change):
                 if agent.value is KEEP or agent.flow is KEEP:
                     kept.add(agent.var)
                 else:
                     initialized.add(agent.var)
+                reads = {agent.value} if isinstance(agent.value, str) else set()
+                if isinstance(agent.flow, FlowSpec):
+                    reads |= agent.flow.expr.variables() - {agent.flow.var}
+                change_reads += [(x, process) for x in sorted(reads - set(params))]
             elif isinstance(agent, Choice):
                 for inv in agent.cont_branches:
                     for a in inv.atoms:
@@ -95,6 +106,9 @@ def static_diagnostics(program: Program) -> List[str]:
     issues = []
     for var in sorted((kept | invariant_reads) - initialized):
         issues.append(f"uninitialized continuous variable {var}: read or kept before any change({var}, value, flow)")
+    for var, process in change_reads:
+        if var not in mentioned:
+            issues.append(f"unbound change value {var} in {process}: no tell or guard mentions it")
     return issues
 
 

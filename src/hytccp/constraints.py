@@ -4,7 +4,8 @@ One concrete instantiation: term equations in solved form (covering atoms,
 numbers and open-ended streams) plus comparisons of a single variable against
 a rational constant.  Conjunction and entailment are the lattice operations;
 inconsistency is a value (FALSE), never an exception.  Hiding lives in the
-engine: a scope keeps its own local store and publishes under generated names.
+engine: a scope renames its bound names once to generated ones, and its body
+tells and reads the one shared store under them.
 
 Terms and atomic constraints are immutable; they cache their hash (and their
 variable sets) at construction because stores grow monotonically and the same

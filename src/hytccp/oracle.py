@@ -16,10 +16,8 @@ from .semantics import (
     compute_delay,
     eval_change_value,
     eval_flow,
-    alpha_convert,
     guard_holds,
-    hide_aliases,
-    hide_effective,
+    open_scopes,
 )
 from .simulator import canonical_key
 from .syntax import (
@@ -36,7 +34,6 @@ from .syntax import (
     Stop,
     Tell,
     nodes,
-    rename_constraint,
     substitute,
 )
 
@@ -89,21 +86,13 @@ def _step(
         rights = _step(agent.right, store, cont, snapshot, program, locals_)
         return [(Parallel(agent.left, ra), rd, rc) for ra, rd, rc in rights]
     if isinstance(agent, Hide):
-        agent = alpha_convert(agent, store, snapshot)
-        alias = hide_aliases(agent)
-        effective = conj(agent.local_store, store)
-        inner = _step(agent.body, effective, cont, snapshot, program, locals_ | set(agent.vars))
-        out_map = dict(zip(agent.vars, alias))
-        results = []
-        for ia, ilocal, icont in inner:
-            results.append(
-                (Hide(agent.vars, ia, ilocal, alias), conj(store, rename_constraint(ilocal, out_map)), icont)
-            )
-        return results
+        agent = open_scopes(agent, snapshot)
+        inner = _step(agent.body, store, cont, snapshot, program, locals_ | set(agent.vars))
+        return [(Hide(agent.vars, ia), istore, icont) for ia, istore, icont in inner]
     if isinstance(agent, Call):
         results = []
         for decl in program.lookup(agent.name, len(agent.args)):
-            body = substitute(decl.body, dict(zip(decl.params, agent.args)))
+            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), snapshot)
             results.append((body, store, cont))
         return results
     raise TypeError(f"not an agent: {agent!r}")
@@ -128,8 +117,8 @@ def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau, lo
             agent.right, store, cont, tau, locals_
         )
     if isinstance(agent, Hide):
-        effective = hide_effective(agent, store)
-        return _can_advance(agent.body, effective, cont, tau, locals_ | set(agent.vars))
+        agent = open_scopes(agent, snapshot)
+        return _can_advance(agent.body, store, cont, tau, locals_ | set(agent.vars))
     if isinstance(agent, Choice):
         if not agent.cont_branches:
             return True  # suspended pure-ask choice idles

@@ -1,8 +1,8 @@
 """Transition engine over configurations <agent, discrete store, continuous store>.
 
 Discrete steps are instantaneous and implement tell, choice, now, parallel
-(maximal parallelism), hiding with an explicit local store, process call and
-the continuous reset agent.  Continuous steps advance every continuous
+(maximal parallelism), hiding by renaming to generated names, process call
+and the continuous reset agent.  Continuous steps advance every continuous
 variable by one shared duration and leave the agent and the discrete store
 untouched.  Time may pass only when no discrete step is enabled anywhere.
 """
@@ -26,6 +26,7 @@ from .constraints import (
     entails,
     eval_cont_atoms,
     fresh_var,
+    is_fresh_name,
     solve,
     split_guard,
 )
@@ -55,9 +56,9 @@ from .syntax import (
     STOP,
     Stop,
     Tell,
+    children,
     nodes,
     rebuild,
-    rename_constraint,
     substitute,
 )
 
@@ -162,37 +163,27 @@ def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
 # the discrete step relation
 
 
-def alpha_convert(agent: Hide, store: Constraint, snapshot) -> Hide:
-    """Rename bound variables that also occur in the outer store.
+def open_scopes(agent: Agent, snapshot, mapping: Optional[dict] = None) -> Agent:
+    """Scope extrusion: each scope ``exists x (A)`` becomes ``exists x' (A[x'/x])``, x' fresh.
 
-    Renaming the binder (instead of the outer occurrences) resolves the clash
-    once and for all: successors carry the fresh name.  Bound names that are
-    continuous variables are global by convention and never renamed.
+    Every scope in ``agent`` that still binds a source name gets a generated
+    name for it, once, so its body can tell and read the one shared store
+    directly.  A scope with nothing left to rename is open already and is
+    returned as it is.  Continuous variables are global by convention and
+    keep their names: a bound name in the snapshot or set by a ``change`` in
+    the scope's body.
     """
-    outer = store.variables()
-    clash = {x: fresh_var(x) for x in agent.vars if x in outer and x not in snapshot}
-    if not clash:
-        return agent
-    return rebuild(agent, (substitute(agent.body, clash),), clash)
-
-
-def hide_aliases(agent: Hide) -> Tuple[str, ...]:
-    """The scope's stable publication names, generated on first use."""
-    return agent.alias or tuple(fresh_var(x) for x in agent.vars)
-
-
-def hide_effective(agent: Hide, store: Constraint) -> Constraint:
-    """The store the scope body runs in (read-only contexts).
-
-    Stepped scopes are alpha-converted, so bound names normally cannot occur
-    in the outer store; if one does (scope not stepped yet), the outer
-    occurrences are renamed away transiently.
-    """
-    outer = store.variables()
-    clash = [x for x in agent.vars if x in outer]
-    if clash:
-        store = rename_constraint(store, {x: fresh_var(x) for x in clash})
-    return conj(agent.local_store, store)
+    mapping = mapping or {}
+    if isinstance(agent, Hide):
+        names = [x for x in agent.vars if not is_fresh_name(x) and x not in snapshot]
+        if names:
+            changed = {node.var for node in nodes(agent.body) if isinstance(node, Change)}
+            names = [x for x in names if x not in changed]
+        if not names and not mapping:
+            return agent
+        mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
+        mapping.update((x, fresh_var(x)) for x in names)
+    return rebuild(agent, tuple(open_scopes(kid, snapshot, mapping) for kid in children(agent)), mapping)
 
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot, locals_: frozenset) -> bool:
@@ -261,36 +252,17 @@ def step_agent(
         return []
 
     if isinstance(agent, Hide):
-        agent = alpha_convert(agent, store, snapshot)
-        alias = hide_aliases(agent)
-        effective = conj(agent.local_store, store)
+        agent = open_scopes(agent, snapshot)
         inner = step_agent(
-            agent.body,
-            effective,
-            snapshot,
-            program,
-            draw,
-            locals_ | set(agent.vars),
-            path + ("hide",),
+            agent.body, store, snapshot, program, draw, locals_ | set(agent.vars), path + ("hide",)
         )
-        out_map = dict(zip(agent.vars, alias))
-        outs = []
-        for o in inner:
-            # the local store keeps only what the scope itself told: outer
-            # knowledge is re-joined on every step, and only the told delta
-            # is published, under the scope's stable alias names
-            new_local = conj(agent.local_store, o.told)
-            published = rename_constraint(o.told, out_map)
-            outs.append(
-                Outcome(Hide(agent.vars, o.agent, new_local, alias), published, o.changes, o.choices)
-            )
-        return outs
+        return [Outcome(Hide(agent.vars, o.agent), o.told, o.changes, o.choices) for o in inner]
 
     if isinstance(agent, Call):
         decls = program.lookup(agent.name, len(agent.args))
         outs = []
         for i, decl in enumerate(decls):
-            body = substitute(decl.body, dict(zip(decl.params, agent.args)))
+            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), snapshot)
             record = (ChoiceRecord(path + ("call:" + agent.name,), i, len(decls)),) if len(decls) > 1 else ()
             outs.append(Outcome(body, TRUE, (), record))
         return outs
@@ -355,7 +327,8 @@ def analyze_waiting(
             todo.append((node.right, store, locals_))
             todo.append((node.left, store, locals_))
         elif isinstance(node, Hide):
-            todo.append((node.body, hide_effective(node, store), locals_ | set(node.vars)))
+            node = open_scopes(node, snapshot)
+            todo.append((node.body, store, locals_ | set(node.vars)))
         elif isinstance(node, Choice):
             state.all_stop = False
             for branch in node.ask_branches:

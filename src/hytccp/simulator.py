@@ -30,12 +30,10 @@ from .semantics import (
     compute_delay,
     continuous_step,
     discrete_successors,
-    hide_effective,
     is_all_stop,
 )
 from .syntax import (
     Agent,
-    Hide,
     KEEP,
     Program,
     builtin_random,
@@ -297,25 +295,7 @@ def canonical_key(cfg: Configuration) -> Tuple:
     agent = _rename_all(cfg.agent, mapping)
     store = rename_constraint(cfg.discrete, mapping)
     cont = tuple((n, value_json(e.value), str(e.flow)) for n, e in cfg.continuous.entries)
-    return (pretty(agent), _effective_strings(agent, store), str(store), cont, value_json(cfg.clock))
-
-
-def _effective_strings(agent: Agent, store: Constraint) -> Tuple[str, ...]:
-    """Materialized scope stores in traversal order (pretty omits them).
-
-    Comparing the store each scope body actually runs in, rather than the raw
-    local store, makes the key independent of how much outer knowledge a
-    local store happens to cache.
-    """
-    out: List[str] = []
-    todo = [(agent, store)]
-    while todo:
-        node, outer = todo.pop()
-        if isinstance(node, Hide):
-            outer = hide_effective(node, outer)
-            out.append(_mask(str(outer)))
-        todo.extend((kid, outer) for kid in reversed(children(node)))
-    return tuple(out)
+    return (pretty(agent), (), str(store), cont, value_json(cfg.clock))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from typing import Iterator, Optional, Sequence, Tuple, Union
 from .constraints import (
     Constraint,
     OP_TEXT,
-    TRUE,
     Term,
     TermEq,
     LinCmp,
@@ -109,18 +108,17 @@ class Parallel:
 
 @dataclass(frozen=True)
 class Hide:
-    """Scope agent with its private store.
+    """Scope agent ``exists vars (body)``.
 
-    ``alias`` holds one stable generated name per bound variable, assigned at
-    the scope's first step; it stands for the bound name in everything the
-    scope publishes.  Keeping it on the node makes publications of the same
-    local fact produce identical atoms on every step.
+    A scope has no store of its own.  When a process call creates it, or at
+    its first step, the engine renames its bound names to generated ones
+    (``semantics.open_scopes``); the body then tells and reads the one shared
+    store under those names.  The node stays so that its names remain match
+    placeholders in the body's guards.
     """
 
     vars: Tuple[str, ...]
     body: "Agent"
-    local_store: Constraint = TRUE
-    alias: Optional[Tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -194,8 +192,8 @@ def parts(agent: Agent) -> tuple:
     """What the node holds, in field order: names (str), constraints and sub-agents.
 
     A choice lists each guard before its body; a scope lists its bound names,
-    its body, then its local store.  The order is the numbering order of
-    generated names in canonical keys.
+    then its body.  The order is the numbering order of generated names in
+    canonical keys.
     """
     if isinstance(agent, Stop):
         return ()
@@ -204,7 +202,7 @@ def parts(agent: Agent) -> tuple:
     if isinstance(agent, Parallel):
         return (agent.left, agent.right)
     if isinstance(agent, Hide):
-        return (*agent.vars, agent.body, agent.local_store)
+        return (*agent.vars, agent.body)
     if isinstance(agent, Choice):
         return (*(x for b in agent.ask_branches for x in (b.guard, b.body)), *agent.cont_branches)
     if isinstance(agent, Now):
@@ -255,14 +253,14 @@ def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
     if isinstance(agent, Parallel):
         return Parallel(*kids)
     if isinstance(agent, Hide):
-        return Hide(tuple(map(name, agent.vars)), kids[0], rename_constraint(agent.local_store, mapping), agent.alias)
+        return Hide(tuple(map(name, agent.vars)), kids[0])
     if isinstance(agent, Choice):
         return Choice(
-            tuple(AskBranch(rename_constraint(b.guard, mapping), kid) for b, kid in zip(agent.ask_branches, kids)),
-            tuple(rename_constraint(inv, mapping) for inv in agent.cont_branches),
+            tuple(AskBranch(rename_atoms(b.guard, mapping), kid) for b, kid in zip(agent.ask_branches, kids)),
+            tuple(rename_atoms(inv, mapping) for inv in agent.cont_branches),
         )
     if isinstance(agent, Now):
-        return Now(rename_constraint(agent.guard, mapping), *kids)
+        return Now(rename_atoms(agent.guard, mapping), *kids)
     if isinstance(agent, Call):
         return Call(agent.name, tuple(map(name, agent.args)))
     if isinstance(agent, Change):
@@ -296,7 +294,14 @@ def _rename_term(t: Term, mapping: dict) -> Term:
     return t
 
 
-def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
+def rename_atoms(c: Constraint, mapping: dict) -> Constraint:
+    """``c`` renamed atom by atom, not re-solved.
+
+    Guards are renamed this way: ``entails`` checks a guard's atoms one by
+    one, so each renamed atom keeps its meaning even where the renaming
+    sends two names to one.  Re-solving such a guard could unify two terms
+    with wildcards, which only guard matching may read.
+    """
     if not c.consistent or not mapping:
         return c
     atoms = []
@@ -305,7 +310,14 @@ def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
             atoms.append(TermEq(mapping.get(a.var, a.var), _rename_term(a.term, mapping)))
         else:
             atoms.append(LinCmp(mapping.get(a.var, a.var), a.op, a.bound))
-    return solve(atoms)
+    return Constraint(frozenset(atoms))
+
+
+def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
+    """``c`` renamed and brought back to solved form (tells and stores)."""
+    if not c.consistent or not mapping:
+        return c
+    return solve(rename_atoms(c, mapping).atoms)
 
 
 def substitute(agent: Agent, mapping: dict) -> Agent:

@@ -6,6 +6,11 @@ most 4 branches per choice, at most 3 continuous variables.  Every continuous
 variable is initialized by a change agent in the very first step; the rest of
 the program is gated behind ask(Go = go) so no guard can read a continuous
 variable before it exists.
+
+``recursive_program`` is a second family, written as source text: recursive
+stream pipelines shaped like ``models/dam.hyt``, the regime the first family
+never reaches (process calls, scopes nesting one deeper per element, growing
+streams).
 """
 from __future__ import annotations
 
@@ -23,6 +28,7 @@ from hytccp.constraints import (
     WILDCARD,
     solve,
 )
+from hytccp.parser import parse_program
 from hytccp.syntax import (
     AskBranch,
     Change,
@@ -131,3 +137,38 @@ def random_program(seed: int, max_depth: int = 3) -> Program:
         agent = Parallel(agent, Change(var, Fraction(rng.randint(0, 5)), _flow(rng, var)))
     agent = Parallel(agent, Choice((AskBranch(go, body),), ()))
     return Program({}, (), agent, source=f"generated-{seed}")
+
+
+def recursive_program(seed: int) -> Program:
+    """One seeded stream pipeline shaped like the dam's supplier, controller and gates.
+
+    A timed producer appends one atom per period to the stream S; an optional
+    relay copies each element to the stream Out; one or two consumers take
+    the elements.  Each process recurses inside an ``exists``, tells
+    ``S = [V|S1]`` and waits on ``ask(S = [_|_])`` or on a pattern.
+    """
+    rng = random.Random(seed)
+    period = rng.randint(1, 3)
+    produce = " + ".join(
+        f"ask(T = {period}) -> (tell(S = [{v}|S1]) || change(T, 0, der(T) = 1) || producer(T, S1))"
+        for v in rng.sample(ATOM_NAMES, rng.randint(1, 2))
+    )
+    lines = [f"producer(T, S) :- exists S1 (ask~(T =< {period}) + {produce})."]
+    if rng.random() < 0.5:
+        lines.append("consumer(S) :- exists H, S1 (ask(S = [_|_]) -> (tell(S = [H|S1]) || consumer(S1))).")
+    else:
+        take = " + ".join(f"ask(S = [{v}|_]) -> (tell(S = [{v}|S1]) || consumer(S1))" for v in ATOM_NAMES)
+        lines.append(f"consumer(S) :- exists S1 ({take}).")
+    names, parts, stream = ["T", "S"], ["change(T, 0, der(T) = 1)", "producer(T, S)"], "S"
+    if rng.random() < 0.5:
+        lines.append(
+            "relay(In, Out) :- exists V, In1, Out1 (ask(In = [V|_]) ->"
+            " (tell(In = [V|In1]) || tell(Out = [V|Out1]) || relay(In1, Out1)))."
+        )
+        names.append("Out")
+        parts.append("relay(S, Out)")
+        stream = "Out"
+    parts += [f"consumer({stream})"] * rng.randint(1, 2)
+    lines.append(f"init :- exists {', '.join(names)} ({' || '.join(parts)}).")
+    text = "\n".join(lines)
+    return parse_program(text, source=text)

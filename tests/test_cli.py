@@ -1,4 +1,5 @@
 """Command-line driver: subcommands, exit codes, output formats."""
+import glob
 import json
 import os
 
@@ -80,6 +81,39 @@ def test_check_flags_uninitialized_continuous_variable(tmp_path, capsys):
     path = write(tmp_path, "bad.hyt", "init :- change(Vol, _, der(Vol) = 1).")
     assert main(["check", path]) == 1
     assert "uninitialized continuous variable Vol" in capsys.readouterr().err
+
+
+def test_check_flags_unbound_change_value(tmp_path, capsys):
+    path = write(tmp_path, "bad.hyt", "init :- change(C, Y, der(C) = 1).")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "unbound change value Y in init" in err
+
+
+def test_check_accepts_change_values_bound_by_tell_guard_or_parameter(tmp_path):
+    path = write(
+        tmp_path,
+        "ok.hyt",
+        "p(N) :- exists M (ask(S = [M|_]) -> change(C, N, der(C) = M))."
+        " init :- exists K (tell(K = 2) || tell(S = [1|T]) || p(K)).",
+    )
+    assert main(["check", path]) == 0
+
+
+@pytest.mark.parametrize("model", sorted(glob.glob("models/*.hyt")))
+def test_check_passes_the_shipped_models(model):
+    assert main(["check", model]) == 0
+
+
+def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):
+    # both parameters become X: the guard keeps both atoms, with their
+    # wildcard, and the free Y leaves it unentailed
+    path = write(tmp_path, "p.hyt", "p(A, B) :- ask(A = [a|_] /\\ B = [a|Y]) -> stop.  init :- tell(X = [a|T]) || p(X, X).")
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", path, "--out", out]) == 0
+    last = json.loads(open(out).read().strip().split("\n")[-1])
+    assert (last["cause"], last["t"]) == ("suspended", "0")
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_check_empty_file(tmp_path):

@@ -1,0 +1,71 @@
+"""The dam over long horizons: per-period cost and behaviour must not drift with time."""
+from fractions import Fraction
+
+import pytest
+
+from hytccp import constraints, semantics, simulator
+from hytccp.parser import parse_program
+from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, run
+
+PERIOD = 3600
+
+
+@pytest.fixture(scope="module")
+def dam():
+    with open("models/dam.hyt") as fh:
+        text = fh.read()
+    return parse_program(text, source=text)
+
+
+def conj_calls_per_period(dam, hours, monkeypatch):
+    """``conj`` calls made in each simulated period of one dam run.
+
+    ``conj`` is replaced in every module that bound the name, and a probe on
+    ``continuous_step`` notes the count at the end of each period; period k
+    holds the discrete steps at (k-1)*3600 and the time that follows them.
+    """
+    calls = 0
+    marks = {}
+
+    def counting_conj(c, d):
+        nonlocal calls
+        calls += 1
+        return constraints.conj(c, d)
+
+    def probe(cfg, tau):
+        nxt = continuous_step(cfg, tau)
+        if nxt.clock % PERIOD == 0:
+            marks[int(nxt.clock) // PERIOD] = calls
+        return nxt
+
+    continuous_step = simulator.continuous_step
+    for module in (semantics, simulator):
+        if getattr(module, "conj", None) is constraints.conj:
+            monkeypatch.setattr(module, "conj", counting_conj)
+    monkeypatch.setattr(simulator, "continuous_step", probe)
+    run(dam, RunOptions(max_time=Fraction(hours * PERIOD)))
+    monkeypatch.undo()
+    assert sorted(marks) == list(range(1, hours + 1))
+    return [marks[k] - marks.get(k - 1, 0) for k in range(1, hours + 1)]
+
+
+def test_conj_calls_per_period_do_not_grow_with_the_horizon(dam, monkeypatch):
+    # counts, not times: deterministic for a fixed seed
+    to_12h = conj_calls_per_period(dam, 12, monkeypatch)
+    to_24h = conj_calls_per_period(dam, 24, monkeypatch)
+    assert to_24h[:12] == to_12h
+    hours_7_12 = sum(to_12h[6:12]) / 6
+    hours_13_24 = sum(to_24h[12:24]) / 12
+    assert hours_13_24 == hours_7_12, (to_12h, to_24h)
+
+
+def test_dam_48h(dam):
+    trace = run(dam, RunOptions(max_time=Fraction(48 * PERIOD)))
+    assert trace.terminal.kind == "max_time" and trace.terminal.clock == 48 * PERIOD
+    resets = [ev.clock for ev in trace.events if isinstance(ev, DiscreteEvent) and any(c[0] == "T" for c in ev.changes)]
+    assert resets == [k * PERIOD for k in range(49)]
+    steps = [ev for ev in trace.events if isinstance(ev, ContinuousEvent)]
+    assert {name for ev in steps for name in ev.after} == {"T", "Vol"}
+    for ev in steps:
+        for values in (ev.before, ev.after):
+            assert 0 <= Fraction(values["Vol"]["v"]) <= 1000, ev

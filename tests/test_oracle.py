@@ -17,7 +17,7 @@ from hytccp.semantics import Configuration, discrete_successors
 from hytccp.simulator import RunOptions, canonical_key, explore, run
 from hytccp.syntax import Flow, Program, STOP
 
-from generators import random_program
+from generators import random_program, recursive_program
 
 EMPTY_PROGRAM = Program({}, (), STOP)
 
@@ -100,3 +100,22 @@ def test_open_guard_bound_does_not_carry_time_past_an_expiring_invariant():
     report = explore(prog, 6)
     reset_fresh_counter()
     assert oracle_reachable(Configuration(prog.initial), prog, 6) == report.states
+
+
+def test_guard_renamed_onto_one_argument_engine_and_oracle_agree():
+    text = "p(A, B) :- ask(A = [a|_] /\\ B = [a|Y]) -> stop.  init :- tell(X = [a|T]) || p(X, X)."
+    prog = parse_program(text, source=text)
+    report = explore(prog, 5)
+    reset_fresh_counter()
+    assert oracle_reachable(Configuration(prog.initial), prog, 5) == report.states
+    assert report.complete and len(report.states) == 3
+
+
+def test_recursive_stream_programs_agree_with_explore():
+    for seed in range(12):
+        prog = recursive_program(seed)
+        report = explore(prog, 8)
+        reset_fresh_counter()
+        assert oracle_reachable(Configuration(prog.initial), prog, 8) == report.states, seed
+        # the recursion is reached: scopes nest several deep
+        assert max(key[0].count("exists") for key in report.states) >= 5, seed

@@ -9,6 +9,7 @@ from hytccp.constraints import (
     LinCmp,
     conj,
     entails,
+    is_fresh_name,
     reset_fresh_counter,
 )
 from hytccp.flows import DelayCause, EMPTY_STORE, apply_change
@@ -22,6 +23,7 @@ from hytccp.semantics import (
     is_all_stop,
     step_agent,
 )
+from hytccp.simulator import ContinuousEvent, RunOptions, run
 from hytccp.syntax import Flow, Hide, Parallel, Program, STOP, Stop, Tell, pretty
 
 EMPTY_PROGRAM = Program({}, (), STOP)
@@ -178,13 +180,34 @@ def test_hide_alpha_converts_on_outer_clash():
 
 def test_hide_publications_are_stable_across_steps():
     reset_fresh_counter()
-    cfg = cfg_of("exists X (tell(X = [a|R]) || tell(X = [a|R]))")
-    (nxt, o1), = succs(cfg)
+    cfg = cfg_of(
+        "exists X, C (change(C, 0, der(C) = 1) || tell(X = [a|R]) || (ask(X = [a|_]) -> tell(X = [a|R])))"
+    )
+    (nxt, _), = succs(cfg)
+    # after one step every bound name but the continuous C is generated
     agent = nxt.agent
-    assert isinstance(agent, Hide) and agent.alias is not None
-    # a second publication of the same local fact adds nothing new
-    (nxt2, o2), = succs(Configuration(Parallel(agent, parse_agent("tell(Z = c)")), nxt.discrete))
-    assert entails(nxt.discrete, nxt2.discrete) or nxt2.discrete.atoms >= nxt.discrete.atoms
+    assert isinstance(agent, Hide)
+    assert [is_fresh_name(x) for x in agent.vars] == [True, False]
+    assert "X" not in nxt.discrete.variables()
+    # the ask commits, then its tell publishes the same local fact again: it adds nothing
+    (nxt2, _), = succs(nxt)
+    (nxt3, outcome), = succs(nxt2)
+    assert outcome.told.atoms and nxt3.discrete == nxt2.discrete == nxt.discrete
+
+
+@pytest.mark.parametrize("init", ["init :- ", ""], ids=["unfolded", "initial_agent"])
+def test_unstepped_scope_does_not_read_the_outer_binding_of_its_name(init):
+    # the bound X is not the outer X = a: its guard never holds, and time runs
+    # to the horizon in one step instead of stopping at C = 5
+    text = (
+        f"{init}tell(X = a) || change(C, 0, der(C) = 1)"
+        " || exists X (ask(X = a /\\ C >= 5) -> stop + ask~(C =< 100))."
+    )
+    prog = parse_program(text, source=text)
+    trace = run(prog, RunOptions(max_time=Fraction(20)))
+    steps = [ev for ev in trace.events if isinstance(ev, ContinuousEvent)]
+    assert [(ev.tau, ev.cause) for ev in steps] == [(20, "horizon")]
+    assert trace.terminal.kind == "max_time"
 
 
 # --- monotonicity and continuous steps
