@@ -4,8 +4,8 @@ One concrete instantiation: term equations in solved form (covering atoms,
 numbers and open-ended streams) plus comparisons of a single variable against
 a rational constant.  Conjunction and entailment are the lattice operations;
 inconsistency is a value (FALSE), never an exception.  Hiding lives in the
-engine: a scope renames its bound names once to generated ones, and its body
-tells and reads the one shared store under them.
+engine: a scope's bound names become generated ones, which its body tells in
+the one shared store and which ``entails`` matches as guard placeholders.
 
 Terms and atomic constraints are immutable; they cache their hash (and their
 variable sets) at construction because stores grow monotonically and the same
@@ -544,13 +544,14 @@ def _atom_sort_key(a: AtomicConstraint):
 
 
 @lru_cache(maxsize=65536)
-def entails(store: Constraint, guard: Constraint, locals_: frozenset = frozenset()) -> bool:
+def entails(store: Constraint, guard: Constraint) -> bool:
     """Sound, incomplete entailment check of ``guard`` by ``store``.
 
-    Variables in ``locals_`` and wildcards act as one-way match placeholders;
-    they receive no persistent bindings.  Comparisons over variables that the
-    store does not ground are only entailed when the identical comparison atom
-    is present in the store.
+    Generated names (the bound names of the guard's scopes) and wildcards
+    act as one-way match placeholders; they receive no persistent bindings.
+    In ``v = W`` with only ``v`` generated, ``W``'s value is matched.
+    Comparisons over variables that the store does not ground are only
+    entailed when the identical comparison atom is present in the store.
     """
     if not store.consistent:
         return True
@@ -566,7 +567,7 @@ def entails(store: Constraint, guard: Constraint, locals_: frozenset = frozenset
         if isinstance(gt, Wildcard):
             return True
         if isinstance(gt, Var):
-            if gt.name in locals_:
+            if is_fresh_name(gt.name):
                 if gt.name in theta:
                     return theta[gt.name] == sv
                 theta[gt.name] = sv
@@ -578,16 +579,14 @@ def entails(store: Constraint, guard: Constraint, locals_: frozenset = frozenset
 
     for atom in sorted(guard.atoms, key=_atom_sort_key):
         if isinstance(atom, TermEq):
-            if atom.var in locals_:
-                lhs: Term = Var(atom.var)
-                if atom.var in theta:
-                    lhs = theta[atom.var]
-                else:
-                    theta[atom.var] = store_side(Var(atom.var))
-                    lhs = theta[atom.var]
+            var, term = atom.var, atom.term
+            if is_fresh_name(var) and isinstance(term, Var) and not is_fresh_name(term.name):
+                var, term = term.name, Var(var)
+            if is_fresh_name(var):
+                lhs = theta.setdefault(var, store_side(Var(var)))
             else:
-                lhs = store_side(Var(atom.var))
-            if not match(lhs, atom.term):
+                lhs = store_side(Var(var))
+            if not match(lhs, term):
                 return False
         else:
             rep = store_side(Var(atom.var))

@@ -34,6 +34,7 @@ from .syntax import (
     Stop,
     Tell,
     nodes,
+    par,
     substitute,
 )
 
@@ -48,7 +49,6 @@ def _step(
     cont: ContinuousStore,
     snapshot: Dict[str, object],
     program: Program,
-    locals_: frozenset,
 ) -> List[Tuple[Agent, Constraint, ContinuousStore]]:
     """All single discrete transitions of one agent in the given stores."""
     if isinstance(agent, Stop):
@@ -62,33 +62,31 @@ def _step(
     if isinstance(agent, Choice):
         results = []
         for branch in agent.ask_branches:
-            if guard_holds(branch.guard, store, snapshot, locals_):
+            if guard_holds(branch.guard, store, snapshot):
                 results.append((branch.body, store, cont))
         return results
     if isinstance(agent, Now):
-        if guard_holds(agent.guard, store, snapshot, locals_):
-            inner = _step(agent.then, store, cont, snapshot, program, locals_)
+        if guard_holds(agent.guard, store, snapshot):
+            inner = _step(agent.then, store, cont, snapshot, program)
             return inner if inner else [(agent.then, store, cont)]
-        inner = _step(agent.orelse, store, cont, snapshot, program, locals_)
+        inner = _step(agent.orelse, store, cont, snapshot, program)
         return inner if inner else [(agent.orelse, store, cont)]
     if isinstance(agent, Parallel):
-        lefts = _step(agent.left, store, cont, snapshot, program, locals_)
+        lefts = _step(agent.left, store, cont, snapshot, program)
         results = []
         if lefts:
             for la, ld, lc in lefts:
-                rights = _step(agent.right, store, lc, snapshot, program, locals_)
+                rights = _step(agent.right, store, lc, snapshot, program)
                 if rights:
                     for ra, rd, rc in rights:
-                        results.append((Parallel(la, ra), conj(ld, rd), rc))
+                        results.append((par(la, ra), conj(ld, rd), rc))
                 else:
-                    results.append((Parallel(la, agent.right), ld, lc))
+                    results.append((par(la, agent.right), ld, lc))
             return results
-        rights = _step(agent.right, store, cont, snapshot, program, locals_)
-        return [(Parallel(agent.left, ra), rd, rc) for ra, rd, rc in rights]
+        rights = _step(agent.right, store, cont, snapshot, program)
+        return [(par(agent.left, ra), rd, rc) for ra, rd, rc in rights]
     if isinstance(agent, Hide):
-        agent = open_scopes(agent, snapshot)
-        inner = _step(agent.body, store, cont, snapshot, program, locals_ | set(agent.vars))
-        return [(Hide(agent.vars, ia), istore, icont) for ia, istore, icont in inner]
+        return _step(open_scopes(agent, snapshot), store, cont, snapshot, program)
     if isinstance(agent, Call):
         results = []
         for decl in program.lookup(agent.name, len(agent.args)):
@@ -103,28 +101,25 @@ def oracle_successors(cfg: Configuration, program: Program, size_cap: int = 200)
     if sum(1 for _ in nodes(cfg.agent)) > size_cap:
         raise OracleSizeError(f"agent size exceeds the oracle cap ({size_cap})")
     snapshot = cfg.continuous.snapshot()
-    steps = _step(cfg.agent, cfg.discrete, cfg.continuous, snapshot, program, frozenset())
+    steps = _step(cfg.agent, cfg.discrete, cfg.continuous, snapshot, program)
     return [Configuration(a, d, c, cfg.clock) for a, d, c in steps]
 
 
-def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau, locals_: frozenset) -> bool:
+def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) -> bool:
     """Whether one component admits a continuous transition of duration tau."""
     snapshot = cont.snapshot()
     if isinstance(agent, Stop):
         return True  # structural idling
     if isinstance(agent, Parallel):
-        return _can_advance(agent.left, store, cont, tau, locals_) and _can_advance(
-            agent.right, store, cont, tau, locals_
-        )
+        return _can_advance(agent.left, store, cont, tau) and _can_advance(agent.right, store, cont, tau)
     if isinstance(agent, Hide):
-        agent = open_scopes(agent, snapshot)
-        return _can_advance(agent.body, store, cont, tau, locals_ | set(agent.vars))
+        return _can_advance(open_scopes(agent, snapshot), store, cont, tau)
     if isinstance(agent, Choice):
         if not agent.cont_branches:
             return True  # suspended pure-ask choice idles
         for inv in agent.cont_branches:
             disc, cmp_atoms = split_guard(inv, snapshot.keys())
-            if not entails(store, disc, locals_):
+            if not entails(store, disc):
                 continue
             iv = atoms_truth_interval(tuple(cmp_atoms), cont)
             if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
@@ -139,7 +134,7 @@ def oracle_continuous(cfg: Configuration, program: Program, tau) -> Optional[Con
     """The continuous transition of duration tau, if derivable."""
     if tau <= 0:
         return None
-    if _can_advance(cfg.agent, cfg.discrete, cfg.continuous, tau, frozenset()):
+    if _can_advance(cfg.agent, cfg.discrete, cfg.continuous, tau):
         return Configuration(cfg.agent, cfg.discrete, evolve(cfg.continuous, tau), cfg.clock + tau)
     return None
 

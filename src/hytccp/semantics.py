@@ -5,6 +5,8 @@ Discrete steps are instantaneous and implement tell, choice, now, parallel
 and the continuous reset agent.  Continuous steps advance every continuous
 variable by one shared duration and leave the agent and the discrete store
 untouched.  Time may pass only when no discrete step is enabled anywhere.
+Agents the engine makes obey ``A || stop == A`` (``syntax.par``) and hold
+no opened scope (``open_scopes``), so neither piles up as a run goes on.
 """
 from __future__ import annotations
 
@@ -58,6 +60,7 @@ from .syntax import (
     Tell,
     children,
     nodes,
+    par,
     rebuild,
     substitute,
 )
@@ -164,14 +167,12 @@ def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
 
 
 def open_scopes(agent: Agent, snapshot, mapping: Optional[dict] = None) -> Agent:
-    """Scope extrusion: each scope ``exists x (A)`` becomes ``exists x' (A[x'/x])``, x' fresh.
+    """Scope extrusion: each scope ``exists x (A)`` in ``agent`` becomes ``A[x'/x]``, x' fresh.
 
-    Every scope in ``agent`` that still binds a source name gets a generated
-    name for it, once, so its body can tell and read the one shared store
-    directly.  A scope with nothing left to rename is open already and is
-    returned as it is.  Continuous variables are global by convention and
-    keep their names: a bound name in the snapshot or set by a ``change`` in
-    the scope's body.
+    The scope node goes (``exists x' (A) == A``): the body tells and reads
+    the one shared store.  Continuous variables are global and keep their
+    names: a bound name in the snapshot or set by a ``change`` in the scope's
+    body.  A scope with nothing to rename gives its body as it is.
     """
     mapping = mapping or {}
     if isinstance(agent, Hide):
@@ -180,15 +181,16 @@ def open_scopes(agent: Agent, snapshot, mapping: Optional[dict] = None) -> Agent
             changed = {node.var for node in nodes(agent.body) if isinstance(node, Change)}
             names = [x for x in names if x not in changed]
         if not names and not mapping:
-            return agent
+            return agent.body
         mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
         mapping.update((x, fresh_var(x)) for x in names)
+        return open_scopes(agent.body, snapshot, mapping)
     return rebuild(agent, tuple(open_scopes(kid, snapshot, mapping) for kid in children(agent)), mapping)
 
 
-def guard_holds(guard: Constraint, store: Constraint, snapshot, locals_: frozenset) -> bool:
+def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
     disc, cont = split_guard(guard, snapshot.keys())
-    if not entails(store, disc, locals_):
+    if not entails(store, disc):
         return False
     return eval_cont_atoms(Constraint(frozenset(cont)), snapshot)
 
@@ -199,7 +201,6 @@ def step_agent(
     snapshot: Dict[str, object],
     program: Program,
     draw: DrawFn = no_draw,
-    locals_: frozenset = frozenset(),
     path: Tuple[str, ...] = (),
 ) -> List[Outcome]:
     if isinstance(agent, Stop):
@@ -218,26 +219,26 @@ def step_agent(
         outs: List[Outcome] = []
         total = len(agent.ask_branches)
         for i, branch in enumerate(agent.ask_branches):
-            if guard_holds(branch.guard, store, snapshot, locals_):
+            if guard_holds(branch.guard, store, snapshot):
                 outs.append(Outcome(branch.body, TRUE, (), (ChoiceRecord(path, i, total),)))
         return outs
 
     if isinstance(agent, Now):
-        cond = guard_holds(agent.guard, store, snapshot, locals_)
+        cond = guard_holds(agent.guard, store, snapshot)
         chosen = agent.then if cond else agent.orelse
         side = "then" if cond else "else"
-        inner = step_agent(chosen, store, snapshot, program, draw, locals_, path + (side,))
+        inner = step_agent(chosen, store, snapshot, program, draw, path + (side,))
         if inner:
             return inner
         return [Outcome(chosen, TRUE, ())]
 
     if isinstance(agent, Parallel):
-        left = step_agent(agent.left, store, snapshot, program, draw, locals_, path + ("L",))
-        right = step_agent(agent.right, store, snapshot, program, draw, locals_, path + ("R",))
+        left = step_agent(agent.left, store, snapshot, program, draw, path + ("L",))
+        right = step_agent(agent.right, store, snapshot, program, draw, path + ("R",))
         if left and right:
             return [
                 Outcome(
-                    Parallel(a.agent, b.agent),
+                    par(a.agent, b.agent),
                     conj(a.told, b.told),
                     a.changes + b.changes,
                     a.choices + b.choices,
@@ -246,17 +247,13 @@ def step_agent(
                 for b in right
             ]
         if left:
-            return [Outcome(Parallel(o.agent, agent.right), o.told, o.changes, o.choices) for o in left]
+            return [Outcome(par(o.agent, agent.right), o.told, o.changes, o.choices) for o in left]
         if right:
-            return [Outcome(Parallel(agent.left, o.agent), o.told, o.changes, o.choices) for o in right]
+            return [Outcome(par(agent.left, o.agent), o.told, o.changes, o.choices) for o in right]
         return []
 
     if isinstance(agent, Hide):
-        agent = open_scopes(agent, snapshot)
-        inner = step_agent(
-            agent.body, store, snapshot, program, draw, locals_ | set(agent.vars), path + ("hide",)
-        )
-        return [Outcome(Hide(agent.vars, o.agent), o.told, o.changes, o.choices) for o in inner]
+        return step_agent(open_scopes(agent, snapshot), store, snapshot, program, draw, path)
 
     if isinstance(agent, Call):
         decls = program.lookup(agent.name, len(agent.args))
@@ -309,33 +306,31 @@ def analyze_waiting(
     agent: Agent,
     store: Constraint,
     snapshot: Dict[str, object],
-    locals_: frozenset = frozenset(),
 ) -> WaitState:
     """Collect ask~ invariants and watchable continuous guards of a quiescent agent.
 
     Must only be called when ``agent`` has no discrete successor; active
-    positions are then stop, suspended choices, and hide bodies.
+    positions are then stop, suspended choices, and unstepped scopes.
     """
     state = WaitState()
     watched = 0
-    todo = [(agent, store, locals_)]
+    todo = [agent]
     while todo:
-        node, store, locals_ = todo.pop()
+        node = todo.pop()
         if isinstance(node, Stop):
             continue
         if isinstance(node, Parallel):
-            todo.append((node.right, store, locals_))
-            todo.append((node.left, store, locals_))
+            todo.append(node.right)
+            todo.append(node.left)
         elif isinstance(node, Hide):
-            node = open_scopes(node, snapshot)
-            todo.append((node.body, store, locals_ | set(node.vars)))
+            todo.append(open_scopes(node, snapshot))
         elif isinstance(node, Choice):
             state.all_stop = False
             for branch in node.ask_branches:
                 disc, cont = split_guard(branch.guard, snapshot.keys())
                 if not cont:
                     continue  # purely discrete guard: time passage cannot enable it
-                if not entails(store, disc, locals_):
+                if not entails(store, disc):
                     continue
                 if eval_cont_atoms(Constraint(frozenset(cont)), snapshot):
                     continue  # already true now (guard suspended on its discrete part)
@@ -345,7 +340,7 @@ def analyze_waiting(
                 group = []
                 for inv in node.cont_branches:
                     disc, cont = split_guard(inv, snapshot.keys())
-                    if not entails(store, disc, locals_):
+                    if not entails(store, disc):
                         continue  # discrete part false: this invariant cannot hold
                     group.append(list(cont))
                 state.invariant_groups.append(group)

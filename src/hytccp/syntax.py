@@ -111,10 +111,9 @@ class Hide:
     """Scope agent ``exists vars (body)``.
 
     A scope has no store of its own.  When a process call creates it, or at
-    its first step, the engine renames its bound names to generated ones
-    (``semantics.open_scopes``); the body then tells and reads the one shared
-    store under those names.  The node stays so that its names remain match
-    placeholders in the body's guards.
+    its first step, the engine renames its bound names to generated ones and
+    puts the renamed body in its place (``semantics.open_scopes``).  At run
+    time a scope node is one of the initial agent that has not stepped yet.
     """
 
     vars: Tuple[str, ...]
@@ -164,6 +163,15 @@ class FlowSpec:
 Agent = Union[Stop, Tell, Parallel, Hide, Choice, Now, Call, Change]
 
 STOP = Stop()
+
+
+def par(left: Agent, right: Agent) -> Agent:
+    """``left || right`` with the structural law ``A || stop == A`` applied."""
+    if isinstance(right, Stop):
+        return left
+    if isinstance(left, Stop):
+        return right
+    return Parallel(left, right)
 
 
 @dataclass(frozen=True)
@@ -245,13 +253,13 @@ def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
     """The same node over sub-agents ``kids``, with its own names renamed per ``mapping``.
 
     Bound names are renamed like any other: capture avoidance is up to the
-    caller.
+    caller.  A parallel node is rebuilt with ``par``.
     """
     name = lambda n: mapping.get(n, n)
     if isinstance(agent, Tell):
         return Tell(rename_constraint(agent.constraint, mapping))
     if isinstance(agent, Parallel):
-        return Parallel(*kids)
+        return par(*kids)
     if isinstance(agent, Hide):
         return Hide(tuple(map(name, agent.vars)), kids[0])
     if isinstance(agent, Choice):

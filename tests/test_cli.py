@@ -116,6 +116,16 @@ def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound, outer", [("A", "Z"), ("Z", "A")])
+def test_run_var_var_guard_on_a_bound_name(tmp_path, bound, outer):
+    # alpha-variants: the guard fires whichever name solve keeps
+    text = f"init :- tell({outer} = 5) || exists {bound} (ask({bound} = {outer}) -> tell(Done = yes))."
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    last = json.loads(open(out).read().strip().split("\n")[-1])
+    assert last["cause"] == "all_stop"
+
+
 def test_check_empty_file(tmp_path):
     path = write(tmp_path, "empty.hyt", "")
     assert main(["check", path]) == 1

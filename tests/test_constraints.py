@@ -25,10 +25,16 @@ from hytccp.constraints import (
     split_guard,
 )
 from hytccp.parser import parse_constraint
+from hytccp.syntax import rename_atoms
 
 
 def c(text):
     return parse_constraint(text)
+
+
+def scoped(text, *names):
+    """A guard whose ``names`` belong to an opened scope: generated, so placeholders."""
+    return rename_atoms(c(text), {x: f"{x}#1" for x in names})
 
 
 # --- solved form
@@ -128,17 +134,19 @@ def test_entails_reflexive_examples():
 
 def test_entails_stream_match_with_local():
     store = c("In = [7|R]")
-    guard = c("In = [N|_]")
-    assert entails(store, guard, frozenset({"N"}))
+    assert entails(store, scoped("In = [N|_]", "N"))
+    assert not entails(store, c("In = [N|_]"))
+    # an unbound placeholder on the left matches no term
+    assert not entails(store, scoped("N = 7", "N"))
     assert not entails(store, c("In = [8|_]"))
 
 
 def test_entails_local_consistency():
     # the same local must match the same value everywhere
     store = c("X = [a|T] /\\ Y = [b|T]")
-    assert not entails(store, c("X = [N|_] /\\ Y = [N|_]"), frozenset({"N"}))
+    assert not entails(store, scoped("X = [N|_] /\\ Y = [N|_]", "N"))
     store2 = c("X = [a|T] /\\ Y = [a|T]")
-    assert entails(store2, c("X = [N|_] /\\ Y = [N|_]"), frozenset({"N"}))
+    assert entails(store2, scoped("X = [N|_] /\\ Y = [N|_]", "N"))
 
 
 def test_entails_wildcard_matches_anything():

@@ -6,6 +6,7 @@ import pytest
 from hytccp import constraints, semantics, simulator
 from hytccp.parser import parse_program
 from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, run
+from hytccp.syntax import children
 
 PERIOD = 3600
 
@@ -59,7 +60,29 @@ def test_conj_calls_per_period_do_not_grow_with_the_horizon(dam, monkeypatch):
     assert hours_13_24 == hours_7_12, (to_12h, to_24h)
 
 
-def test_dam_48h(dam):
+def agent_shape(agent):
+    """Node count and nesting depth of an agent."""
+    count = depth = 0
+    todo = [(agent, 1)]
+    while todo:
+        node, level = todo.pop()
+        count += 1
+        depth = max(depth, level)
+        todo.extend((kid, level + 1) for kid in children(node))
+    return count, depth
+
+
+def test_dam_48h(dam, monkeypatch):
+    shapes = {}
+    continuous_step = simulator.continuous_step
+
+    def probe(cfg, tau):
+        nxt = continuous_step(cfg, tau)
+        if nxt.clock % PERIOD == 0:
+            shapes[int(nxt.clock) // PERIOD] = agent_shape(nxt.agent)
+        return nxt
+
+    monkeypatch.setattr(simulator, "continuous_step", probe)
     trace = run(dam, RunOptions(max_time=Fraction(48 * PERIOD)))
     assert trace.terminal.kind == "max_time" and trace.terminal.clock == 48 * PERIOD
     resets = [ev.clock for ev in trace.events if isinstance(ev, DiscreteEvent) and any(c[0] == "T" for c in ev.changes)]
@@ -69,3 +92,13 @@ def test_dam_48h(dam):
     for ev in steps:
         for values in (ev.before, ev.after):
             assert 0 <= Fraction(values["Vol"]["v"]) <= 1000, ev
+    # nothing grows per period: stopped components and opened scopes are
+    # dropped, so the agent and the choice sites of every hour match hour 7
+    sites = {}
+    for ev in trace.events:
+        if isinstance(ev, DiscreteEvent):
+            hour = int(ev.clock) // PERIOD
+            sites[hour] = max([sites.get(hour, 0)] + [len(c.site) for c in ev.choices])
+    assert sorted(shapes) == list(range(1, 49))
+    for hour in range(7, 49):
+        assert (shapes[hour], sites[hour]) == (shapes[7], sites[7]), hour

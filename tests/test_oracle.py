@@ -1,5 +1,6 @@
 """Reference implementation checks: the engine must agree with the naive rules."""
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,5 +118,23 @@ def test_recursive_stream_programs_agree_with_explore():
         report = explore(prog, 8)
         reset_fresh_counter()
         assert oracle_reachable(Configuration(prog.initial), prog, 8) == report.states, seed
-        # the recursion is reached: scopes nest several deep
-        assert max(key[0].count("exists") for key in report.states) >= 5, seed
+        # the recursion is reached: some state holds the names of several opened scopes
+        assert max(len(set(re.findall(r"\bc\d+\b", key[0] + key[2]))) for key in report.states) >= 5, seed
+        # opened scopes and stopped components are gone from every state
+        for key in report.states:
+            assert "exists c" not in key[0] and not re.search(r"\bstop \|\||\|\| stop\b", key[0]), key[0]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "init :- tell(Z = 5) || exists A (ask(A = Z) -> tell(Done = yes)).",
+        "init :- tell(A = 5) || exists Z (ask(Z = A) -> tell(Done = yes)).",
+    ],
+)
+def test_var_var_guard_engine_and_oracle_agree(text):
+    prog = parse_program(text, source=text)
+    report = explore(prog, 5)
+    reset_fresh_counter()
+    assert oracle_reachable(Configuration(prog.initial), prog, 5) == report.states
+    assert any("Done=yes" in key[2] for key in report.states)

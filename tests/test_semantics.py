@@ -24,7 +24,7 @@ from hytccp.semantics import (
     step_agent,
 )
 from hytccp.simulator import ContinuousEvent, RunOptions, run
-from hytccp.syntax import Flow, Hide, Parallel, Program, STOP, Stop, Tell, pretty
+from hytccp.syntax import Flow, Hide, Parallel, Program, STOP, Stop, Tell, nodes, pretty
 
 EMPTY_PROGRAM = Program({}, (), STOP)
 
@@ -184,11 +184,11 @@ def test_hide_publications_are_stable_across_steps():
         "exists X, C (change(C, 0, der(C) = 1) || tell(X = [a|R]) || (ask(X = [a|_]) -> tell(X = [a|R])))"
     )
     (nxt, _), = succs(cfg)
-    # after one step every bound name but the continuous C is generated
-    agent = nxt.agent
-    assert isinstance(agent, Hide)
-    assert [is_fresh_name(x) for x in agent.vars] == [True, False]
-    assert "X" not in nxt.discrete.variables()
+    # after one step the scope is gone: its X is generated, the continuous C kept
+    assert not any(isinstance(node, Hide) for node in nodes(nxt.agent))
+    (x,) = nxt.discrete.variables() - {"R"}
+    assert is_fresh_name(x) and x.startswith("X#")
+    assert "C" in nxt.continuous.snapshot()
     # the ask commits, then its tell publishes the same local fact again: it adds nothing
     (nxt2, _), = succs(nxt)
     (nxt3, outcome), = succs(nxt2)
