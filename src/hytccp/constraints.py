@@ -547,11 +547,12 @@ def _atom_sort_key(a: AtomicConstraint):
 def entails(store: Constraint, guard: Constraint) -> bool:
     """Sound, incomplete entailment check of ``guard`` by ``store``.
 
-    Generated names (the bound names of the guard's scopes) and wildcards
-    act as one-way match placeholders; they receive no persistent bindings.
-    In ``v = W`` with only ``v`` generated, ``W``'s value is matched.
-    Comparisons over variables that the store does not ground are only
-    entailed when the identical comparison atom is present in the store.
+    A generated name (bound by a scope of the guard) that the store does not
+    mention is a one-way match placeholder, bound by its first match for this
+    check only, on either side of ``v = W``; any other name reads its store
+    value.  Wildcards match anything.  A comparison over a variable the store
+    does not ground is entailed only by the identical atom in the store.
+    Stores are not guards: compare two stores with ``conj(c, d) == c``.
     """
     if not store.consistent:
         return True
@@ -560,19 +561,22 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     sigma = store.bindings()
     theta: dict = {}
 
-    def store_side(t: Term) -> Term:
-        return _deep(t, sigma)
+    def value(name: str) -> Term:
+        if name in theta:
+            return theta[name]
+        return _deep(Var(name), sigma)
+
+    def is_placeholder(name: str) -> bool:
+        return is_fresh_name(name) and name not in theta and name not in store.variables()
 
     def match(sv: Term, gt: Term) -> bool:
         if isinstance(gt, Wildcard):
             return True
         if isinstance(gt, Var):
-            if is_fresh_name(gt.name):
-                if gt.name in theta:
-                    return theta[gt.name] == sv
+            if is_placeholder(gt.name):
                 theta[gt.name] = sv
                 return True
-            return store_side(gt) == sv
+            return value(gt.name) == sv
         if isinstance(gt, Cons):
             return isinstance(sv, Cons) and match(sv.head, gt.head) and match(sv.tail, gt.tail)
         return sv == gt
@@ -580,18 +584,12 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     for atom in sorted(guard.atoms, key=_atom_sort_key):
         if isinstance(atom, TermEq):
             var, term = atom.var, atom.term
-            if is_fresh_name(var) and isinstance(term, Var) and not is_fresh_name(term.name):
+            if isinstance(term, Var) and is_placeholder(var):
                 var, term = term.name, Var(var)
-            if is_fresh_name(var):
-                lhs = theta.setdefault(var, store_side(Var(var)))
-            else:
-                lhs = store_side(Var(var))
-            if not match(lhs, term):
+            if not match(value(var), term):
                 return False
         else:
-            rep = store_side(Var(atom.var))
-            if atom.var in theta:
-                rep = theta[atom.var]
+            rep = value(atom.var)
             if isinstance(rep, Num):
                 if not compare(rep.value, atom.op, atom.bound):
                     return False

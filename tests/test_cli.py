@@ -126,6 +126,21 @@ def test_run_var_var_guard_on_a_bound_name(tmp_path, bound, outer):
     assert last["cause"] == "all_stop"
 
 
+@pytest.mark.parametrize("bound, outer", [("A", "Z"), ("Z", "A")])
+def test_run_var_var_guard_reads_the_store_value_of_a_bound_name(tmp_path, bound, outer):
+    # the inner ask reads a store that binds the scope's name to 5 and the
+    # outer one to 6: it must not fire, whichever name solve keeps
+    text = (
+        f"init :- tell({outer} = 6) || exists {bound} (tell({bound} = 5)"
+        f" || (ask({bound} = 5) -> (ask({bound} = {outer}) -> tell(Done = yes))))."
+    )
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert events[-1]["cause"] == "suspended"
+    assert not any("Done=yes" in ev.get("told", ()) for ev in events)
+
+
 def test_check_empty_file(tmp_path):
     path = write(tmp_path, "empty.hyt", "")
     assert main(["check", path]) == 1

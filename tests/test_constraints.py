@@ -141,6 +141,18 @@ def test_entails_stream_match_with_local():
     assert not entails(store, c("In = [8|_]"))
 
 
+@pytest.mark.parametrize(
+    "atom", [TermEq("Z#1", Var("A")), TermEq("A", Var("Z#1"))], ids=["generated-left", "generated-right"]
+)
+def test_entails_reads_a_generated_name_the_store_mentions(atom):
+    guard = constraint(atom)
+    # a generated name the store does not mention is a placeholder
+    assert entails(c("A = 6"), guard)
+    # once the store binds it, it is read like any other name
+    assert not entails(constraint(TermEq("A", Num(Fraction(6))), TermEq("Z#1", Num(Fraction(5)))), guard)
+    assert entails(constraint(TermEq("A", Num(Fraction(6))), TermEq("Z#1", Num(Fraction(6)))), guard)
+
+
 def test_entails_local_consistency():
     # the same local must match the same value everywhere
     store = c("X = [a|T] /\\ Y = [b|T]")

@@ -230,7 +230,8 @@ def test_every_discrete_step_is_monotone_on_dam():
             cfg = continuous_step(cfg, res.outcome.tau)
             continue
         for nxt, _ in results:
-            assert entails(nxt.discrete, cfg.discrete)
+            # stores are compared exactly: entails would read their generated names as placeholders
+            assert conj(nxt.discrete, cfg.discrete) == nxt.discrete
         cfg = results[0][0]
 
 
