@@ -41,9 +41,6 @@ class ContinuousStore:
     def get(self, name: str) -> Optional[Entry]:
         return self.as_dict().get(name)
 
-    def names(self) -> frozenset:
-        return frozenset(name for name, _ in self.entries)
-
     def with_entry(self, name: str, entry: Entry) -> "ContinuousStore":
         items = [(n, e) for n, e in self.entries if n != name]
         items.append((name, entry))
@@ -243,10 +240,12 @@ def intersect(a: Interval, b: Interval) -> Interval:
     return Interval(start, start_open, end, end_open)
 
 
-def atoms_truth_interval(atoms: Sequence[LinCmp], store: ContinuousStore) -> Interval:
-    """Intersection of the truth intervals of several continuous comparisons."""
+def atoms_truth_interval(atoms: Sequence[LinCmp], entries: Dict[str, Entry]) -> Interval:
+    """Intersection of the truth intervals of several continuous comparisons.
+
+    ``entries`` is the name -> entry map of the continuous store (``as_dict``).
+    """
     iv = ALWAYS
-    entries = store.as_dict()
     for atom in atoms:
         entry = entries.get(atom.var)
         if entry is None:
@@ -276,92 +275,86 @@ DELAY_PRIORITY = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, 
 class DelayOutcome:
     tau: Optional[Value]  # None only for TIMELOCK
     cause: DelayCause
-    branch: Optional[int] = None  # index of the winning guard/invariant
 
 
-@dataclass(frozen=True)
-class GuardWatch:
-    """A currently-false conjunction of continuous comparisons worth waiting for."""
-
-    atoms: Tuple[LinCmp, ...]
-    branch: int = 0
+TIMELOCK = DelayOutcome(None, DelayCause.TIMELOCK)
 
 
 def max_delay(
-    cont_branches: Sequence[object],
-    waiting_guards: Sequence[GuardWatch],
+    components: Sequence[Sequence[Sequence[LinCmp]]],
+    guards: Sequence[Tuple[LinCmp, ...]],
     store: ContinuousStore,
     horizon: Optional[Value],
 ) -> DelayOutcome:
-    """Pick the earliest-event delay witness.
+    """Pick the earliest-event delay witness of one quiescent configuration.
 
-    ``cont_branches`` holds one invariant per ask~ branch as a sequence of
-    continuous comparisons; at least one must hold now, otherwise time cannot
-    pass (TIMELOCK).  The chosen tau is the minimum of: the earliest instant a
-    currently-false waiting guard becomes satisfiable, the latest instant up to
-    which some currently-true invariant keeps holding, and the horizon.  Ties
-    prefer a closed bound over an open one, then GuardEnables over
-    InvariantExpires over Horizon.
+    ``components`` holds one entry per ask~ component: its invariants, each a
+    sequence of continuous comparisons.  ``guards`` are the currently-false
+    guards worth waiting for, shared by every component.  The truth interval
+    of each guard is computed once.
+
+    Each component resolves its own bound.  At least one of its invariants
+    must hold now, otherwise time cannot pass (TIMELOCK); it then keeps
+    holding up to the latest expiry over its true invariants (no bound if one
+    never expires).  The component's tau is the minimum of that expiry, the
+    earliest instant a guard becomes true, and the horizon; with none of the
+    three it is TIMELOCK.  Ties prefer a closed bound over an open one, then
+    GuardEnables over InvariantExpires over Horizon.
+
+    Open-start witness: when the first bound is a guard that becomes true
+    only strictly after t, time lands inside its open interval, halfway from
+    t to a ceiling: the nearest later instant among the component's other
+    bounds and the guard's own end, or t + 1 when there is none.  After the
+    fold below, the ceiling is the nearest later bound over all components or
+    the guard's own end, except that a component with neither caps it at
+    t + 1.  This rule is not yet checked against the source paper's text.
+
+    The components fold into one outcome: any TIMELOCK makes the result
+    TIMELOCK, otherwise the smallest tau wins and a tie goes to the cause
+    with the lower ``DELAY_PRIORITY``.
     """
-    # invariant bound: max over currently-true branches of their expiry
-    inv_bound: Optional[Value] = None  # None = no true invariant yet
-    inv_unbounded = False
-    inv_branch = None
-    any_true = False
-    for idx, atoms in enumerate(cont_branches):
-        iv = atoms_truth_interval(tuple(atoms), store)
-        if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
-            continue  # not true now
-        any_true = True
-        if iv.end is UNBOUNDED:
-            inv_unbounded = True
-            continue
-        if inv_bound is None or iv.end > inv_bound:
-            inv_bound = iv.end
-            inv_branch = idx
-    if not any_true:
-        return DelayOutcome(None, DelayCause.TIMELOCK)
-    if inv_unbounded:
-        inv_bound = None
-        inv_branch = None
+    entries = store.as_dict()
+    # the earliest currently-false guard to become true: (start, open, end)
+    first_guard = None
+    for atoms in guards:
+        iv = atoms_truth_interval(atoms, entries)
+        if iv.empty or (iv.start == 0 and not iv.start_open):
+            continue  # never true, or already true: nothing to wait for
+        if first_guard is None or (iv.start, iv.start_open) < first_guard[:2]:
+            first_guard = (iv.start, iv.start_open, iv.end)
 
-    # guard bounds: earliest time each currently-false guard becomes true
-    guard_candidates: List[Tuple[Value, bool, int, Optional[Value]]] = []  # (time, open, branch, end)
-    for watch in waiting_guards:
-        iv = atoms_truth_interval(watch.atoms, store)
-        if iv.empty:
-            continue
-        if iv.start == 0 and not iv.start_open:
-            continue  # already true; nothing to wait for
-        guard_candidates.append((iv.start, iv.start_open, watch.branch, iv.end))
-    guard_candidates.sort(key=lambda c: (c[0], c[1]))
-
-    guard_end: Optional[Value] = UNBOUNDED
-    bounds: List[Tuple[Value, DelayCause, Optional[int], bool]] = []
-    if guard_candidates:
-        t, is_open, branch, guard_end = guard_candidates[0]
-        bounds.append((t, DelayCause.GUARD_ENABLES, branch, is_open))
-    if inv_bound is not None:
-        bounds.append((inv_bound, DelayCause.INVARIANT_EXPIRES, inv_branch, False))
-    if horizon is not None:
-        bounds.append((horizon, DelayCause.HORIZON, None, False))
-    if not bounds:
-        return DelayOutcome(None, DelayCause.TIMELOCK)
-
-    # at one instant a closed bound comes first: a guard true only strictly
-    # after t must not carry time past an invariant that ends at t
-    bounds.sort(key=lambda b: (b[0], b[3], DELAY_PRIORITY[b[1]]))
-    tau, cause, branch, is_open = bounds[0]
-    if is_open:
-        # the guard only becomes true strictly after tau: land inside the open
-        # interval, halfway to the nearest of the next bound and the interval's
-        # own end (or one time unit if neither exists)
-        later = [b[0] for b in bounds[1:] if b[0] > tau]
-        if guard_end is not UNBOUNDED and guard_end > tau:
-            later.append(guard_end)
-        ceiling = min(later) if later else tau + 1
-        tau = tau + (ceiling - tau) / 2
-        cause = DelayCause.GUARD_ENABLES
-    if tau <= 0:
-        return DelayOutcome(None, DelayCause.TIMELOCK)
-    return DelayOutcome(tau, cause, branch)
+    best: Optional[DelayOutcome] = None
+    for invariants in components:
+        # expiry: max over the currently-true invariants (None = never expires)
+        ends = []
+        for atoms in invariants:
+            iv = atoms_truth_interval(atoms, entries)
+            if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
+                continue  # not true now
+            ends.append(iv.end)
+        if not ends:
+            return TIMELOCK
+        bounds: List[Tuple[Value, bool, DelayCause]] = []  # (time, open, cause)
+        if first_guard is not None:
+            bounds.append((first_guard[0], first_guard[1], DelayCause.GUARD_ENABLES))
+        if UNBOUNDED not in ends:
+            bounds.append((max(ends), False, DelayCause.INVARIANT_EXPIRES))
+        if horizon is not None:
+            bounds.append((horizon, False, DelayCause.HORIZON))
+        if not bounds:
+            return TIMELOCK
+        # at one instant a closed bound comes first: a guard true only strictly
+        # after t must not carry time past an invariant that ends at t
+        bounds.sort(key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
+        tau, is_open, cause = bounds[0]
+        if is_open:
+            later = [b[0] for b in bounds[1:] if b[0] > tau]
+            if first_guard[2] is not UNBOUNDED and first_guard[2] > tau:
+                later.append(first_guard[2])
+            ceiling = min(later) if later else tau + 1
+            tau = tau + (ceiling - tau) / 2
+        if tau <= 0:
+            return TIMELOCK
+        if best is None or (tau, DELAY_PRIORITY[cause]) < (best.tau, DELAY_PRIORITY[best.cause]):
+            best = DelayOutcome(tau, cause)
+    return best

@@ -121,7 +121,7 @@ def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) ->
             disc, cmp_atoms = split_guard(inv, snapshot.keys())
             if not entails(store, disc):
                 continue
-            iv = atoms_truth_interval(tuple(cmp_atoms), cont)
+            iv = atoms_truth_interval(tuple(cmp_atoms), cont.as_dict())
             if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
                 continue
             if iv.end is UNBOUNDED or iv.end >= tau:

@@ -33,12 +33,10 @@ from .constraints import (
     split_guard,
 )
 from .flows import (
-    DELAY_PRIORITY,
     ContinuousStore,
     DelayCause,
     DelayOutcome,
     EMPTY_STORE,
-    GuardWatch,
     apply_change,
     evolve,
     max_delay,
@@ -298,7 +296,7 @@ def continuous_step(cfg: Configuration, tau) -> Configuration:
 class WaitState:
     all_stop: bool = True
     invariant_groups: List[List[List[LinCmp]]] = field(default_factory=list)  # per ask~ component
-    guard_watches: List[GuardWatch] = field(default_factory=list)
+    guard_watches: List[Tuple[LinCmp, ...]] = field(default_factory=list)  # currently-false guards
     blocked: bool = False  # a component that can neither step nor let time pass
 
 
@@ -313,7 +311,6 @@ def analyze_waiting(
     positions are then stop, suspended choices, and unstepped scopes.
     """
     state = WaitState()
-    watched = 0
     todo = [agent]
     while todo:
         node = todo.pop()
@@ -334,8 +331,7 @@ def analyze_waiting(
                     continue
                 if eval_cont_atoms(Constraint(frozenset(cont)), snapshot):
                     continue  # already true now (guard suspended on its discrete part)
-                watched += 1
-                state.guard_watches.append(GuardWatch(tuple(cont), watched))
+                state.guard_watches.append(tuple(cont))
             if node.cont_branches:
                 group = []
                 for inv in node.cont_branches:
@@ -372,16 +368,10 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
         if state.guard_watches:
             return DelayResult(None, "timelock")
         return DelayResult(None, "suspended")
-    best: Optional[DelayOutcome] = None
-    for group in state.invariant_groups:
-        outcome = max_delay(group, state.guard_watches, cfg.continuous, horizon)
-        if outcome.cause is DelayCause.TIMELOCK:
-            return DelayResult(None, "timelock")
-        if best is None or outcome.tau < best.tau:
-            best = outcome
-        elif outcome.tau == best.tau and DELAY_PRIORITY[outcome.cause] < DELAY_PRIORITY[best.cause]:
-            best = outcome
-    return DelayResult(best, "delay")
+    outcome = max_delay(state.invariant_groups, state.guard_watches, cfg.continuous, horizon)
+    if outcome.cause is DelayCause.TIMELOCK:
+        return DelayResult(None, "timelock")
+    return DelayResult(outcome, "delay")
 
 
 def is_all_stop(agent: Agent) -> bool:

@@ -8,16 +8,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hytccp import flows, semantics, simulator
 from hytccp.constraints import LinCmp
 from hytccp.flows import (
     ALWAYS,
     ContinuousStore,
+    DELAY_PRIORITY,
     DelayCause,
     EMPTY_INTERVAL,
     EMPTY_STORE,
     Entry,
-    GuardWatch,
     Interval,
     UNBOUNDED,
     apply_change,
@@ -29,6 +31,8 @@ from hytccp.flows import (
     solve_flow,
     truth_interval,
 )
+from hytccp.parser import parse_program
+from hytccp.simulator import RunOptions, run
 from hytccp.syntax import Flow, KEEP
 
 
@@ -193,30 +197,25 @@ def _store(**entries):
 
 def test_max_delay_guard_beats_invariant_on_tie():
     store = _store(T=(0, 1))
-    out = max_delay(
-        [[LinCmp("T", "<=", Fraction(60))]],
-        [GuardWatch((LinCmp("T", "=", Fraction(60)),), 1)],
-        store,
-        None,
-    )
+    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [(LinCmp("T", "=", Fraction(60)),)], store, None)
     assert out.tau == 60 and out.cause is DelayCause.GUARD_ENABLES
 
 
 def test_max_delay_invariant_expiry():
     store = _store(T=(0, 1))
-    out = max_delay([[LinCmp("T", "<=", Fraction(60))]], [], store, None)
+    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None)
     assert out.tau == 60 and out.cause is DelayCause.INVARIANT_EXPIRES
 
 
 def test_max_delay_horizon():
     store = _store(T=(0, 1))
-    out = max_delay([[]], [], store, Fraction(25))
+    out = max_delay([[[]]], [], store, Fraction(25))
     assert out.tau == 25 and out.cause is DelayCause.HORIZON
 
 
 def test_max_delay_timelock_when_no_invariant_holds():
     store = _store(T=(100, 1))
-    out = max_delay([[LinCmp("T", "<=", Fraction(60))]], [], store, None)
+    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None)
     assert out.cause is DelayCause.TIMELOCK and out.tau is None
 
 
@@ -225,8 +224,8 @@ def test_max_delay_open_guard_lands_inside_the_interval():
     # open start and the next bound, so the guard is true after the step
     store = _store(V=(1000, -Fraction(1, 9)))
     out = max_delay(
-        [[]],
-        [GuardWatch((LinCmp("V", ">", Fraction(800)), LinCmp("V", "<", Fraction(1000))), 1)],
+        [[[]]],
+        [(LinCmp("V", ">", Fraction(800)), LinCmp("V", "<", Fraction(1000)))],
         store,
         Fraction(3600),
     )
@@ -235,12 +234,173 @@ def test_max_delay_open_guard_lands_inside_the_interval():
     assert 800 < solve_flow(Fraction(1000), Flow(-Fraction(1, 9), Fraction(0)), out.tau) < 1000
 
 
+def test_max_delay_open_start_witness_takes_the_nearest_ceiling_over_components():
+    # T > 10 becomes true strictly after 10; one component's invariant ends
+    # at 40, the other's at 20: the nearer one sets the ceiling, 10 + (20 - 10) / 2
+    store = _store(T=(0, 1))
+    guard = [(LinCmp("T", ">", Fraction(10)),)]
+    far, near = [[LinCmp("T", "<=", Fraction(40))]], [[LinCmp("T", "<=", Fraction(20))]]
+    for components in ([far, near], [near, far]):
+        out = max_delay(components, guard, store, None)
+        assert (out.tau, out.cause) == (15, DelayCause.GUARD_ENABLES)
+    # the guard's own end is a ceiling too: 10 < T < 14 lands at 12; of two
+    # guards that open at one instant, the first listed gives the end
+    bounded = (LinCmp("T", ">", Fraction(10)), LinCmp("T", "<", Fraction(14)))
+    assert max_delay([far, near], [bounded, guard[0]], store, None).tau == 12
+    assert max_delay([far, near], [guard[0], bounded], store, None).tau == 15
+    # a component with no later bound of its own caps the witness at t + 1
+    out = max_delay([far, [[]]], guard, store, None)
+    assert (out.tau, out.cause) == (Fraction(21, 2), DelayCause.GUARD_ENABLES)
+
+
 def test_max_delay_guard_already_true_is_not_watched():
     store = _store(T=(0, 1))
-    out = max_delay([[]], [GuardWatch((LinCmp("T", ">=", Fraction(0)),), 1)], store, Fraction(10))
+    out = max_delay([[[]]], [(LinCmp("T", ">=", Fraction(0)),)], store, Fraction(10))
     assert out.cause is DelayCause.HORIZON and out.tau == 10
 
 
 def test_atoms_truth_interval_missing_variable():
     with pytest.raises(KeyError):
-        atoms_truth_interval((LinCmp("Nope", "<", Fraction(1)),), EMPTY_STORE)
+        atoms_truth_interval((LinCmp("Nope", "<", Fraction(1)),), EMPTY_STORE.as_dict())
+
+
+# --- the all-component max_delay against the per-component fold it replaced
+
+
+def reference_component_delay(invariants, guards, store, horizon):
+    """One ask~ component resolved on its own: max_delay before components were folded in."""
+    entries = store.as_dict()
+    inv_bound, inv_unbounded, any_true = None, False, False
+    for atoms in invariants:
+        iv = atoms_truth_interval(tuple(atoms), entries)
+        if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
+            continue
+        any_true = True
+        if iv.end is UNBOUNDED:
+            inv_unbounded = True
+        elif inv_bound is None or iv.end > inv_bound:
+            inv_bound = iv.end
+    if not any_true:
+        return None, DelayCause.TIMELOCK
+    candidates = []
+    for atoms in guards:
+        iv = atoms_truth_interval(atoms, entries)
+        if not iv.empty and not (iv.start == 0 and not iv.start_open):
+            candidates.append((iv.start, iv.start_open, iv.end))
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    bounds, guard_end = [], UNBOUNDED
+    if candidates:
+        t, is_open, guard_end = candidates[0]
+        bounds.append((t, DelayCause.GUARD_ENABLES, is_open))
+    if inv_bound is not None and not inv_unbounded:
+        bounds.append((inv_bound, DelayCause.INVARIANT_EXPIRES, False))
+    if horizon is not None:
+        bounds.append((horizon, DelayCause.HORIZON, False))
+    if not bounds:
+        return None, DelayCause.TIMELOCK
+    bounds.sort(key=lambda b: (b[0], b[2], DELAY_PRIORITY[b[1]]))
+    tau, cause, is_open = bounds[0]
+    if is_open:
+        later = [b[0] for b in bounds[1:] if b[0] > tau]
+        if guard_end is not UNBOUNDED and guard_end > tau:
+            later.append(guard_end)
+        ceiling = min(later) if later else tau + 1
+        tau = tau + (ceiling - tau) / 2
+    if tau <= 0:
+        return None, DelayCause.TIMELOCK
+    return tau, cause
+
+
+def reference_delay(components, guards, store, horizon):
+    """compute_delay's fold: any timelock wins, then the smallest tau, then DELAY_PRIORITY."""
+    best = None
+    for invariants in components:
+        tau, cause = reference_component_delay(invariants, guards, store, horizon)
+        if cause is DelayCause.TIMELOCK:
+            return None, cause
+        if best is None or tau < best[0] or (tau == best[0] and DELAY_PRIORITY[cause] < DELAY_PRIORITY[best[1]]):
+            best = (tau, cause)
+    return best
+
+
+OPS = ["<", "<=", ">", ">=", "=", "!="]
+
+
+@st.composite
+def delay_problems(draw):
+    """A linear store on X and Y, 1-4 components, 0-4 watched guards and a horizon.
+
+    Levels sit a few units from the current values and rates are -1, 0, 1/2
+    or 1, so bounds often fall at one instant; invariant levels lie on the
+    side that makes most invariants true now.
+    """
+    values = {name: Fraction(draw(st.integers(0, 4))) for name in "XY"}
+    store = EMPTY_STORE
+    for name, v in values.items():
+        rate = draw(st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(0)]))
+        store = apply_change(store, name, v, Flow(rate, Fraction(0)))
+
+    def atoms(invariant):
+        out = []
+        for _ in range(draw(st.integers(0 if invariant else 1, 2))):
+            var, op = draw(st.sampled_from("XXY")), draw(st.sampled_from(OPS))
+            # an invariant's level lies on the side that holds now; at 0 it expires now
+            offset = draw(st.sampled_from([1, 2, 3, 0]) if invariant else st.integers(-2, 2))
+            if invariant and op in (">", ">="):
+                offset = -offset
+            out.append(LinCmp(var, op, values[var] + offset))
+        return tuple(out)
+
+    components = [[atoms(True) for _ in range(draw(st.integers(1, 3)))] for _ in range(draw(st.integers(1, 4)))]
+    guards = [atoms(False) for _ in range(draw(st.integers(0, 4)))]
+    horizon = draw(st.sampled_from([Fraction(3), Fraction(5), None, Fraction(1)]))
+    return components, guards, store, horizon
+
+
+@settings(max_examples=600)
+@given(delay_problems())
+def test_max_delay_matches_the_per_component_fold(problem):
+    out = max_delay(*problem)
+    assert (out.tau, out.cause) == reference_delay(*problem)
+
+
+# --- operation count: one truth interval per invariant and per watched guard
+
+
+def thermostats(n):
+    lines = [
+        "heat(X) :- ask~(X =< 22) + ask(X >= 22) -> (change(X, _, der(X) = 0 - X/130) || cool(X)).",
+        "cool(X) :- ask~(X >= 18) + ask(X =< 18) -> (change(X, _, der(X) = 100/130 - X/130) || heat(X)).",
+    ]
+    starts = " || ".join(f"change(X{i}, {180 + 7 * i}/10, der(X{i}) = 100/130 - X{i}/130) || heat(X{i})" for i in range(n))
+    names = ", ".join(f"X{i}" for i in range(n))
+    return parse_program("\n".join(lines) + f"\ninit :- exists {names} ({starts}).\n")
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_truth_intervals_per_delay_are_components_plus_watched_guards(n, monkeypatch):
+    # every thermostat is one ask~ component with one invariant atom and one
+    # watched guard atom; the per-component fold evaluated n * (1 + n) of them
+    count = 0
+
+    def counting_truth_interval(v0, f, cmp):
+        nonlocal count
+        count += 1
+        return truth_interval(v0, f, cmp)
+
+    per_delay = []
+
+    def counting_compute_delay(cfg, program, horizon):
+        before = count
+        result = compute_delay(cfg, program, horizon)
+        per_delay.append(count - before)
+        return result
+
+    compute_delay = semantics.compute_delay
+    for module in (flows, semantics, simulator):
+        if getattr(module, "truth_interval", None) is truth_interval:
+            monkeypatch.setattr(module, "truth_interval", counting_truth_interval)
+    monkeypatch.setattr(simulator, "compute_delay", counting_compute_delay)
+    trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
+    assert trace.terminal.kind == "max_time"
+    assert len(per_delay) > n and per_delay == [2 * n] * len(per_delay)
