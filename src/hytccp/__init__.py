@@ -49,7 +49,7 @@ from .flows import (
     max_delay,
     solve_flow,
 )
-from .semantics import Configuration, continuous_step, discrete_successors
+from .semantics import Configuration, continuous_step, discrete_successors, start_configuration
 from .simulator import RunOptions, Trace, explore, run
 
 __version__ = "0.1.0"

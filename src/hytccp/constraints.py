@@ -14,6 +14,7 @@ atoms are re-examined on every step.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
@@ -200,6 +201,19 @@ def is_fresh_name(name: str) -> bool:
     return "#" in name
 
 
+# a generated name inside printed text
+FRESH_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*#\d+")
+
+
+def atom_text_order(text: str) -> tuple:
+    """Sort key of a printed atom: its text with generated names masked, then its text.
+
+    Printed constraints list their atoms in this order, so the order does not
+    depend on which numbers the generated names got.
+    """
+    return (FRESH_NAME.sub("#", text), text)
+
+
 def reset_fresh_counter() -> None:
     """Restart fresh-name numbering; call at the start of a run for stable traces."""
     global _fresh_counter
@@ -336,7 +350,7 @@ class Constraint:
             return "false"
         if not self.atoms:
             return "true"
-        return " /\\ ".join(sorted(str(a) for a in self.atoms))
+        return " /\\ ".join(sorted(map(str, self.atoms), key=atom_text_order))
 
     def bindings(self) -> dict:
         return {a.var: a.term for a in self.atoms if isinstance(a, TermEq)}

@@ -18,6 +18,7 @@ from .semantics import (
     eval_flow,
     guard_holds,
     open_scopes,
+    start_configuration,
 )
 from .simulator import canonical_key
 from .syntax import (
@@ -25,7 +26,6 @@ from .syntax import (
     Call,
     Change,
     Choice,
-    Hide,
     KEEP,
     Now,
     Parallel,
@@ -85,12 +85,10 @@ def _step(
             return results
         rights = _step(agent.right, store, cont, snapshot, program)
         return [(par(agent.left, ra), rd, rc) for ra, rd, rc in rights]
-    if isinstance(agent, Hide):
-        return _step(open_scopes(agent, snapshot), store, cont, snapshot, program)
     if isinstance(agent, Call):
         results = []
         for decl in program.lookup(agent.name, len(agent.args)):
-            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), snapshot)
+            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), program.continuous)
             results.append((body, store, cont))
         return results
     raise TypeError(f"not an agent: {agent!r}")
@@ -112,8 +110,6 @@ def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) ->
         return True  # structural idling
     if isinstance(agent, Parallel):
         return _can_advance(agent.left, store, cont, tau) and _can_advance(agent.right, store, cont, tau)
-    if isinstance(agent, Hide):
-        return _can_advance(open_scopes(agent, snapshot), store, cont, tau)
     if isinstance(agent, Choice):
         if not agent.cont_branches:
             return True  # suspended pure-ask choice idles
@@ -148,6 +144,7 @@ def oracle_reachable(
 ) -> Set[Tuple]:
     """Reachable canonical states up to ``depth`` steps, discrete before continuous.
 
+    The scopes of ``cfg0`` are opened first, as ``explore`` opens them.
     ``taus_for`` maps a configuration to the candidate continuous durations;
     by default the engine's earliest-event delay supplies the witness.
     """
@@ -157,6 +154,7 @@ def oracle_reachable(
             result = compute_delay(cfg, program, Fraction(10**6))
             return [result.outcome.tau] if result.kind == "delay" else []
 
+    cfg0 = start_configuration(program, cfg0)
     seen = {canonical_key(cfg0)}
     frontier = [cfg0]
     for _ in range(depth):

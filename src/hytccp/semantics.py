@@ -1,16 +1,19 @@
 """Transition engine over configurations <agent, discrete store, continuous store>.
 
 Discrete steps are instantaneous and implement tell, choice, now, parallel
-(maximal parallelism), hiding by renaming to generated names, process call
-and the continuous reset agent.  Continuous steps advance every continuous
-variable by one shared duration and leave the agent and the discrete store
-untouched.  Time may pass only when no discrete step is enabled anywhere.
-Agents the engine makes obey ``A || stop == A`` (``syntax.par``) and hold
-no opened scope (``open_scopes``), so neither piles up as a run goes on.
+(maximal parallelism), process call and the continuous reset agent.
+Continuous steps advance every continuous variable by one shared duration
+and leave the agent and the discrete store untouched.  Time may pass only
+when no discrete step is enabled anywhere.  Hiding is renaming to generated
+names: ``open_scopes`` replaces every scope of the starting agent
+(``start_configuration``) and of each unfolded call body by its renamed
+body, so the step rules never meet a scope.  Agents the engine makes obey
+``A || stop == A`` (``syntax.par``), so stopped components do not pile up
+as a run goes on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -164,26 +167,29 @@ def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
 # the discrete step relation
 
 
-def open_scopes(agent: Agent, snapshot, mapping: Optional[dict] = None) -> Agent:
+def open_scopes(agent: Agent, continuous, mapping: Optional[dict] = None) -> Agent:
     """Scope extrusion: each scope ``exists x (A)`` in ``agent`` becomes ``A[x'/x]``, x' fresh.
 
-    The scope node goes (``exists x' (A) == A``): the body tells and reads
-    the one shared store.  Continuous variables are global and keep their
-    names: a bound name in the snapshot or set by a ``change`` in the scope's
-    body.  A scope with nothing to rename gives its body as it is.
+    Every scope node goes (``exists x' (A) == A``): the body tells and reads
+    the one shared store.  Continuous variables (``Program.continuous``) are
+    global and keep their names, and so do names generated already.
     """
     mapping = mapping or {}
     if isinstance(agent, Hide):
-        names = [x for x in agent.vars if not is_fresh_name(x) and x not in snapshot]
-        if names:
-            changed = {node.var for node in nodes(agent.body) if isinstance(node, Change)}
-            names = [x for x in names if x not in changed]
-        if not names and not mapping:
-            return agent.body
         mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
-        mapping.update((x, fresh_var(x)) for x in names)
-        return open_scopes(agent.body, snapshot, mapping)
-    return rebuild(agent, tuple(open_scopes(kid, snapshot, mapping) for kid in children(agent)), mapping)
+        mapping.update((x, fresh_var(x)) for x in agent.vars if not is_fresh_name(x) and x not in continuous)
+        return open_scopes(agent.body, continuous, mapping)
+    return rebuild(agent, tuple(open_scopes(kid, continuous, mapping) for kid in children(agent)), mapping)
+
+
+def start_configuration(program: Program, cfg: Optional[Configuration] = None) -> Configuration:
+    """The configuration a run or an exploration starts from, with every scope opened.
+
+    ``cfg`` defaults to the program's initial agent in empty stores.
+    """
+    if cfg is None:
+        cfg = Configuration(program.initial)
+    return replace(cfg, agent=open_scopes(cfg.agent, program.continuous))
 
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
@@ -250,14 +256,11 @@ def step_agent(
             return [Outcome(par(agent.left, o.agent), o.told, o.changes, o.choices) for o in right]
         return []
 
-    if isinstance(agent, Hide):
-        return step_agent(open_scopes(agent, snapshot), store, snapshot, program, draw, path)
-
     if isinstance(agent, Call):
         decls = program.lookup(agent.name, len(agent.args))
         outs = []
         for i, decl in enumerate(decls):
-            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), snapshot)
+            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), program.continuous)
             record = (ChoiceRecord(path + ("call:" + agent.name,), i, len(decls)),) if len(decls) > 1 else ()
             outs.append(Outcome(body, TRUE, (), record))
         return outs
@@ -308,7 +311,7 @@ def analyze_waiting(
     """Collect ask~ invariants and watchable continuous guards of a quiescent agent.
 
     Must only be called when ``agent`` has no discrete successor; active
-    positions are then stop, suspended choices, and unstepped scopes.
+    positions are then stop and suspended choices.
     """
     state = WaitState()
     todo = [agent]
@@ -319,8 +322,6 @@ def analyze_waiting(
         if isinstance(node, Parallel):
             todo.append(node.right)
             todo.append(node.left)
-        elif isinstance(node, Hide):
-            todo.append(open_scopes(node, snapshot))
         elif isinstance(node, Choice):
             state.all_stop = False
             for branch in node.ask_branches:
@@ -375,4 +376,4 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
 
 
 def is_all_stop(agent: Agent) -> bool:
-    return all(isinstance(node, (Stop, Parallel, Hide)) for node in nodes(agent))
+    return all(isinstance(node, (Stop, Parallel)) for node in nodes(agent))

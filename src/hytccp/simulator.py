@@ -10,18 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set, Tuple, Union
 
 from .constraints import (
     Constraint,
-    TermEq,
+    FRESH_NAME,
     format_rational,
-    is_fresh_name,
     reset_fresh_counter,
-    term_vars,
 )
 from .flows import ContinuousStore, DelayCause
 from .semantics import (
@@ -31,17 +28,13 @@ from .semantics import (
     continuous_step,
     discrete_successors,
     is_all_stop,
+    start_configuration,
 )
 from .syntax import (
-    Agent,
     KEEP,
     Program,
     builtin_random,
-    children,
-    parts,
     pretty,
-    rebuild,
-    rename_constraint,
 )
 
 DEFAULT_DIVERGENCE_BUDGET = 10000
@@ -193,7 +186,7 @@ def run(program: Program, options: RunOptions) -> Trace:
     rng = random.Random(options.seed)
     draw = lambda lo, hi: builtin_random(lo, hi, rng)
     trace = Trace(program_hash(program), options)
-    cfg = Configuration(program.initial)
+    cfg = start_configuration(program)
     steps_total = 0
     steps_at_instant = 0
 
@@ -246,56 +239,23 @@ def run(program: Program, options: RunOptions) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# canonical configurations (alpha-renaming of generated variables)
-
-_FRESH_PLACEHOLDER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*#\d+")
-
-
-def _mask(s: str) -> str:
-    return _FRESH_PLACEHOLDER.sub("#", s)
-
-
-def _number_fresh(agent: Agent, store: Constraint) -> Dict[str, str]:
-    """Name generated variables c1, c2, ... in order of first occurrence.
-
-    The agent is read in field order (``syntax.parts``), then the store; the
-    atoms of each constraint are read in the order of their masked text.
-    """
-    mapping: Dict[str, str] = {}
-
-    def note(name: str):
-        if is_fresh_name(name) and name not in mapping:
-            mapping[name] = f"c{len(mapping) + 1}"
-
-    todo: list = [store, agent]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            note(item)
-        elif isinstance(item, Constraint):
-            for a in sorted(item.atoms, key=lambda a: _mask(str(a))):
-                note(a.var)
-                for name in term_vars(a.term) if isinstance(a, TermEq) else ():
-                    note(name)
-        else:
-            todo.extend(reversed(parts(item)))
-    return mapping
-
-
-def _rename_all(agent: Agent, mapping: Dict[str, str]) -> Agent:
-    """Rename every occurrence of the mapped names, bound ones included."""
-    if not mapping:
-        return agent
-    return rebuild(agent, tuple(_rename_all(kid, mapping) for kid in children(agent)), mapping)
+# canonical configurations (renumbering of generated variables)
 
 
 def canonical_key(cfg: Configuration) -> Tuple:
-    """Hashable key identifying configurations up to generated-variable renaming."""
-    mapping = _number_fresh(cfg.agent, cfg.discrete)
-    agent = _rename_all(cfg.agent, mapping)
-    store = rename_constraint(cfg.discrete, mapping)
+    """Hashable key identifying configurations up to generated-variable renaming.
+
+    The agent and then the store are printed, each constraint's atoms in
+    the order of their text with generated names masked; generated names
+    are then numbered c1, c2, ... in order of first occurrence.  Atoms whose
+    masked texts are equal are still ordered by their numbers.
+    """
+    numbers: dict = {}
+    number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")
+    agent = FRESH_NAME.sub(number, pretty(cfg.agent))
+    store = FRESH_NAME.sub(number, str(cfg.discrete))
     cont = tuple((n, value_json(e.value), str(e.flow)) for n, e in cfg.continuous.entries)
-    return (pretty(agent), (), str(store), cont, value_json(cfg.clock))
+    return (agent, (), store, cont, value_json(cfg.clock))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +289,12 @@ def explore(
 ) -> ReachabilityReport:
     """Breadth-first reachable set up to ``depth`` combined steps.
 
-    Continuous steps use the earliest-event delay plus ``time_samples`` extra
-    durations sampled inside (0, tau).
+    The search starts from ``initial`` (by default the initial agent) with
+    its scopes opened.  Continuous steps use the earliest-event delay plus
+    ``time_samples`` extra durations sampled inside (0, tau).
     """
     reset_fresh_counter()
-    cfg0 = initial if initial is not None else Configuration(program.initial)
+    cfg0 = start_configuration(program, initial)
     key0 = canonical_key(cfg0)
     seen = {key0}
     frontier = [cfg0]

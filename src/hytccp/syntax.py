@@ -10,6 +10,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .constraints import (
@@ -20,6 +21,7 @@ from .constraints import (
     LinCmp,
     Var,
     Cons,
+    atom_text_order,
     format_rational,
     fresh_var,
     solve,
@@ -110,10 +112,11 @@ class Parallel:
 class Hide:
     """Scope agent ``exists vars (body)``.
 
-    A scope has no store of its own.  When a process call creates it, or at
-    its first step, the engine renames its bound names to generated ones and
-    puts the renamed body in its place (``semantics.open_scopes``).  At run
-    time a scope node is one of the initial agent that has not stepped yet.
+    A scope has no store of its own.  Before the first step, and at each
+    process call for the unfolded body, the engine renames its bound names
+    to generated ones and puts the renamed body in its place
+    (``semantics.open_scopes``).  So scope nodes exist only in parser output
+    and declaration bodies, never in a running agent.
     """
 
     vars: Tuple[str, ...]
@@ -190,6 +193,27 @@ class Program:
 
     def lookup(self, name: str, arity: int) -> Tuple[Declaration, ...]:
         return tuple(d for d in self.declarations if d.name == name and len(d.params) == arity)
+
+    @cached_property
+    def continuous(self) -> frozenset:
+        """The names of continuous variables: bound scope names that keep their name.
+
+        A name is continuous if a ``change`` sets it, or if a call passes it
+        to a parameter that is continuous: a fixpoint over the declarations
+        and the initial agent.
+        """
+        found = [node for body in (self.initial, *(d.body for d in self.declarations)) for node in nodes(body)]
+        names = {node.var for node in found if isinstance(node, Change)}
+        passed = [
+            (param, arg)
+            for call in found
+            if isinstance(call, Call)
+            for decl in self.lookup(call.name, len(call.args))
+            for param, arg in zip(decl.params, call.args)
+        ]
+        while more := {arg for param, arg in passed if param in names} - names:
+            names |= more
+        return frozenset(names)
 
 
 # --- traversal: the one place that knows which fields of each form are
@@ -351,7 +375,7 @@ def _pp_constraint(c: Constraint) -> str:
         return "false"
     if not c.atoms:
         return "true"
-    return " /\\ ".join(sorted(_pp_atom(a) for a in c.atoms))
+    return " /\\ ".join(sorted(map(_pp_atom, c.atoms), key=atom_text_order))
 
 
 def _pp_atom(a) -> str:

@@ -30,6 +30,7 @@ from hytccp.semantics import (
     compute_delay,
     continuous_step,
     discrete_successors,
+    start_configuration,
 )
 from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, explore, run
 from hytccp.syntax import Flow
@@ -79,7 +80,7 @@ def test_criterion_2_store_monotonicity():
         prog = random_program(seed)
         programs += 1
         reset_fresh_counter()
-        cfg = Configuration(prog.initial)
+        cfg = start_configuration(prog)
         for _ in range(25):
             successors = discrete_successors(cfg, prog)
             if not successors:
@@ -149,7 +150,7 @@ def test_criterion_5_no_time_passes_while_discrete_enabled():
     for seed in range(200):
         prog = random_program(seed)
         reset_fresh_counter()
-        cfg = Configuration(prog.initial)
+        cfg = start_configuration(prog)
         for _ in range(30):
             successors = discrete_successors(cfg, prog)
             if successors:

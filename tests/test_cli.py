@@ -57,6 +57,14 @@ def test_run_csv_format(tmp_path):
     assert rows[1].startswith("60,T,")
 
 
+def test_run_csv_keeps_the_name_of_a_continuous_variable_bound_by_a_scope(tmp_path):
+    # the scope's T is continuous: it is passed to tick's T, which a change sets
+    text = "tick(T) :- change(T, 0, der(T) = 1) || (ask~(T =< 5) + ask(T = 5) -> stop).  init :- exists T (tick(T))."
+    out = str(tmp_path / "trace.csv")
+    assert main(["run", write(tmp_path, "tick.hyt", text), "--format", "csv", "--out", out]) == 0
+    assert open(out).read().strip().split("\n")[1:] == ["5,T,5,1,0"]
+
+
 def test_run_dam_four_periods(tmp_path):
     out = str(tmp_path / "dam.jsonl")
     assert main(["run", "models/dam.hyt", "--seed", "42", "--max-time", "14400", "--out", out]) == 0

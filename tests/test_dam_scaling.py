@@ -6,7 +6,7 @@ import pytest
 from hytccp import constraints, semantics, simulator
 from hytccp.parser import parse_program
 from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, run
-from hytccp.syntax import children
+from hytccp.syntax import Hide, children, nodes
 
 PERIOD = 3600
 
@@ -80,6 +80,7 @@ def test_dam_48h(dam, monkeypatch):
         nxt = continuous_step(cfg, tau)
         if nxt.clock % PERIOD == 0:
             shapes[int(nxt.clock) // PERIOD] = agent_shape(nxt.agent)
+            assert not any(isinstance(node, Hide) for node in nodes(nxt.agent)), nxt.clock
         return nxt
 
     monkeypatch.setattr(simulator, "continuous_step", probe)
@@ -92,8 +93,8 @@ def test_dam_48h(dam, monkeypatch):
     for ev in steps:
         for values in (ev.before, ev.after):
             assert 0 <= Fraction(values["Vol"]["v"]) <= 1000, ev
-    # nothing grows per period: stopped components and opened scopes are
-    # dropped, so the agent and the choice sites of every hour match hour 7
+    # nothing grows per period: stopped components are dropped and no scope
+    # is left at run time, so the agent and the choice sites of every hour match hour 7
     sites = {}
     for ev in trace.events:
         if isinstance(ev, DiscreteEvent):

@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and only the
+parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``.
 
-No linter ships with the project, so this is the check that keeps dead
-imports out.  ``__init__.py`` is exempt: its imports are the public API.
+No linter ships with the project, so these are the checks that keep dead
+imports out and scopes out of the engine.  ``__init__.py`` is exempt: its
+imports are the public API.
 """
 import ast
 from pathlib import Path
@@ -41,3 +43,38 @@ def test_detector_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# modules that may name Hide anywhere; semantics.py may name it in open_scopes
+HIDE_MODULES = {"__init__.py", "parser.py", "syntax.py"}
+
+
+def hide_mentions(source: str, allowed_function: str = "") -> list:
+    """Lines that name ``Hide`` outside the function ``allowed_function``; imports aside."""
+    tree = ast.parse(source)
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == allowed_function
+        for inner in ast.walk(node)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (isinstance(node, ast.Name) and node.id == "Hide" or isinstance(node, ast.Attribute) and node.attr == "Hide")
+    )
+
+
+def test_detector_finds_hide_outside_the_allowed_function():
+    source = "from .syntax import Hide\ndef f(a):\n    return Hide\ndef g(a):\n    return syntax.Hide, Hide\n"
+    assert hide_mentions(source, "f") == [5, 5]
+
+
+def test_only_parser_syntax_and_open_scopes_name_hide():
+    mentions = {
+        path.name: hide_mentions(path.read_text(), "open_scopes" if path.name == "semantics.py" else "")
+        for path in SRC.glob("*.py")
+        if path.name not in HIDE_MODULES
+    }
+    assert {name: lines for name, lines in mentions.items() if lines} == {}

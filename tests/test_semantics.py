@@ -21,6 +21,7 @@ from hytccp.semantics import (
     continuous_step,
     discrete_successors,
     is_all_stop,
+    start_configuration,
     step_agent,
 )
 from hytccp.simulator import ContinuousEvent, RunOptions, run
@@ -31,6 +32,12 @@ EMPTY_PROGRAM = Program({}, (), STOP)
 
 def cfg_of(agent_text, store_text="true", cont=EMPTY_STORE):
     return Configuration(parse_agent(agent_text), parse_constraint(store_text), cont)
+
+
+def opened(agent_text, store_text="true"):
+    """A configuration over ``agent_text`` with its scopes opened, as a run starts."""
+    agent = parse_agent(agent_text)
+    return start_configuration(Program({}, (), agent), Configuration(agent, parse_constraint(store_text)))
 
 
 def succs(cfg, program=EMPTY_PROGRAM):
@@ -112,7 +119,7 @@ def test_call_unfolds_with_parameter_substitution():
     prog = parse_program("p(A) :- tell(A = done). init :- exists V (p(V)).")
     cfg = Configuration(prog.initial)
     (cfg, _), = succs(cfg, prog)  # init -> body
-    (cfg, _), = succs(cfg, prog)  # hide steps the call
+    (cfg, _), = succs(cfg, prog)  # the call p(V#1) unfolds
     (cfg, _), = succs(cfg, prog)  # tell fires
     from hytccp.constraints import Atom, TermEq, is_fresh_name
 
@@ -138,7 +145,7 @@ def test_change_unbound_value_is_an_error():
 
 def test_hide_publishes_under_stable_fresh_names():
     reset_fresh_counter()
-    cfg = cfg_of("exists X (tell(X = [a|Y]))")
+    cfg = opened("exists X (tell(X = [a|Y]))")
     (nxt, outcome), = succs(cfg)
     published = outcome.told
     assert "X" not in published.variables()
@@ -152,7 +159,7 @@ def test_hide_publishes_under_stable_fresh_names():
 
 def test_hide_local_knowledge_visible_inside_only():
     reset_fresh_counter()
-    cfg = cfg_of("exists X (tell(X = a) || (ask(X = a) -> tell(Done = yes)))")
+    cfg = opened("exists X (tell(X = a) || (ask(X = a) -> tell(Done = yes)))")
     (cfg1, o1), = succs(cfg)
     assert "X" not in cfg1.discrete.variables()
     (cfg2, _), = succs(cfg1)  # the ask commits to its branch
@@ -163,14 +170,14 @@ def test_hide_local_knowledge_visible_inside_only():
 def test_hide_projection_of_later_bindings():
     # exists X (tell(Y=[X|T]) || tell(X=3)): published store entails Y=[3|T]
     reset_fresh_counter()
-    cfg = cfg_of("exists X (tell(Y = [X|T]) || tell(X = 3))")
+    cfg = opened("exists X (tell(Y = [X|T]) || tell(X = 3))")
     (nxt, _), = succs(cfg)
     assert entails(nxt.discrete, parse_constraint("Y = [3|T]"))
 
 
 def test_hide_alpha_converts_on_outer_clash():
     reset_fresh_counter()
-    cfg = cfg_of("exists X (ask(X = a) -> stop + ask(Y = b) -> stop)", "X = a /\\ Y = b")
+    cfg = opened("exists X (ask(X = a) -> stop + ask(Y = b) -> stop)", "X = a /\\ Y = b")
     results = succs(cfg)
     # the bound X is distinct from the outer X = a, so only the Y branch fires
     assert len(results) == 1
@@ -180,12 +187,12 @@ def test_hide_alpha_converts_on_outer_clash():
 
 def test_hide_publications_are_stable_across_steps():
     reset_fresh_counter()
-    cfg = cfg_of(
+    cfg = opened(
         "exists X, C (change(C, 0, der(C) = 1) || tell(X = [a|R]) || (ask(X = [a|_]) -> tell(X = [a|R])))"
     )
+    # the scope is gone before the first step: its X is generated, the continuous C kept
+    assert not any(isinstance(node, Hide) for node in nodes(cfg.agent))
     (nxt, _), = succs(cfg)
-    # after one step the scope is gone: its X is generated, the continuous C kept
-    assert not any(isinstance(node, Hide) for node in nodes(nxt.agent))
     (x,) = nxt.discrete.variables() - {"R"}
     assert is_fresh_name(x) and x.startswith("X#")
     assert "C" in nxt.continuous.snapshot()
@@ -286,5 +293,6 @@ def test_time_cannot_pass_while_a_discrete_step_is_enabled():
 
 def test_is_all_stop():
     assert is_all_stop(STOP)
-    assert is_all_stop(Parallel(STOP, Hide(("X",), STOP)))
+    assert is_all_stop(Parallel(STOP, STOP))
+    assert is_all_stop(opened("stop || exists X (stop)").agent)
     assert not is_all_stop(parse_agent("ask(X = a) -> stop"))

@@ -1,10 +1,14 @@
 """Scheduling loop, trace formats, canonical keys, bounded exploration."""
 import json
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hytccp.constraints import reset_fresh_counter
+from hytccp import simulator
+from hytccp.constraints import FRESH_NAME, Constraint, is_fresh_name, reset_fresh_counter
 from hytccp.parser import parse_program
 from hytccp.semantics import Configuration
 from hytccp.simulator import (
@@ -16,6 +20,9 @@ from hytccp.simulator import (
     explore,
     run,
 )
+from hytccp.syntax import Tell, children, nodes, parts, rebuild, rename_atoms
+
+from generators import random_program, recursive_program
 
 
 def program(text):
@@ -140,6 +147,69 @@ def test_canonical_key_identifies_renamed_configurations():
         Configuration(prog.initial), prog
     )
     assert canonical_key(c2) == k1
+
+
+def constraints_of(cfg):
+    return [cfg.discrete] + [p for node in nodes(cfg.agent) for p in parts(node) if isinstance(p, Constraint)]
+
+
+def generated_names(cfg):
+    names = {n for c in constraints_of(cfg) for n in c.variables()}
+    names |= {p for node in nodes(cfg.agent) for p in parts(node) if isinstance(p, str)}
+    return sorted(n for n in names if is_fresh_name(n) and n not in cfg.continuous.as_dict())
+
+
+def masked_texts_differ(c):
+    masked = [FRESH_NAME.sub("#", str(a)) for a in c.atoms]
+    return len(set(masked)) == len(masked)
+
+
+@lru_cache(maxsize=None)
+def explored_configurations():
+    """Configurations ``explore`` keys with two or more generated names.
+
+    Only those where no constraint holds two atoms with equal masked text:
+    the key orders such atoms by their generated names' numbers.
+    """
+    found = []
+    record = lambda cfg: found.append(cfg) or canonical_key(cfg)
+    with mock.patch.object(simulator, "canonical_key", record):
+        for seed in range(300):
+            explore(random_program(seed), 5, time_samples=1)
+        for seed in range(12):
+            explore(recursive_program(seed), 8, time_samples=1)
+    return [
+        cfg
+        for cfg in found
+        if len(generated_names(cfg)) >= 2 and all(map(masked_texts_differ, constraints_of(cfg)))
+    ]
+
+
+def renamed(agent, mapping):
+    """``agent`` with names renamed, its tells renamed atom by atom like its guards."""
+    if isinstance(agent, Tell):
+        return Tell(rename_atoms(agent.constraint, mapping))
+    return rebuild(agent, tuple(renamed(kid, mapping) for kid in children(agent)), mapping)
+
+
+def test_key_invariance_pool_is_large():
+    assert len(explored_configurations()) >= 200
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_canonical_key_ignores_how_generated_names_are_numbered(data):
+    pool = explored_configurations()
+    cfg = pool[data.draw(st.integers(0, len(pool) - 1))]
+    names = generated_names(cfg)
+    # new numbers in a new order; the key masks the name before '#' too
+    numbers = data.draw(st.lists(st.integers(1, 10**4), min_size=len(names), max_size=len(names), unique=True))
+    bases = data.draw(st.lists(st.sampled_from(["A", "Q", "Z"]), min_size=len(names), max_size=len(names)))
+    mapping = {name: f"{base}#{n}" for name, base, n in zip(names, bases, numbers)}
+    other = Configuration(
+        renamed(cfg.agent, mapping), rename_atoms(cfg.discrete, mapping), cfg.continuous, cfg.clock
+    )
+    assert canonical_key(other) == canonical_key(cfg)
 
 
 # --- exploration

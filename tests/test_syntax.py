@@ -1,9 +1,10 @@
-"""Agent traversal: pre-order nodes, free variables, capture-avoiding substitution."""
+"""Agent traversal: pre-order nodes, free variables, capture-avoiding substitution;
+the program's continuous names."""
 import random
 
 from hypothesis import given, strategies as st
 
-from hytccp.parser import parse_agent
+from hytccp.parser import parse_agent, parse_program
 from hytccp.syntax import STOP, free_vars, nodes, substitute
 
 from generators import CONT_VARS, DISCRETE_VARS, random_agent
@@ -38,3 +39,28 @@ def test_substitute_renames_free_occurrences_without_capture(agent, data):
     y = data.draw(st.sampled_from([v for v in DISCRETE_VARS + ["New"] if v not in fv]))
     expected = (fv - {x}) | ({y} if x in fv else set())
     assert free_vars(substitute(agent, {x: y})) == expected
+
+
+# --- Program.continuous
+
+
+def test_a_name_set_by_change_is_continuous():
+    assert parse_program("init :- change(T, 0, der(T) = 1) || tell(X = a).").continuous == {"T"}
+
+
+def test_a_name_passed_through_two_calls_to_a_changed_parameter_is_continuous():
+    prog = parse_program("a(X) :- b(X).  b(Y) :- change(Y, 0, der(Y) = 1).  init :- exists Z (a(Z)).")
+    assert prog.continuous == {"X", "Y", "Z"}
+
+
+def test_a_discrete_name_stays_out():
+    prog = parse_program("p(A, B) :- tell(A = B) || change(B, 0, der(B) = 1).  init :- exists X, Y (p(X, Y)).")
+    assert prog.continuous == {"B", "Y"}
+
+
+def test_mutually_recursive_declarations_reach_a_fixpoint():
+    prog = parse_program(
+        "even(X, D) :- odd(X, D).  odd(Y, E) :- even(Y, E) || change(E, 1, der(E) = 1)."
+        "  init :- exists U, V (even(U, V))."
+    )
+    assert prog.continuous == {"D", "E", "V"}
