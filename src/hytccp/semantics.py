@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import (
     Constraint,
@@ -60,6 +60,7 @@ from .syntax import (
     Stop,
     Tell,
     children,
+    continuous_names,
     nodes,
     par,
     rebuild,
@@ -171,13 +172,16 @@ def open_scopes(agent: Agent, continuous, mapping: Optional[dict] = None) -> Age
     """Scope extrusion: each scope ``exists x (A)`` in ``agent`` becomes ``A[x'/x]``, x' fresh.
 
     Every scope node goes (``exists x' (A) == A``): the body tells and reads
-    the one shared store.  Continuous variables (``Program.continuous``) are
-    global and keep their names, and so do names generated already.
+    the one shared store.  Continuous variables are global and keep their
+    names: a bound name that the scope's body sets with ``change`` or passes
+    to a position in ``continuous`` (``Program.continuous``).  So do names
+    generated already.
     """
     mapping = mapping or {}
     if isinstance(agent, Hide):
+        kept = continuous_names(agent.body, continuous)
         mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
-        mapping.update((x, fresh_var(x)) for x in agent.vars if not is_fresh_name(x) and x not in continuous)
+        mapping.update((x, fresh_var(x)) for x in agent.vars if not is_fresh_name(x) and x not in kept)
         return open_scopes(agent.body, continuous, mapping)
     return rebuild(agent, tuple(open_scopes(kid, continuous, mapping) for kid in children(agent)), mapping)
 
@@ -185,10 +189,14 @@ def open_scopes(agent: Agent, continuous, mapping: Optional[dict] = None) -> Age
 def start_configuration(program: Program, cfg: Optional[Configuration] = None) -> Configuration:
     """The configuration a run or an exploration starts from, with every scope opened.
 
-    ``cfg`` defaults to the program's initial agent in empty stores.
+    ``cfg`` defaults to the program's initial agent in empty stores.  Its
+    continuous store must be empty: a bound name that holds a continuous
+    value already would be renamed.
     """
     if cfg is None:
         cfg = Configuration(program.initial)
+    if cfg.continuous.entries:
+        raise ValueError("a run starts from an empty continuous store")
     return replace(cfg, agent=open_scopes(cfg.agent, program.continuous))
 
 
@@ -348,12 +356,9 @@ def analyze_waiting(
     return state
 
 
-class DelayResult:
-    __slots__ = ("outcome", "kind")
-
-    def __init__(self, outcome: Optional[DelayOutcome], kind: str):
-        self.outcome = outcome
-        self.kind = kind  # "delay" | "all_stop" | "suspended" | "timelock"
+class DelayResult(NamedTuple):
+    outcome: Optional[DelayOutcome]
+    kind: str  # "delay" | "all_stop" | "suspended" | "timelock"
 
 
 def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
@@ -366,9 +371,7 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
         return DelayResult(None, "timelock")
     if not state.invariant_groups:
         # nothing drives time; watched guards (if any) can never fire
-        if state.guard_watches:
-            return DelayResult(None, "timelock")
-        return DelayResult(None, "suspended")
+        return DelayResult(None, "timelock" if state.guard_watches else "suspended")
     outcome = max_delay(state.invariant_groups, state.guard_watches, cfg.continuous, horizon)
     if outcome.cause is DelayCause.TIMELOCK:
         return DelayResult(None, "timelock")

@@ -61,9 +61,7 @@ class RunOptions:
 
 
 def value_json(v) -> Union[str, float]:
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    return float(v)
+    return format_rational(v) if isinstance(v, Fraction) else float(v)
 
 
 def vars_json(store: ContinuousStore) -> dict:

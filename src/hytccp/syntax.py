@@ -196,24 +196,33 @@ class Program:
 
     @cached_property
     def continuous(self) -> frozenset:
-        """The names of continuous variables: bound scope names that keep their name.
+        """The continuous parameter positions ``(name, arity, index)``.
 
-        A name is continuous if a ``change`` sets it, or if a call passes it
-        to a parameter that is continuous: a fixpoint over the declarations
-        and the initial agent.
+        A position is continuous if its declaration's body sets the parameter
+        with ``change`` or passes it to a continuous position (a fixpoint).
+        Keyed by position: a parameter name another declaration changes stays
+        discrete.
         """
-        found = [node for body in (self.initial, *(d.body for d in self.declarations)) for node in nodes(body)]
-        names = {node.var for node in found if isinstance(node, Change)}
-        passed = [
-            (param, arg)
-            for call in found
-            if isinstance(call, Call)
-            for decl in self.lookup(call.name, len(call.args))
-            for param, arg in zip(decl.params, call.args)
-        ]
-        while more := {arg for param, arg in passed if param in names} - names:
-            names |= more
-        return frozenset(names)
+        positions, found = None, frozenset()
+        while found != positions:
+            positions = found
+            found = frozenset(
+                (d.name, len(d.params), i)
+                for d in self.declarations
+                for i, p in enumerate(d.params)
+                if p in continuous_names(d.body, positions)
+            )
+        return found
+
+
+def continuous_names(agent: Agent, positions) -> set:
+    """The free names ``agent`` sets with ``change`` or passes to a position in ``positions``."""
+    if isinstance(agent, Change):
+        return {agent.var}
+    if isinstance(agent, Call):
+        return {arg for i, arg in enumerate(agent.args) if (agent.name, len(agent.args), i) in positions}
+    names = set().union(*(continuous_names(kid, positions) for kid in children(agent)))
+    return names.difference(agent.vars) if isinstance(agent, Hide) else names
 
 
 # --- traversal: the one place that knows which fields of each form are
@@ -385,16 +394,8 @@ def _pp_atom(a) -> str:
 
 
 def _pp_change(agent: Change) -> str:
-    if agent.value is KEEP:
-        val = "_"
-    elif isinstance(agent.value, str):
-        val = agent.value
-    else:
-        val = format_rational(agent.value)
-    if agent.flow is KEEP:
-        flow = "_"
-    else:
-        flow = f"der({agent.flow.var}) = {agent.flow.expr}"
+    val = agent.value if isinstance(agent.value, str) else "_" if agent.value is KEEP else format_rational(agent.value)
+    flow = "_" if agent.flow is KEEP else f"der({agent.flow.var}) = {agent.flow.expr}"
     return f"change({agent.var}, {val}, {flow})"
 
 
@@ -417,9 +418,7 @@ def pretty(agent: Agent) -> str:
     if isinstance(agent, Now):
         return f"now {_pp_constraint(agent.guard)} then {_pp_branch_body(agent.then)} else {_pp_branch_body(agent.orelse)}"
     if isinstance(agent, Call):
-        if agent.args:
-            return f"{agent.name}({', '.join(agent.args)})"
-        return agent.name
+        return f"{agent.name}({', '.join(agent.args)})" if agent.args else agent.name
     if isinstance(agent, Change):
         return _pp_change(agent)
     raise TypeError(f"not an agent: {agent!r}")

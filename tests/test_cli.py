@@ -65,6 +65,22 @@ def test_run_csv_keeps_the_name_of_a_continuous_variable_bound_by_a_scope(tmp_pa
     assert open(out).read().strip().split("\n")[1:] == ["5,T,5,1,0"]
 
 
+def test_run_renames_a_discrete_scope_name_that_another_declaration_changes(tmp_path):
+    # clk's parameter T is continuous, p's bound T is not: each unfolding of p
+    # renames its own T, so T = a and T = b never meet in one store
+    text = (
+        "clk(T) :- change(T, 0, der(T) = 1)."
+        "  p(N) :- exists T (tell(T = N) || (ask(N = a) -> exists B (tell(B = b) || p(B))))."
+        "  init :- clk(C) || exists A (tell(A = a) || p(A))."
+    )
+    out = str(tmp_path / "trace.jsonl")
+    assert main(["run", write(tmp_path, "clk.hyt", text), "--max-time", "3", "--out", out]) == 0
+    events = [json.loads(l) for l in open(out).read().strip().split("\n")[1:]]
+    told = [atom for e in events for atom in e.get("told", [])]
+    assert [atom.split("=")[0] for atom in told] == ["A#1", "T#2", "B#3", "T#4"]
+    assert events[-1]["cause"] == "suspended"
+
+
 def test_run_dam_four_periods(tmp_path):
     out = str(tmp_path / "dam.jsonl")
     assert main(["run", "models/dam.hyt", "--seed", "42", "--max-time", "14400", "--out", out]) == 0

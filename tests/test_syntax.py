@@ -1,11 +1,11 @@
 """Agent traversal: pre-order nodes, free variables, capture-avoiding substitution;
-the program's continuous names."""
+the program's continuous parameter positions."""
 import random
 
 from hypothesis import given, strategies as st
 
 from hytccp.parser import parse_agent, parse_program
-from hytccp.syntax import STOP, free_vars, nodes, substitute
+from hytccp.syntax import STOP, continuous_names, free_vars, nodes, substitute
 
 from generators import CONT_VARS, DISCRETE_VARS, random_agent
 
@@ -41,21 +41,43 @@ def test_substitute_renames_free_occurrences_without_capture(agent, data):
     assert free_vars(substitute(agent, {x: y})) == expected
 
 
-# --- Program.continuous
+# --- Program.continuous and continuous_names
+
+
+def init_body(prog):
+    return prog.lookup("init", 0)[0].body
 
 
 def test_a_name_set_by_change_is_continuous():
-    assert parse_program("init :- change(T, 0, der(T) = 1) || tell(X = a).").continuous == {"T"}
+    prog = parse_program("clk(T, X) :- change(T, 0, der(T) = 1) || tell(X = a).  init :- change(C, 0, der(C) = 1).")
+    assert prog.continuous == {("clk", 2, 0)}
+    assert continuous_names(init_body(prog), prog.continuous) == {"C"}
 
 
 def test_a_name_passed_through_two_calls_to_a_changed_parameter_is_continuous():
     prog = parse_program("a(X) :- b(X).  b(Y) :- change(Y, 0, der(Y) = 1).  init :- exists Z (a(Z)).")
-    assert prog.continuous == {"X", "Y", "Z"}
+    assert prog.continuous == {("a", 1, 0), ("b", 1, 0)}
+    assert continuous_names(init_body(prog).body, prog.continuous) == {"Z"}
 
 
 def test_a_discrete_name_stays_out():
     prog = parse_program("p(A, B) :- tell(A = B) || change(B, 0, der(B) = 1).  init :- exists X, Y (p(X, Y)).")
-    assert prog.continuous == {"B", "Y"}
+    assert prog.continuous == {("p", 2, 1)}
+    assert continuous_names(init_body(prog).body, prog.continuous) == {"Y"}
+
+
+def test_a_parameter_name_reused_by_a_changing_declaration_stays_discrete():
+    prog = parse_program(
+        "clk(T) :- change(T, 0, der(T) = 1).  p(N, T) :- tell(T = N).  q(T) :- p(T, C) || clk(C)."
+        "  init :- exists T (p(T, T))."
+    )
+    assert prog.continuous == {("clk", 1, 0)}
+    assert continuous_names(init_body(prog), prog.continuous) == set()
+
+
+def test_a_scope_hides_the_names_it_binds():
+    prog = parse_program("init :- exists T (change(T, 0, der(T) = 1)) || exists U (tell(U = a)).")
+    assert continuous_names(init_body(prog), prog.continuous) == set()
 
 
 def test_mutually_recursive_declarations_reach_a_fixpoint():
@@ -63,4 +85,5 @@ def test_mutually_recursive_declarations_reach_a_fixpoint():
         "even(X, D) :- odd(X, D).  odd(Y, E) :- even(Y, E) || change(E, 1, der(E) = 1)."
         "  init :- exists U, V (even(U, V))."
     )
-    assert prog.continuous == {"D", "E", "V"}
+    assert prog.continuous == {("even", 2, 1), ("odd", 2, 1)}
+    assert continuous_names(init_body(prog).body, prog.continuous) == {"V"}
