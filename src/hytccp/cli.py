@@ -64,7 +64,7 @@ def _read_model(path: str) -> Program:
         raise FileNotFoundError(f"model file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_program(text, source=text)
+    return parse_program(text)
 
 
 def _write(payload: str, out: Optional[str]) -> None:

@@ -451,28 +451,7 @@ def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
 
 def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
     """Normalize a set of atomic constraints to solved form (or FALSE)."""
-    subst: dict = {}
-    cmps = []
-    for a in atoms:
-        if isinstance(a, TermEq):
-            if not _unify(Var(a.var), a.term, subst):
-                return FALSE
-        elif isinstance(a, LinCmp):
-            cmps.append(a)
-        else:
-            raise TypeError(f"not an atomic constraint: {a!r}")
-
-    solved: set = set()
-    for name in subst:
-        t = _deep(Var(name), subst)
-        if isinstance(t, Var) and t.name == name:
-            continue
-        solved.add(TermEq(name, t))
-
-    for c in cmps:
-        if not _resolve_cmp(c, subst, solved):
-            return FALSE
-    return Constraint(frozenset(solved))
+    return _merge(TRUE, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +471,19 @@ def conj(c: Constraint, d: Constraint) -> Constraint:
 
 @lru_cache(maxsize=16384)
 def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
-    """Merge two solved, mutually non-subsuming constraints.
-
-    The merge extends the larger operand's solved form instead of re-solving
-    from scratch: only bindings touched by newly unified variables are
-    rebuilt, everything else is reused atom object for atom object.
-    """
+    """Merge two solved, mutually non-subsuming constraints by extending the larger one."""
     if len(d.atoms) > len(c.atoms):
         c, d = d, c
+    return _merge(c, d.atoms)
 
+
+def _merge(c: Constraint, atoms: Iterable[AtomicConstraint]) -> Constraint:
+    """The solved constraint ``c`` extended by ``atoms``, in solved form (or FALSE).
+
+    Only bindings touched by newly unified variables are rebuilt, everything
+    else is reused atom object for atom object.  A solved form binds each
+    name to its final term: no bound name occurs in any bound term.
+    """
     subst: dict = {}
     base_eqs: dict = {}
     base_cmps = []
@@ -513,7 +496,7 @@ def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
 
     new_cmps = []
     pre_keys = set(subst)
-    for a in d.atoms:
+    for a in atoms:
         if isinstance(a, TermEq):
             if subst.get(a.var) is a.term:
                 continue  # stores share atom objects; identical binding, no work
@@ -578,7 +561,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     def value(name: str) -> Term:
         if name in theta:
             return theta[name]
-        return _deep(Var(name), sigma)
+        return sigma.get(name) or Var(name)  # a solved store binds a name to its final term
 
     def is_placeholder(name: str) -> bool:
         return is_fresh_name(name) and name not in theta and name not in store.variables()

@@ -4,6 +4,11 @@ Layout: optional ``const NAME = value;`` section, then process declarations
 ``name(Params) :- Agent.``, then an optional bare initial agent (defaults to
 a declared ``init``).  ``%`` starts a line comment.  Variables are capitalized
 identifiers, atoms are lowercase, ``_`` is the wildcard/KEEP marker.
+
+One pass over the tokens builds the AST: constant expressions fold as they
+are read, and each process call is checked against the declarations once
+the whole program is read.  Every ``ParseError`` carries the ``line:col`` of
+the token it is about; tokens keep only their offset.
 """
 from __future__ import annotations
 
@@ -44,7 +49,6 @@ from .syntax import (
     Program,
     STOP,
     Tell,
-    nodes,
 )
 
 # source spelling -> comparison operator; '=' parses as a term equation
@@ -59,6 +63,7 @@ _TOKEN_RE = re.compile(
   | (?P<number>\d+(?:\.\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>/\\|\|\||->|:-|=<|>=|!=|[()\[\]|,;+\-*/=<>.~])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
@@ -71,34 +76,28 @@ class ParseError(Exception):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, text: str, offset: int, message: str) -> "ParseError":
+        """The error about ``text[offset]``, located by line and column."""
+        return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
+
 
 @dataclass
 class Token:
     kind: str  # "number" | "ident" | "op" | "eof"
     text: str
-    line: int
-    col: int
+    offset: int
 
 
 def tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise ParseError.at(text, m.start(), f"unexpected character {m.group()!r}")
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -107,38 +106,51 @@ def _is_variable(name: str) -> bool:
 
 
 class Parser:
+    """Recursive descent over the token list.
+
+    Only the eof token has empty text, and no rule consumes it, so ``peek``
+    never runs past the end of the list and ``at`` needs no kind check.
+    """
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
         self.constants: dict = {}
+        self.calls: List[Tuple[str, int, int]] = []  # (name, arity, offset) of each process call
 
     # -- token helpers
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos].text == text
+
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it reads ``text``."""
+        if self.tokens[self.pos].text != text:
+            return False
+        self.pos += 1
+        return True
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
+        if tok.text != text:
             self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof" else f"expected {text!r}, found end of input")
         return self.next()
 
-    def error(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def error(self, message: str, offset: Optional[int] = None):
+        raise ParseError.at(self.text, self.peek().offset if offset is None else offset, message)
 
     # -- program
 
-    def parse_program(self, source: str = "") -> Program:
+    def parse_program(self) -> Program:
         while self.at("const"):
             self.parse_const()
         decls: List[Declaration] = []
@@ -148,19 +160,18 @@ class Parser:
                 decls.append(self.parse_declaration())
             else:
                 initial = self.parse_agent()
-                if self.at("."):
-                    self.next()
+                self.accept(".")
                 if self.peek().kind != "eof":
                     self.error("trailing input after the initial agent")
+        declared = {(d.name, len(d.params)) for d in decls}
         if initial is None:
-            inits = [d for d in decls if d.name == "init" and not d.params]
-            if not inits:
-                tok = self.peek()
-                raise ParseError("program has no initial agent and no init/0 declaration", tok.line, tok.col)
+            if ("init", 0) not in declared:
+                self.error("program has no initial agent and no init/0 declaration")
             initial = Call("init", ())
-        program = Program(dict(self.constants), tuple(decls), initial, source)
-        self.check_arities(program)
-        return program
+        for name, arity, offset in self.calls:
+            if (name, arity) not in declared:
+                self.error(f"call to undeclared process {name}/{arity}", offset)
+        return Program(dict(self.constants), tuple(decls), initial, self.text)
 
     def looks_like_declaration(self) -> bool:
         tok = self.peek()
@@ -196,15 +207,7 @@ class Parser:
 
     def parse_declaration(self) -> Declaration:
         name = self.ident("process name")
-        params: Tuple[str, ...] = ()
-        if self.at("("):
-            self.next()
-            names = [self.variable_name()]
-            while self.at(","):
-                self.next()
-                names.append(self.variable_name())
-            self.expect(")")
-            params = tuple(names)
+        params = self.parenthesized_names()
         if len(set(params)) != len(params):
             self.error(f"duplicate parameter in declaration of {name}")
         self.expect(":-")
@@ -220,12 +223,25 @@ class Parser:
             self.error(f"{tok.text} is a constant, not a variable")
         return self.next().text
 
+    def variable_names(self) -> Tuple[str, ...]:
+        names = [self.variable_name()]
+        while self.accept(","):
+            names.append(self.variable_name())
+        return tuple(names)
+
+    def parenthesized_names(self) -> Tuple[str, ...]:
+        """``(X, Y, ...)`` if the next token opens one, else no names."""
+        if not self.accept("("):
+            return ()
+        names = self.variable_names()
+        self.expect(")")
+        return names
+
     # -- agents
 
     def parse_agent(self) -> Agent:
         agent = self.parse_choice()
-        while self.at("||"):
-            self.next()
+        while self.accept("||"):
             agent = Parallel(agent, self.parse_choice())
         return agent
 
@@ -239,8 +255,7 @@ class Parser:
         invs: List[Constraint] = []
         while True:
             self.expect("ask")
-            if self.at("~"):
-                self.next()
+            if self.accept("~"):
                 self.expect("(")
                 invs.append(self.parse_constraint())
                 self.expect(")")
@@ -250,61 +265,43 @@ class Parser:
                 self.expect(")")
                 self.expect("->")
                 asks.append(AskBranch(guard, self.parse_unit()))
-            if self.at("+"):
-                self.next()
-                if not self.at("ask"):
-                    self.error("expected an ask/ask~ branch after '+'")
-            else:
-                break
-        return Choice(tuple(asks), tuple(invs))
+            if not self.accept("+"):
+                return Choice(tuple(asks), tuple(invs))
+            if not self.at("ask"):
+                self.error("expected an ask/ask~ branch after '+'")
 
     def parse_unit(self) -> Agent:
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
+        if self.accept("("):
             agent = self.parse_agent()
             self.expect(")")
             return agent
-        if tok.text == "stop":
-            self.next()
+        if self.accept("stop"):
             return STOP
-        if tok.text == "tell":
-            self.next()
+        if self.accept("tell"):
             self.expect("(")
             c = self.parse_constraint(allow_wildcard=False)
             self.expect(")")
             return Tell(c)
-        if tok.text == "change":
+        if self.at("change"):
             return self.parse_change()
-        if tok.text == "exists":
-            self.next()
-            names = [self.variable_name()]
-            while self.at(","):
-                self.next()
-                names.append(self.variable_name())
+        if self.accept("exists"):
+            names = self.variable_names()
             self.expect("(")
             body = self.parse_agent()
             self.expect(")")
-            return Hide(tuple(names), body)
-        if tok.text == "now":
-            self.next()
+            return Hide(names, body)
+        if self.accept("now"):
             guard = self.parse_constraint()
             self.expect("then")
             then = self.parse_unit()
             self.expect("else")
             orelse = self.parse_unit()
             return Now(guard, then, orelse)
+        tok = self.peek()
         if tok.kind == "ident" and not _is_variable(tok.text) and tok.text not in KEYWORDS:
             name = self.next().text
-            args: Tuple[str, ...] = ()
-            if self.at("("):
-                self.next()
-                names = [self.variable_name()]
-                while self.at(","):
-                    self.next()
-                    names.append(self.variable_name())
-                self.expect(")")
-                args = tuple(names)
+            args = self.parenthesized_names()
+            self.calls.append((name, len(args), tok.offset))
             return Call(name, args)
         self.error(f"expected an agent, found {tok.text!r}")
 
@@ -313,15 +310,9 @@ class Parser:
         self.expect("(")
         var = self.variable_name()
         self.expect(",")
-        if self.at("_"):
-            self.next()
-            value = KEEP
-        else:
-            expr = self.parse_linexpr()
-            value = self.expr_to_value(expr)
+        value = KEEP if self.accept("_") else self.change_value()
         self.expect(",")
-        if self.at("_"):
-            self.next()
+        if self.accept("_"):
             flow = KEEP
         else:
             self.expect("der")
@@ -335,21 +326,15 @@ class Parser:
         self.expect(")")
         return Change(var, value, flow)
 
-    def expr_to_value(self, expr: LinExpr):
-        const = Fraction(0)
-        var = None
-        for coef, v in expr.terms:
-            if v is None:
-                const += coef
-            elif var is None and coef == 1 and const == 0:
-                var = v
-            else:
-                self.error("change value must be a rational constant or a single variable")
-        if var is not None:
-            if any(v is None and c != 0 for c, v in expr.terms):
-                self.error("change value must be a rational constant or a single variable")
-            return var
-        return const
+    def change_value(self):
+        """A ``change`` value: a rational constant or a single variable name."""
+        expr = self.parse_linexpr()
+        value = _constant(expr)
+        if value is not None:
+            return value
+        if len(expr.terms) == 1 and expr.terms[0][0] == 1:
+            return expr.terms[0][1]
+        self.error("change value must be a rational constant or a single variable")
 
     # -- constraints
 
@@ -357,16 +342,11 @@ class Parser:
         atoms = []
         falsy = False
         while True:
-            if self.at("true"):
-                self.next()
-            elif self.at("false"):
-                self.next()
+            if self.accept("false"):
                 falsy = True
-            else:
+            elif not self.accept("true"):
                 atoms.append(self.parse_atomic(allow_wildcard))
-            if self.at("/\\"):
-                self.next()
-            else:
+            if not self.accept("/\\"):
                 break
         if falsy:
             return FALSE
@@ -385,16 +365,13 @@ class Parser:
         self.error("expected a comparison operator")
 
     def parse_term(self, allow_wildcard: bool) -> Term:
-        tok = self.peek()
-        if tok.text == "_":
-            self.next()
+        if self.accept("_"):
             if not allow_wildcard:
                 self.error("wildcard '_' is only allowed inside ask/now guards")
             return WILDCARD
-        if tok.text == "[":
+        if self.at("["):
             return self.parse_list(allow_wildcard)
-        if tok.text == "random":
-            self.next()
+        if self.accept("random"):
             self.expect("(")
             lo = self.const_expr()
             self.expect(",")
@@ -403,6 +380,7 @@ class Parser:
             if lo > hi:
                 self.error(f"random bounds out of order: {lo} > {hi}")
             return RandomTerm(lo, hi)
+        tok = self.peek()
         if tok.kind == "number" or tok.text == "-":
             value = self.parse_number()
             return Num(value)
@@ -417,16 +395,13 @@ class Parser:
 
     def parse_list(self, allow_wildcard: bool) -> Term:
         self.expect("[")
-        if self.at("]"):
-            self.next()
+        if self.accept("]"):
             return NIL
         items = [self.parse_term(allow_wildcard)]
-        while self.at(","):
-            self.next()
+        while self.accept(","):
             items.append(self.parse_term(allow_wildcard))
         tail: Term = NIL
-        if self.at("|"):
-            self.next()
+        if self.accept("|"):
             tail = self.parse_term(allow_wildcard)
         self.expect("]")
         for item in reversed(items):
@@ -435,8 +410,7 @@ class Parser:
 
     def parse_number(self) -> Fraction:
         sign = Fraction(1)
-        while self.at("-"):
-            self.next()
+        while self.accept("-"):
             sign = -sign
         tok = self.peek()
         if tok.kind != "number":
@@ -455,47 +429,34 @@ class Parser:
 
     def const_expr(self) -> Fraction:
         expr = self.parse_linexpr()
-        value = Fraction(0)
-        for coef, var in expr.terms:
-            if var is not None:
-                self.error(f"expected a constant expression, found variable {var}")
-            value += coef
+        value = _constant(expr)
+        if value is None:
+            self.error(f"expected a constant expression, found variable {expr.terms[0][1]}")
         return value
 
     def parse_linexpr(self) -> LinExpr:
-        terms = list(self.parse_linterm())
-        while self.peek().text in ("+", "-"):
-            negate = self.next().text == "-"
-            for coef, var in self.parse_linterm():
-                terms.append((-coef if negate else coef, var))
-        # fold constant terms, keep variable terms in first-occurrence order
-        folded: List[Tuple[Fraction, Optional[str]]] = []
-        const = Fraction(0)
-        seen_const = False
-        by_var: dict = {}
-        order: List[str] = []
-        for coef, var in terms:
-            if var is None:
-                const += coef
-                seen_const = True
-            else:
-                if var not in by_var:
-                    by_var[var] = Fraction(0)
-                    order.append(var)
-                by_var[var] += coef
-        for var in order:
-            if by_var[var] != 0:
-                folded.append((by_var[var], var))
-        if seen_const and (const != 0 or not folded):
-            folded.insert(0, (const, None)) if not folded else folded.append((const, None))
-        if not folded and not seen_const:
-            folded = []
+        """A sum of terms, folded: variables in first-occurrence order, then the constant.
+
+        A variable whose coefficients cancel is dropped; the constant is kept
+        if the input had one and it is non-zero or nothing else is left.
+        """
+        sums: dict = {}  # variable (None: the constant) -> summed coefficient
+        sign = 1
+        while True:
+            coef, var = self.parse_linterm()
+            sums[var] = sums.get(var, 0) + sign * coef
+            if not (self.at("+") or self.at("-")):
+                break
+            sign = -1 if self.next().text == "-" else 1
+        const = sums.pop(None, None)
+        folded = [(coef, var) for var, coef in sums.items() if coef != 0]
+        if const is not None and (const != 0 or not folded):
+            folded.append((const, None))
         return LinExpr(tuple(folded))
 
-    def parse_linterm(self) -> List[Tuple[Fraction, Optional[str]]]:
+    def parse_linterm(self) -> Tuple[Fraction, Optional[str]]:
         sign = Fraction(1)
-        while self.at("-"):
-            self.next()
+        while self.accept("-"):
             sign = -sign
         coef = Fraction(1)
         var: Optional[str] = None
@@ -506,15 +467,11 @@ class Parser:
             factor: Optional[Fraction] = None
             if tok.kind == "number":
                 factor = self.parse_number()
-            elif tok.text == "(":
-                self.next()
-                inner = self.parse_linexpr()
+            elif self.accept("("):
+                factor = _constant(self.parse_linexpr())
                 self.expect(")")
-                factor = Fraction(0)
-                for c, v in inner.terms:
-                    if v is not None:
-                        self.error("nested expressions must be constant")
-                    factor += c
+                if factor is None:
+                    self.error("nested expressions must be constant")
             elif tok.kind == "ident" and tok.text in self.constants:
                 factor = self.constants[self.next().text]
             elif tok.kind == "ident" and _is_variable(tok.text):
@@ -530,47 +487,42 @@ class Parser:
                     self.error("division by zero")
                 coef = coef / factor if divide else coef * factor
                 has_number = True
-            if self.at("*"):
-                self.next()
+            if self.accept("*"):
                 divide = False
-                continue
-            if self.at("/"):
-                self.next()
+            elif self.accept("/"):
                 divide = True
-                continue
-            break
+            else:
+                break
         if var is None and not has_number:
             self.error("empty expression")
-        return [(sign * coef, var)]
-
-    # -- static checks
-
-    def check_arities(self, program: Program) -> None:
-        for root in (*(decl.body for decl in program.declarations), program.initial):
-            for agent in nodes(root):
-                if isinstance(agent, Call) and not program.lookup(agent.name, len(agent.args)):
-                    raise ParseError(f"call to undeclared process {agent.name}/{len(agent.args)}", 0, 0)
+        return sign * coef, var
 
 
-def parse_program(text: str, source: str = "") -> Program:
-    return Parser(text).parse_program(source)
+def _constant(expr: LinExpr) -> Optional[Fraction]:
+    """The value of a folded expression that reads no variable, else None."""
+    if not expr.terms:
+        return Fraction(0)
+    coef, var = expr.terms[0]  # a variable, if there is one, comes first
+    return coef if var is None else None
+
+
+def parse_program(text: str) -> Program:
+    return Parser(text).parse_program()
+
+
+def _parse_whole(text: str, constants: Optional[dict], rule, what: str):
+    """``rule`` applied to all of ``text``, with ``constants`` in scope."""
+    parser = Parser(text)
+    parser.constants.update(constants or {})
+    result = rule(parser)
+    if parser.peek().kind != "eof":
+        parser.error(f"trailing input after {what}")
+    return result
 
 
 def parse_agent(text: str, constants: Optional[dict] = None) -> Agent:
-    parser = Parser(text)
-    if constants:
-        parser.constants.update(constants)
-    agent = parser.parse_agent()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after agent")
-    return agent
+    return _parse_whole(text, constants, Parser.parse_agent, "agent")
 
 
 def parse_constraint(text: str, constants: Optional[dict] = None) -> Constraint:
-    parser = Parser(text)
-    if constants:
-        parser.constants.update(constants)
-    c = parser.parse_constraint()
-    if parser.peek().kind != "eof":
-        parser.error("trailing input after constraint")
-    return c
+    return _parse_whole(text, constants, Parser.parse_constraint, "constraint")

@@ -21,7 +21,6 @@ from .constraints import (
     Constraint,
     TRUE,
     Num,
-    Var,
     Cons,
     RandomTerm,
     Term,
@@ -108,12 +107,7 @@ class Outcome:
 
 
 def _lookup_number(name: str, store: Constraint) -> Fraction:
-    bindings = store.bindings()
-    term: Term = Var(name)
-    seen = set()
-    while isinstance(term, Var) and term.name in bindings and term.name not in seen:
-        seen.add(term.name)
-        term = bindings[term.name]
+    term = store.bindings().get(name)  # a solved store binds a name to its final term
     if isinstance(term, Num):
         return term.value
     raise EvaluationError(f"variable {name} is not bound to a number")

@@ -189,7 +189,7 @@ class Program:
     constants: dict
     declarations: Tuple[Declaration, ...]
     initial: Agent
-    source: str = ""
+    source: str = ""  # the text parse_program read
 
     def lookup(self, name: str, arity: int) -> Tuple[Declaration, ...]:
         return tuple(d for d in self.declarations if d.name == name and len(d.params) == arity)

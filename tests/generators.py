@@ -171,4 +171,4 @@ def recursive_program(seed: int) -> Program:
     parts += [f"consumer({stream})"] * rng.randint(1, 2)
     lines.append(f"init :- exists {', '.join(names)} ({' || '.join(parts)}).")
     text = "\n".join(lines)
-    return parse_program(text, source=text)
+    return parse_program(text)

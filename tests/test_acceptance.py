@@ -48,7 +48,7 @@ def verdict(n, label, ok, detail=""):
 def dam():
     with open("models/dam.hyt") as fh:
         text = fh.read()
-    return parse_program(text, source=text)
+    return parse_program(text)
 
 
 def dam_trace(dam, seed, max_time, policy="first"):
@@ -245,7 +245,7 @@ def test_criterion_8_byte_identical_traces(dam, tmp_path):
         "import sys; from fractions import Fraction;"
         "from hytccp.parser import parse_program; from hytccp.simulator import run, RunOptions;"
         "text = open('models/dam.hyt').read();"
-        "t = run(parse_program(text, source=text), RunOptions(max_time=Fraction(14400), seed=9, policy='random'));"
+        "t = run(parse_program(text), RunOptions(max_time=Fraction(14400), seed=9, policy='random'));"
         "open(sys.argv[1], 'w').write(t.to_jsonl())"
     )
     payloads = []

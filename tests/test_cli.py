@@ -35,6 +35,12 @@ def test_run_parse_error(tmp_path, capsys):
     assert "bad.hyt" in err and "1:" in err
 
 
+def test_check_locates_an_undeclared_call(tmp_path, capsys):
+    path = write(tmp_path, "call.hyt", "init :- stop ||\n   missing(X).")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2:4: call to undeclared process missing/1\n"
+
+
 def test_run_timelock_exits_2(tmp_path):
     path = write(tmp_path, "lock.hyt", "init :- change(T, 0, der(T) = 1) || (ask(T = 5) -> stop).")
     out = str(tmp_path / "t.jsonl")

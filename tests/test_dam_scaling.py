@@ -15,7 +15,7 @@ PERIOD = 3600
 def dam():
     with open("models/dam.hyt") as fh:
         text = fh.read()
-    return parse_program(text, source=text)
+    return parse_program(text)
 
 
 def conj_calls_per_period(dam, hours, monkeypatch):

@@ -95,7 +95,7 @@ def test_open_guard_bound_does_not_carry_time_past_an_expiring_invariant():
         "init :- tell(Go = go) || change(C, 1, der(C) = 1)"
         " || ask(Go = go) -> (ask(C > 7) -> stop + ask~(C =< 7))."
     )
-    prog = parse_program(text, source=text)
+    prog = parse_program(text)
     terminal = run(prog, RunOptions(max_time=Fraction(100))).terminal
     assert (terminal.kind, terminal.clock) == ("timelock", 6)
     report = explore(prog, 6)
@@ -105,7 +105,7 @@ def test_open_guard_bound_does_not_carry_time_past_an_expiring_invariant():
 
 def test_guard_renamed_onto_one_argument_engine_and_oracle_agree():
     text = "p(A, B) :- ask(A = [a|_] /\\ B = [a|Y]) -> stop.  init :- tell(X = [a|T]) || p(X, X)."
-    prog = parse_program(text, source=text)
+    prog = parse_program(text)
     report = explore(prog, 5)
     reset_fresh_counter()
     assert oracle_reachable(Configuration(prog.initial), prog, 5) == report.states
@@ -133,7 +133,7 @@ def test_recursive_stream_programs_agree_with_explore():
     ],
 )
 def test_var_var_guard_engine_and_oracle_agree(text):
-    prog = parse_program(text, source=text)
+    prog = parse_program(text)
     report = explore(prog, 5)
     reset_fresh_counter()
     assert oracle_reachable(Configuration(prog.initial), prog, 5) == report.states

@@ -108,9 +108,17 @@ def test_parse_flow_rejects_nonlinear():
 
 
 def test_parse_errors_have_positions():
-    with pytest.raises(ParseError) as exc:
-        parse_agent("tell(X = )")
-    assert exc.value.line == 1 and exc.value.col == 10
+    cases = [
+        (parse_agent, "tell(X = )", 1, 10, "expected a term, found ')'"),
+        (parse_program, "% header\ninit :- stop #.\n", 2, 14, "unexpected character '#'"),
+        (parse_program, "p :- stop.\ninit :- p.\nstop stop\n", 3, 6, "trailing input after the initial agent"),
+        (parse_program, "p :- stop.\n\nq :- p.\n", 4, 1, "program has no initial agent and no init/0 declaration"),
+    ]
+    for parse, text, line, col, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+        assert str(exc.value) == f"{line}:{col}: {message}"
 
 
 # --- programs
@@ -138,6 +146,17 @@ def test_program_without_initial_agent_needs_init():
 def test_undeclared_call_rejected():
     with pytest.raises(ParseError):
         parse_program("init :- missing(X).")
+
+
+def test_undeclared_call_is_located_at_the_call():
+    with pytest.raises(ParseError) as exc:
+        parse_program("init :- stop ||\n   missing(X).")
+    assert str(exc.value) == "2:4: call to undeclared process missing/1"
+
+
+def test_program_source_is_the_parsed_text():
+    text = "init :- stop.\n"
+    assert parse_program(text).source == text
 
 
 def test_duplicate_constant_rejected():

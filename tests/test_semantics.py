@@ -210,7 +210,7 @@ def test_unstepped_scope_does_not_read_the_outer_binding_of_its_name(init):
         f"{init}tell(X = a) || change(C, 0, der(C) = 1)"
         " || exists X (ask(X = a /\\ C >= 5) -> stop + ask~(C =< 100))."
     )
-    prog = parse_program(text, source=text)
+    prog = parse_program(text)
     trace = run(prog, RunOptions(max_time=Fraction(20)))
     steps = [ev for ev in trace.events if isinstance(ev, ContinuousEvent)]
     assert [(ev.tau, ev.cause) for ev in steps] == [(20, "horizon")]
@@ -222,7 +222,7 @@ def test_unstepped_scope_does_not_read_the_outer_binding_of_its_name(init):
 
 def test_every_discrete_step_is_monotone_on_dam():
     text = open("models/dam.hyt").read()
-    prog = parse_program(text, source=text)
+    prog = parse_program(text)
     reset_fresh_counter()
     rng = random.Random(3)
     cfg = Configuration(prog.initial)

@@ -26,13 +26,13 @@ from generators import random_program, recursive_program
 
 
 def program(text):
-    return parse_program(text, source=text)
+    return parse_program(text)
 
 
 def load(name):
     with open(f"models/{name}") as fh:
         text = fh.read()
-    return parse_program(text, source=text)
+    return parse_program(text)
 
 
 # --- terminals
