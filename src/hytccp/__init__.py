@@ -15,7 +15,6 @@ from .constraints import (
     WILDCARD,
     conj,
     entails,
-    eval_cont_atoms,
 )
 from .syntax import (
     Agent,

@@ -17,7 +17,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Union
 
 # ---------------------------------------------------------------------------
 # terms
@@ -594,24 +594,6 @@ def entails(store: Constraint, guard: Constraint) -> bool:
                 if LinCmp(rep.name, atom.op, atom.bound) not in store.atoms:
                     return False
             else:
-                return False
-    return True
-
-
-def eval_cont_atoms(guard: Constraint, snapshot: Mapping[str, object]) -> bool:
-    """Evaluate the continuous comparisons of a guard on a value snapshot."""
-    if not guard.consistent:
-        return False
-    for atom in guard.atoms:
-        if isinstance(atom, LinCmp):
-            if atom.var not in snapshot:
-                raise MissingContinuousVariableError(atom.var)
-            if not compare(snapshot[atom.var], atom.op, atom.bound):
-                return False
-        elif isinstance(atom, TermEq) and atom.var in snapshot:
-            if not isinstance(atom.term, Num):
-                raise ValueError(f"continuous variable {atom.var} compared against a non-number")
-            if snapshot[atom.var] != atom.term.value:
                 return False
     return True
 

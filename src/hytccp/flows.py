@@ -41,12 +41,6 @@ class ContinuousStore:
     def get(self, name: str) -> Optional[Entry]:
         return self.as_dict().get(name)
 
-    def with_entry(self, name: str, entry: Entry) -> "ContinuousStore":
-        items = [(n, e) for n, e in self.entries if n != name]
-        items.append((name, entry))
-        items.sort(key=lambda kv: kv[0])
-        return ContinuousStore(tuple(items))
-
     def __str__(self) -> str:
         inner = ", ".join(f"{n}->({format_rational(e.value)}, {e.flow})" for n, e in self.entries)
         return "{" + inner + "}"
@@ -64,12 +58,12 @@ class UninitializedContinuousVariableError(KeyError):
 
 def apply_change(store: ContinuousStore, x: str, v: Union[Value, Keep], f: Union[Flow, Keep]) -> ContinuousStore:
     """Componentwise update of one variable's (value, flow) entry."""
-    current = store.get(x)
+    entries = store.as_dict()
+    current = entries.get(x)
     if current is None and (v is KEEP or f is KEEP):
         raise UninitializedContinuousVariableError(x)
-    value = current.value if v is KEEP else v
-    flow = current.flow if f is KEEP else f
-    return store.with_entry(x, Entry(value, flow))
+    entries[x] = Entry(current.value if v is KEEP else v, current.flow if f is KEEP else f)
+    return ContinuousStore(tuple(sorted(entries.items())))
 
 
 def solve_flow(v0: Value, f: Flow, t: Value) -> Value:
@@ -264,7 +258,6 @@ class DelayCause(Enum):
     GUARD_ENABLES = "guard"
     INVARIANT_EXPIRES = "invariant"
     HORIZON = "horizon"
-    TIMELOCK = "timelock"
 
 
 # the cause that wins when several bounds fall at the same instant
@@ -273,11 +266,8 @@ DELAY_PRIORITY = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, 
 
 @dataclass(frozen=True)
 class DelayOutcome:
-    tau: Optional[Value]  # None only for TIMELOCK
+    tau: Value
     cause: DelayCause
-
-
-TIMELOCK = DelayOutcome(None, DelayCause.TIMELOCK)
 
 
 def max_delay(
@@ -285,8 +275,8 @@ def max_delay(
     guards: Sequence[Tuple[LinCmp, ...]],
     store: ContinuousStore,
     horizon: Optional[Value],
-) -> DelayOutcome:
-    """Pick the earliest-event delay witness of one quiescent configuration.
+) -> Optional[DelayOutcome]:
+    """Pick the earliest-event delay witness of one quiescent configuration, or None.
 
     ``components`` holds one entry per ask~ component: its invariants, each a
     sequence of continuous comparisons.  ``guards`` are the currently-false
@@ -294,11 +284,11 @@ def max_delay(
     of each guard is computed once.
 
     Each component resolves its own bound.  At least one of its invariants
-    must hold now, otherwise time cannot pass (TIMELOCK); it then keeps
+    must hold now, otherwise time cannot pass (a timelock); it then keeps
     holding up to the latest expiry over its true invariants (no bound if one
     never expires).  The component's tau is the minimum of that expiry, the
     earliest instant a guard becomes true, and the horizon; with none of the
-    three it is TIMELOCK.  Ties prefer a closed bound over an open one, then
+    three it is a timelock.  Ties prefer a closed bound over an open one, then
     GuardEnables over InvariantExpires over Horizon.
 
     Open-start witness: when the first bound is a guard that becomes true
@@ -309,8 +299,8 @@ def max_delay(
     the guard's own end, except that a component with neither caps it at
     t + 1.  This rule is not yet checked against the source paper's text.
 
-    The components fold into one outcome: any TIMELOCK makes the result
-    TIMELOCK, otherwise the smallest tau wins and a tie goes to the cause
+    The components fold into one outcome: any timelock makes the result
+    None, otherwise the smallest tau wins and a tie goes to the cause
     with the lower ``DELAY_PRIORITY``.
     """
     entries = store.as_dict()
@@ -333,7 +323,7 @@ def max_delay(
                 continue  # not true now
             ends.append(iv.end)
         if not ends:
-            return TIMELOCK
+            return None
         bounds: List[Tuple[Value, bool, DelayCause]] = []  # (time, open, cause)
         if first_guard is not None:
             bounds.append((first_guard[0], first_guard[1], DelayCause.GUARD_ENABLES))
@@ -342,7 +332,7 @@ def max_delay(
         if horizon is not None:
             bounds.append((horizon, False, DelayCause.HORIZON))
         if not bounds:
-            return TIMELOCK
+            return None
         # at one instant a closed bound comes first: a guard true only strictly
         # after t must not carry time past an invariant that ends at t
         bounds.sort(key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
@@ -354,7 +344,7 @@ def max_delay(
             ceiling = min(later) if later else tau + 1
             tau = tau + (ceiling - tau) / 2
         if tau <= 0:
-            return TIMELOCK
+            return None
         if best is None or (tau, DELAY_PRIORITY[cause]) < (best.tau, DELAY_PRIORITY[best.cause]):
             best = DelayOutcome(tau, cause)
     return best

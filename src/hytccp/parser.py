@@ -339,6 +339,7 @@ class Parser:
     # -- constraints
 
     def parse_constraint(self, allow_wildcard: bool = True) -> Constraint:
+        start = self.peek().offset
         atoms = []
         falsy = False
         while True:
@@ -350,7 +351,10 @@ class Parser:
                 break
         if falsy:
             return FALSE
-        return solve(atoms)
+        try:
+            return solve(atoms)
+        except ValueError:  # unification reached a wildcard
+            self.error("a variable matched against a term with a wildcard takes no other term in one guard", start)
 
     def parse_atomic(self, allow_wildcard: bool):
         var = self.variable_name()

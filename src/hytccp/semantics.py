@@ -13,7 +13,7 @@ as a run goes on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -27,8 +27,8 @@ from .constraints import (
     TermEq,
     LinCmp,
     conj,
+    compare,
     entails,
-    eval_cont_atoms,
     fresh_var,
     is_fresh_name,
     solve,
@@ -36,7 +36,6 @@ from .constraints import (
 )
 from .flows import (
     ContinuousStore,
-    DelayCause,
     DelayOutcome,
     EMPTY_STORE,
     apply_change,
@@ -60,7 +59,6 @@ from .syntax import (
     Tell,
     children,
     continuous_names,
-    nodes,
     par,
     rebuild,
     substitute,
@@ -196,9 +194,7 @@ def start_configuration(program: Program, cfg: Optional[Configuration] = None) -
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
     disc, cont = split_guard(guard, snapshot.keys())
-    if not entails(store, disc):
-        return False
-    return eval_cont_atoms(Constraint(frozenset(cont)), snapshot)
+    return entails(store, disc) and all(compare(snapshot[a.var], a.op, a.bound) for a in cont)
 
 
 def step_agent(
@@ -297,57 +293,45 @@ def continuous_step(cfg: Configuration, tau) -> Configuration:
 # waiting-state analysis (what to watch while time passes)
 
 
-@dataclass
-class WaitState:
-    all_stop: bool = True
-    invariant_groups: List[List[List[LinCmp]]] = field(default_factory=list)  # per ask~ component
-    guard_watches: List[Tuple[LinCmp, ...]] = field(default_factory=list)  # currently-false guards
-    blocked: bool = False  # a component that can neither step nor let time pass
-
-
 def analyze_waiting(
     agent: Agent,
     store: Constraint,
     snapshot: Dict[str, object],
-) -> WaitState:
-    """Collect ask~ invariants and watchable continuous guards of a quiescent agent.
+) -> Optional[Tuple[list, list]]:
+    """What time waits for in a quiescent agent: ``(components, watches)``, or None.
 
-    Must only be called when ``agent`` has no discrete successor; active
-    positions are then stop and suspended choices.
+    Must only be called when ``agent`` has no discrete successor, so its
+    active positions are stop and suspended choices, and no ask guard holds
+    now.  ``components`` holds one entry per ask~ component: the continuous
+    parts of its invariants whose discrete part the store entails.
+    ``watches`` holds the continuous parts of the ask guards whose discrete
+    part the store entails; a purely discrete guard is left out, as time
+    passing cannot enable it.  None means a component that can neither step
+    nor let time pass.
     """
-    state = WaitState()
+    components: List[List[List[LinCmp]]] = []
+    watches: List[Tuple[LinCmp, ...]] = []
     todo = [agent]
     while todo:
         node = todo.pop()
-        if isinstance(node, Stop):
-            continue
         if isinstance(node, Parallel):
             todo.append(node.right)
             todo.append(node.left)
         elif isinstance(node, Choice):
-            state.all_stop = False
             for branch in node.ask_branches:
                 disc, cont = split_guard(branch.guard, snapshot.keys())
-                if not cont:
-                    continue  # purely discrete guard: time passage cannot enable it
-                if not entails(store, disc):
-                    continue
-                if eval_cont_atoms(Constraint(frozenset(cont)), snapshot):
-                    continue  # already true now (guard suspended on its discrete part)
-                state.guard_watches.append(tuple(cont))
+                if cont and entails(store, disc):
+                    watches.append(tuple(cont))
             if node.cont_branches:
                 group = []
                 for inv in node.cont_branches:
                     disc, cont = split_guard(inv, snapshot.keys())
-                    if not entails(store, disc):
-                        continue  # discrete part false: this invariant cannot hold
-                    group.append(list(cont))
-                state.invariant_groups.append(group)
-        else:
-            # a suspended now/call/tell cannot occur here; anything else blocks time
-            state.all_stop = False
-            state.blocked = True
-    return state
+                    if entails(store, disc):  # else this invariant cannot hold
+                        group.append(cont)
+                components.append(group)
+        elif not isinstance(node, Stop):
+            return None  # a call to a process with no declaration
+    return components, watches
 
 
 class DelayResult(NamedTuple):
@@ -356,21 +340,19 @@ class DelayResult(NamedTuple):
 
 
 def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
-    """Global delay decision for a discretely quiescent configuration."""
-    snapshot = cfg.continuous.snapshot()
-    state = analyze_waiting(cfg.agent, cfg.discrete, snapshot)
-    if state.all_stop:
+    """Global delay decision for a discretely quiescent configuration.
+
+    A stopped agent is ``STOP`` (``syntax.par``).  With no ask~ component
+    nothing drives time: watched guards can never fire (timelock), and
+    without them the agent waits on the discrete store (suspended).
+    """
+    if isinstance(cfg.agent, Stop):
         return DelayResult(None, "all_stop")
-    if state.blocked:
+    waiting = analyze_waiting(cfg.agent, cfg.discrete, cfg.continuous.snapshot())
+    if waiting is None:
         return DelayResult(None, "timelock")
-    if not state.invariant_groups:
-        # nothing drives time; watched guards (if any) can never fire
-        return DelayResult(None, "timelock" if state.guard_watches else "suspended")
-    outcome = max_delay(state.invariant_groups, state.guard_watches, cfg.continuous, horizon)
-    if outcome.cause is DelayCause.TIMELOCK:
-        return DelayResult(None, "timelock")
-    return DelayResult(outcome, "delay")
-
-
-def is_all_stop(agent: Agent) -> bool:
-    return all(isinstance(node, (Stop, Parallel)) for node in nodes(agent))
+    components, watches = waiting
+    if not components:
+        return DelayResult(None, "timelock" if watches else "suspended")
+    outcome = max_delay(components, watches, cfg.continuous, horizon)
+    return DelayResult(outcome, "timelock" if outcome is None else "delay")

@@ -20,19 +20,19 @@ from .constraints import (
     format_rational,
     reset_fresh_counter,
 )
-from .flows import ContinuousStore, DelayCause
+from .flows import ContinuousStore
 from .semantics import (
     ChoiceRecord,
     Configuration,
     compute_delay,
     continuous_step,
     discrete_successors,
-    is_all_stop,
     start_configuration,
 )
 from .syntax import (
     KEEP,
     Program,
+    Stop,
     builtin_random,
     pretty,
 )
@@ -214,7 +214,7 @@ def run(program: Program, options: RunOptions) -> Trace:
 
         # discretely quiescent
         if cfg.clock >= options.max_time:
-            kind = "all_stop" if is_all_stop(cfg.agent) else "max_time"
+            kind = "all_stop" if isinstance(cfg.agent, Stop) else "max_time"
             trace.events.append(TerminalEvent(kind, cfg.clock))
             return trace
         remaining = options.max_time - cfg.clock
@@ -224,14 +224,11 @@ def run(program: Program, options: RunOptions) -> Trace:
             trace.events.append(TerminalEvent(result.kind, cfg.clock))
             return trace
         tau = result.outcome.tau
-        cause = result.outcome.cause.value
         if tau >= remaining:
-            tau = remaining
-            if result.outcome.cause is DelayCause.HORIZON and options.horizon is not None and options.horizon < remaining:
-                cause = "horizon"
+            tau = remaining  # a float tau that reaches the end lands on it exactly
         before = vars_json(cfg.continuous)
         nxt = continuous_step(cfg, tau)
-        trace.events.append(ContinuousEvent(cfg.clock, tau, cause, before, vars_json(nxt.continuous)))
+        trace.events.append(ContinuousEvent(cfg.clock, tau, result.outcome.cause.value, before, vars_json(nxt.continuous)))
         cfg = nxt
         steps_at_instant = 0
 

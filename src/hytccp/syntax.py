@@ -233,8 +233,7 @@ def parts(agent: Agent) -> tuple:
     """What the node holds, in field order: names (str), constraints and sub-agents.
 
     A choice lists each guard before its body; a scope lists its bound names,
-    then its body.  The order is the numbering order of generated names in
-    canonical keys.
+    then its body.
     """
     if isinstance(agent, Stop):
         return ()

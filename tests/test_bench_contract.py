@@ -32,7 +32,7 @@ def _declared_layers() -> set:
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-@pytest.mark.parametrize("workload", ["dam_24h", "thermostats"])
+@pytest.mark.parametrize("workload", ["dam_24h", "thermostats", "corpus_explore"])
 def test_child_result(workload, traced):
     job = _workloads().JOBS[workload](ROOT, 1)
     job.update(workload=workload, src=str(ROOT / "src"), trace=traced, setup_only=False, sample_seed=1)

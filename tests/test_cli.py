@@ -41,6 +41,13 @@ def test_check_locates_an_undeclared_call(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}:2:4: call to undeclared process missing/1\n"
 
 
+def test_check_locates_wildcard_terms_meeting_in_one_guard(tmp_path, capsys):
+    path = write(tmp_path, "wild.hyt", "init :- ask(X = [a|_] /\\ X = [_|b]) -> stop.")
+    assert main(["check", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:1:13: ") and err.count("\n") == 1
+
+
 def test_run_timelock_exits_2(tmp_path):
     path = write(tmp_path, "lock.hyt", "init :- change(T, 0, der(T) = 1) || (ask(T = 5) -> stop).")
     out = str(tmp_path / "t.jsonl")

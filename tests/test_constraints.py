@@ -19,7 +19,6 @@ from hytccp.constraints import (
     conj,
     constraint,
     entails,
-    eval_cont_atoms,
     format_rational,
     solve,
     split_guard,
@@ -211,14 +210,6 @@ def test_split_guard_normalizes_numeric_equations():
 def test_split_guard_rejects_non_numeric_continuous_binding():
     with pytest.raises(ValueError):
         split_guard(c("T = a"), {"T"})
-
-
-def test_eval_cont_atoms():
-    g = constraint(LinCmp("T", "<=", Fraction(10)), LinCmp("V", ">", Fraction(2)))
-    assert eval_cont_atoms(g, {"T": Fraction(10), "V": Fraction(3)})
-    assert not eval_cont_atoms(g, {"T": Fraction(11), "V": Fraction(3)})
-    with pytest.raises(KeyError):
-        eval_cont_atoms(g, {"T": Fraction(1)})
 
 
 def test_format_rational():

@@ -215,8 +215,7 @@ def test_max_delay_horizon():
 
 def test_max_delay_timelock_when_no_invariant_holds():
     store = _store(T=(100, 1))
-    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None)
-    assert out.cause is DelayCause.TIMELOCK and out.tau is None
+    assert max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None) is None
 
 
 def test_max_delay_open_guard_lands_inside_the_interval():
@@ -281,7 +280,7 @@ def reference_component_delay(invariants, guards, store, horizon):
         elif inv_bound is None or iv.end > inv_bound:
             inv_bound = iv.end
     if not any_true:
-        return None, DelayCause.TIMELOCK
+        return None
     candidates = []
     for atoms in guards:
         iv = atoms_truth_interval(atoms, entries)
@@ -297,7 +296,7 @@ def reference_component_delay(invariants, guards, store, horizon):
     if horizon is not None:
         bounds.append((horizon, DelayCause.HORIZON, False))
     if not bounds:
-        return None, DelayCause.TIMELOCK
+        return None
     bounds.sort(key=lambda b: (b[0], b[2], DELAY_PRIORITY[b[1]]))
     tau, cause, is_open = bounds[0]
     if is_open:
@@ -307,17 +306,18 @@ def reference_component_delay(invariants, guards, store, horizon):
         ceiling = min(later) if later else tau + 1
         tau = tau + (ceiling - tau) / 2
     if tau <= 0:
-        return None, DelayCause.TIMELOCK
+        return None
     return tau, cause
 
 
 def reference_delay(components, guards, store, horizon):
-    """compute_delay's fold: any timelock wins, then the smallest tau, then DELAY_PRIORITY."""
+    """compute_delay's fold: any timelock (None) wins, then the smallest tau, then DELAY_PRIORITY."""
     best = None
     for invariants in components:
-        tau, cause = reference_component_delay(invariants, guards, store, horizon)
-        if cause is DelayCause.TIMELOCK:
-            return None, cause
+        resolved = reference_component_delay(invariants, guards, store, horizon)
+        if resolved is None:
+            return None
+        tau, cause = resolved
         if best is None or tau < best[0] or (tau == best[0] and DELAY_PRIORITY[cause] < DELAY_PRIORITY[best[1]]):
             best = (tau, cause)
     return best
@@ -361,7 +361,7 @@ def delay_problems(draw):
 @given(delay_problems())
 def test_max_delay_matches_the_per_component_fold(problem):
     out = max_delay(*problem)
-    assert (out.tau, out.cause) == reference_delay(*problem)
+    assert (None if out is None else (out.tau, out.cause)) == reference_delay(*problem)
 
 
 # --- operation count: one truth interval per invariant and per watched guard

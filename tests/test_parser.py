@@ -107,12 +107,18 @@ def test_parse_flow_rejects_nonlinear():
         parse_agent("change(V, 0, der(V) = 1/N)")
 
 
+WILDCARD_CLASH = "a variable matched against a term with a wildcard takes no other term in one guard"
+
+
 def test_parse_errors_have_positions():
     cases = [
         (parse_agent, "tell(X = )", 1, 10, "expected a term, found ')'"),
         (parse_program, "% header\ninit :- stop #.\n", 2, 14, "unexpected character '#'"),
         (parse_program, "p :- stop.\ninit :- p.\nstop stop\n", 3, 6, "trailing input after the initial agent"),
         (parse_program, "p :- stop.\n\nq :- p.\n", 4, 1, "program has no initial agent and no init/0 declaration"),
+        # unifying two terms of one variable reaches a wildcard: located at the guard
+        (parse_program, "init :- ask(X = [a|_] /\\ X = [_|b]) -> stop.", 1, 13, WILDCARD_CLASH),
+        (parse_program, "init :- now X = [a|_] /\\ X = [a|_] then stop else stop.", 1, 13, WILDCARD_CLASH),
     ]
     for parse, text, line, col, message in cases:
         with pytest.raises(ParseError) as exc:

@@ -20,12 +20,12 @@ from hytccp.semantics import (
     compute_delay,
     continuous_step,
     discrete_successors,
-    is_all_stop,
+    guard_holds,
     start_configuration,
     step_agent,
 )
 from hytccp.simulator import ContinuousEvent, RunOptions, run
-from hytccp.syntax import Flow, Hide, Parallel, Program, STOP, Stop, Tell, nodes, pretty
+from hytccp.syntax import Call, Flow, Hide, Program, STOP, Stop, Tell, nodes, pretty
 
 EMPTY_PROGRAM = Program({}, (), STOP)
 
@@ -77,13 +77,13 @@ def test_parallel_is_maximal():
     (nxt, _), = succs(cfg)
     assert entails(nxt.discrete, parse_constraint("G = [open|H]"))
     assert nxt.continuous.get("Vol").flow == Flow(Fraction(-5), Fraction(0))
-    assert is_all_stop(nxt.agent)
+    assert nxt.agent == STOP
 
 
 def test_parallel_one_sided_when_other_suspends():
     (nxt, _), = succs(cfg_of("tell(X = a) || (ask(Y = b) -> stop)"))
     assert entails(nxt.discrete, parse_constraint("X = a"))
-    assert not is_all_stop(nxt.agent)
+    assert not isinstance(nxt.agent, Stop)
 
 
 def test_choice_takes_exactly_the_entailed_branches():
@@ -284,6 +284,10 @@ def test_delay_kinds():
     assert compute_delay(locked, EMPTY_PROGRAM, Fraction(10)).kind == "timelock"
     expired = Configuration(parse_agent("ask~(T =< 60)"), TRUE, timer_store(100))
     assert compute_delay(expired, EMPTY_PROGRAM, Fraction(10)).kind == "timelock"
+    # a component that can neither step nor let time pass
+    undeclared = Configuration(Call("missing", ()))
+    assert succs(undeclared) == []
+    assert compute_delay(undeclared, EMPTY_PROGRAM, Fraction(10)).kind == "timelock"
 
 
 def test_time_cannot_pass_while_a_discrete_step_is_enabled():
@@ -291,8 +295,15 @@ def test_time_cannot_pass_while_a_discrete_step_is_enabled():
     assert len(succs(cfg)) == 1  # R4: the tell must fire first
 
 
-def test_is_all_stop():
-    assert is_all_stop(STOP)
-    assert is_all_stop(Parallel(STOP, STOP))
-    assert is_all_stop(opened("stop || exists X (stop)").agent)
-    assert not is_all_stop(parse_agent("ask(X = a) -> stop"))
+def test_a_stopped_agent_is_stop():
+    # agents the engine makes obey A || stop == A, so STOP is the one stopped agent
+    assert opened("stop || exists X (stop)").agent == STOP
+    assert compute_delay(opened("stop || stop"), EMPTY_PROGRAM, Fraction(10)).kind == "all_stop"
+
+
+def test_guard_holds_compares_continuous_atoms():
+    guard = parse_constraint("T =< 10 /\\ V > 2")
+    assert guard_holds(guard, TRUE, {"T": Fraction(10), "V": Fraction(3)})
+    assert not guard_holds(guard, TRUE, {"T": Fraction(11), "V": Fraction(3)})
+    # a name missing from the snapshot is a discrete atom, which TRUE does not entail
+    assert not guard_holds(guard, TRUE, {"T": Fraction(1)})
