@@ -264,9 +264,15 @@ class TermEq:
 
 
 class LinCmp:
-    """Comparison of one variable against a rational constant."""
+    """Comparison of one variable against a rational constant.
 
-    __slots__ = ("var", "op", "bound", "_hash")
+    A float value (an exponential flow's) is compared against the bound's
+    float when that float equals the bound, and against the bound itself
+    otherwise, so every comparison is exact.  The float is kept in ``_float``
+    on first use; it takes no part in equality, hashing or printing.
+    """
+
+    __slots__ = ("var", "op", "bound", "_hash", "_float")
 
     def __init__(self, var: str, op: str, bound: Fraction):
         self.var = var
@@ -276,6 +282,21 @@ class LinCmp:
 
     def variables(self) -> frozenset:
         return frozenset((self.var,))
+
+    def bound_for(self, value):
+        """The bound in the domain of ``value``: its float when ``value`` is a
+        float and the float equals the bound, else the bound itself."""
+        if type(value) is not float:
+            return self.bound
+        try:
+            exact = self._float
+        except AttributeError:
+            exact = self._float = _exact_float(self.bound)
+        return self.bound if exact is None else exact
+
+    def holds(self, value) -> bool:
+        """Whether ``value op bound``, exactly."""
+        return compare(value, self.op, self.bound_for(value))
 
     def __eq__(self, other) -> bool:
         return (
@@ -296,6 +317,15 @@ class LinCmp:
 
 
 AtomicConstraint = Union[TermEq, LinCmp]
+
+
+def _exact_float(bound) -> Optional[float]:
+    """``float(bound)`` when it equals the rational ``bound``, else None."""
+    try:
+        f = float(bound)
+    except OverflowError:
+        return None
+    return f if f.as_integer_ratio() == (bound.numerator, bound.denominator) else None
 
 
 def compare(value, op: str, bound) -> bool:

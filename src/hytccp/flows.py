@@ -3,6 +3,11 @@
 Constant flows (b = 0) are solved in exact rational arithmetic so timer events
 fire at exact instants; exponential flows (b != 0) use floating point with a
 guarded bisection refinement for crossing times.
+
+Comparisons stay exact across the two domains.  A float value meets a
+rational bound as a float when the bound's float equals it
+(``LinCmp.bound_for``), and as a rational otherwise; a flow's floats are
+computed once per ``Flow`` (``float_a``, ``float_b``, ``shift``).
 """
 from __future__ import annotations
 
@@ -39,7 +44,7 @@ class ContinuousStore:
         return {name: entry.value for name, entry in self.entries}
 
     def get(self, name: str) -> Optional[Entry]:
-        return self.as_dict().get(name)
+        return next((entry for n, entry in self.entries if n == name), None)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{n}->({format_rational(e.value)}, {e.flow})" for n, e in self.entries)
@@ -72,9 +77,7 @@ def solve_flow(v0: Value, f: Flow, t: Value) -> Value:
         raise ValueError("negative duration")
     if f.b == 0:
         return v0 + f.a * t
-    b = float(f.b)
-    shift = float(f.a) / b
-    return (float(v0) + shift) * math.exp(b * float(t)) - shift
+    return (float(v0) + f.shift) * math.exp(f.float_b * float(t)) - f.shift
 
 
 def evolve(store: ContinuousStore, t: Value) -> ContinuousStore:
@@ -90,24 +93,26 @@ def evolve(store: ContinuousStore, t: Value) -> ContinuousStore:
 # level hits and truth intervals
 
 
-def _hit_time(v0: Value, f: Flow, level: Fraction) -> Optional[Value]:
-    """First t >= 0 with x(t) == level, or None.  Exact for b = 0 flows."""
+def _hit_time(v0: Value, f: Flow, level: Value) -> Optional[Value]:
+    """First t >= 0 with x(t) == level, or None.  Exact for b = 0 flows.
+
+    ``level`` is a bound in the domain of ``v0`` (``LinCmp.bound_for``).
+    """
     if v0 == level:
         return Fraction(0) if isinstance(v0, Fraction) else 0.0
     if f.b == 0:
         if f.a == 0:
             return None
-        t = (Fraction(level) - Fraction(v0)) / f.a if isinstance(v0, Fraction) else (float(level) - v0) / float(f.a)
+        t = (Fraction(level) - Fraction(v0)) / f.a if isinstance(v0, Fraction) else (float(level) - v0) / f.float_a
         return t if t >= 0 else None
-    b = float(f.b)
-    shift = float(f.a) / b
+    shift = f.shift
     c0 = float(v0) + shift
     if c0 == 0.0:
         return None  # sitting on the equilibrium
     ratio = (float(level) + shift) / c0
     if ratio <= 0.0:
         return None
-    t = math.log(ratio) / b
+    t = math.log(ratio) / f.float_b
     if t < -BISECTION_TOL:
         return None
     t = max(t, 0.0)
@@ -139,7 +144,7 @@ def _refine_hit(v0: Value, f: Flow, level: float, t: float) -> float:
 
 def _moving_up(v0: Value, f: Flow) -> int:
     """Sign of the derivative along the (monotone) trajectory at t = 0."""
-    d = f.a + f.b * Fraction(v0) if isinstance(v0, Fraction) and isinstance(f.a, Fraction) else float(f.a) + float(f.b) * float(v0)
+    d = f.a + f.b * Fraction(v0) if isinstance(v0, Fraction) and isinstance(f.a, Fraction) else f.float_a + f.float_b * float(v0)
     return (d > 0) - (d < 0)
 
 
@@ -157,8 +162,9 @@ class Interval:
         return self.start is None
 
 
+ZERO = Fraction(0)
 EMPTY_INTERVAL = Interval(None)
-ALWAYS = Interval(Fraction(0))
+ALWAYS = Interval(ZERO)
 
 
 def truth_interval(v0: Value, f: Flow, cmp: LinCmp) -> Interval:
@@ -167,23 +173,23 @@ def truth_interval(v0: Value, f: Flow, cmp: LinCmp) -> Interval:
     One-dimensional affine trajectories are monotone, so the truth set within
     [0, inf) is a single interval (possibly a point, possibly empty).
     """
-    now = compare(v0, cmp.op, cmp.bound)
+    level = cmp.bound_for(v0)
+    now = compare(v0, cmp.op, level)
     direction = _moving_up(v0, f)
     if direction == 0:
         return ALWAYS if now else EMPTY_INTERVAL
-    hit = _hit_time(v0, f, cmp.bound)
-    zero = Fraction(0)
+    hit = _hit_time(v0, f, level)
     if cmp.op == "=":
         if now:
-            return Interval(zero, end=zero)
+            return Interval(ZERO, end=ZERO)
         return Interval(hit, end=hit) if hit is not None else EMPTY_INTERVAL
     if cmp.op == "!=":
         if not now:
-            return Interval(zero, start_open=True)
+            return Interval(ZERO, start_open=True)
         if hit is None:
             return ALWAYS
         # true until the hit, and true again right after (monotone: passes once)
-        return Interval(zero, end=hit, end_open=True) if hit != 0 else Interval(zero, start_open=True)
+        return Interval(ZERO, end=hit, end_open=True) if hit != 0 else Interval(ZERO, start_open=True)
     # order comparisons: the truth set is a half line whose boundary is the hit
     toward = (direction > 0 and cmp.op in (">", ">=")) or (direction < 0 and cmp.op in ("<", "<="))
     closed = cmp.op in ("<=", ">=")
@@ -192,7 +198,7 @@ def truth_interval(v0: Value, f: Flow, cmp: LinCmp) -> Interval:
             return ALWAYS  # already true and moving deeper into the region
         if hit is None:
             return ALWAYS
-        return Interval(zero, end=hit, end_open=not closed)
+        return Interval(ZERO, end=hit, end_open=not closed)
     if not toward:
         return EMPTY_INTERVAL
     if hit is None:
@@ -202,7 +208,7 @@ def truth_interval(v0: Value, f: Flow, cmp: LinCmp) -> Interval:
 
 def crossing_time(v0: Value, f: Flow, cmp: LinCmp) -> Optional[Value]:
     """Earliest t >= 0 at which the truth value of cmp changes, or None."""
-    now = compare(v0, cmp.op, cmp.bound)
+    now = cmp.holds(v0)
     iv = truth_interval(v0, f, cmp)
     if now:
         if iv.end is UNBOUNDED:
@@ -214,6 +220,8 @@ def crossing_time(v0: Value, f: Flow, cmp: LinCmp) -> Optional[Value]:
 
 
 def intersect(a: Interval, b: Interval) -> Interval:
+    if a is ALWAYS:
+        return b
     if a.empty or b.empty:
         return EMPTY_INTERVAL
     if b.start > a.start or (b.start == a.start and b.start_open):

@@ -27,7 +27,6 @@ from .constraints import (
     TermEq,
     LinCmp,
     conj,
-    compare,
     entails,
     fresh_var,
     is_fresh_name,
@@ -194,7 +193,7 @@ def start_configuration(program: Program, cfg: Optional[Configuration] = None) -
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
     disc, cont = split_guard(guard, snapshot.keys())
-    return entails(store, disc) and all(compare(snapshot[a.var], a.op, a.bound) for a in cont)
+    return entails(store, disc) and all(a.holds(snapshot[a.var]) for a in cont)
 
 
 def step_agent(

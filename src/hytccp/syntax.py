@@ -47,10 +47,27 @@ KEEP = Keep()
 
 @dataclass(frozen=True)
 class Flow:
-    """Affine dynamics dx/dt = a + b*x."""
+    """Affine dynamics dx/dt = a + b*x.
+
+    The floats an exponential flow is solved in are computed on first use and
+    kept on the object; they take no part in equality, hashing or printing.
+    """
 
     a: Fraction
     b: Fraction
+
+    @cached_property
+    def float_a(self) -> float:
+        return float(self.a)
+
+    @cached_property
+    def float_b(self) -> float:
+        return float(self.b)
+
+    @cached_property
+    def shift(self) -> float:
+        """a/b in floats, the offset that makes x + a/b a pure exponential (b != 0)."""
+        return self.float_a / self.float_b
 
     def __str__(self) -> str:
         return f"{format_rational(self.a)}+{format_rational(self.b)}*x"

@@ -1,4 +1,5 @@
 """Constraint system: solved form, conjunction, entailment."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hytccp.constraints import (
     TermEq,
     Var,
     WILDCARD,
+    compare,
     conj,
     constraint,
     entails,
@@ -216,3 +218,49 @@ def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
     assert format_rational(0.5) == "0.5"
+
+
+# --- comparisons of float values against rational bounds
+
+BOUNDS = [Fraction(1, 3), Fraction(1, 10), Fraction(18), Fraction(-5, 4), Fraction(2**60 + 1)]
+CMP_OPS = ["=", "!=", "<", "<=", ">", ">="]
+
+
+@st.composite
+def values_near(draw, bound):
+    """A float on, next to or far from ``bound``, or an infinity."""
+    near = float(bound)
+    return draw(
+        st.sampled_from([near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf), math.inf, -math.inf])
+        | st.floats(allow_nan=False)
+    )
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(BOUNDS).flatmap(lambda b: st.tuples(st.just(b), values_near(b))), st.sampled_from(CMP_OPS))
+def test_float_comparison_agrees_with_exact(bound_value, op):
+    bound, value = bound_value
+    if math.isinf(value):
+        exact = compare(bound + 1 if value > 0 else bound - 1, op, bound)  # an infinity lies beyond every bound
+    else:
+        exact = compare(Fraction(value), op, bound)
+    atom = LinCmp("X", op, bound)
+    assert atom.holds(value) == exact  # fills the float memo
+    assert atom.holds(value) == exact  # reads it
+
+
+def test_bound_for_keeps_rational_values_and_inexact_bounds_rational():
+    assert LinCmp("X", "<", Fraction(18)).bound_for(17.5) == 18.0
+    assert type(LinCmp("X", "<", Fraction(18)).bound_for(Fraction(17))) is Fraction
+    assert type(LinCmp("X", "<", Fraction(1, 3)).bound_for(0.25)) is Fraction
+    assert type(LinCmp("X", "<", Fraction(2**60 + 1)).bound_for(0.25)) is Fraction
+    assert type(LinCmp("X", "<", Fraction(10**400)).bound_for(0.25)) is Fraction
+
+
+def test_float_memo_takes_no_part_in_equality_hashing_or_printing():
+    atom, twin = LinCmp("X", ">=", Fraction(22)), LinCmp("X", ">=", Fraction(22))
+    before = (atom == twin, twin == atom, hash(atom), repr(atom), str(atom))
+    assert atom.holds(22.5)
+    assert atom._float == 22.0
+    assert (atom == twin, twin == atom, hash(atom), repr(atom), str(atom)) == before
+    assert before[:3] == (True, True, hash(twin))

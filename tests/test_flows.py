@@ -86,6 +86,15 @@ def test_solve_flow_semigroup():
     assert math.isclose(direct, stepped, rel_tol=1e-12)
 
 
+def test_flow_floats_take_no_part_in_equality_hashing_or_printing():
+    flow, twin = Flow(Fraction(100, 130), Fraction(-1, 130)), Flow(Fraction(100, 130), Fraction(-1, 130))
+    before = (flow == twin, twin == flow, hash(flow), str(flow), repr(flow))
+    assert solve_flow(20.0, flow, 1.0) == solve_flow(20.0, twin, 1.0)
+    assert (flow.float_a, flow.float_b, flow.shift) == (100 / 130, -1 / 130, (100 / 130) / (-1 / 130))
+    assert (flow == twin, twin == flow, hash(flow), str(flow), repr(flow)) == before
+    assert before[:3] == (True, True, hash(twin))
+
+
 def test_solve_flow_rejects_negative_duration():
     with pytest.raises(ValueError):
         solve_flow(Fraction(0), Flow(Fraction(1), Fraction(0)), Fraction(-1))
@@ -181,6 +190,7 @@ def test_intersect():
     b = Interval(Fraction(4), end=Fraction(20))
     got = intersect(a, b)
     assert (got.start, got.end) == (4, 10)
+    assert intersect(ALWAYS, b) is b
     assert intersect(a, Interval(Fraction(10), start_open=True)).empty
     assert not intersect(a, Interval(Fraction(10))).empty
 
@@ -404,3 +414,29 @@ def test_truth_intervals_per_delay_are_components_plus_watched_guards(n, monkeyp
     trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
     assert trace.terminal.kind == "max_time"
     assert len(per_delay) > n and per_delay == [2 * n] * len(per_delay)
+
+
+def test_exponential_run_compares_floats_without_rational_round_trips(monkeypatch):
+    # a float compared against a Fraction goes through Fraction.from_float;
+    # bounds 18 and 22 are exact floats, so guards, invariants and truth
+    # intervals compare in floats (comparing against the Fractions made about
+    # 20 calls per step on this model)
+    from_float = Fraction.from_float.__func__
+    calls = steps = 0
+
+    def counting_from_float(cls, f):
+        nonlocal calls
+        calls += 1
+        return from_float(cls, f)
+
+    def counting_continuous_step(cfg, tau):
+        nonlocal steps
+        steps += 1
+        return continuous_step(cfg, tau)
+
+    continuous_step = simulator.continuous_step
+    monkeypatch.setattr(Fraction, "from_float", classmethod(counting_from_float))
+    monkeypatch.setattr(simulator, "continuous_step", counting_continuous_step)
+    trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
+    assert trace.terminal.kind == "max_time"
+    assert steps > 100 and calls <= 4 * steps
