@@ -349,7 +349,7 @@ def compare(value, op: str, bound) -> bool:
 
 
 class Constraint:
-    """Finite conjunction of atomic constraints, kept in solved form.
+    """Finite conjunction of atomic constraints: solved for a store or a tell, as written for a guard.
 
     ``consistent=False`` marks the absorbing false element; its atom set is
     empty by convention.
@@ -403,10 +403,10 @@ def constraint(*atoms: AtomicConstraint) -> Constraint:
 
 
 class MissingContinuousVariableError(KeyError):
-    """A guard reads a continuous variable with no entry in the snapshot."""
+    """A guard reads a continuous variable with no value yet, or equates one with a non-number."""
 
     def __str__(self) -> str:
-        return f"a guard reads continuous variable {self.args[0]}, which has no value yet"
+        return self.args[0]
 
 
 # ---------------------------------------------------------------------------
@@ -566,20 +566,18 @@ def _merge(c: Constraint, atoms: Iterable[AtomicConstraint]) -> Constraint:
     return Constraint(frozenset(solved))
 
 
-def _atom_sort_key(a: AtomicConstraint):
-    return (isinstance(a, LinCmp), a.var, str(a))
-
-
 @lru_cache(maxsize=65536)
 def entails(store: Constraint, guard: Constraint) -> bool:
-    """Sound, incomplete entailment check of ``guard`` by ``store``.
+    """Sound, incomplete entailment check of ``guard``, its atoms as written, by ``store``.
 
-    A generated name (bound by a scope of the guard) that the store does not
-    mention is a one-way match placeholder, bound by its first match for this
-    check only, on either side of ``v = W``; any other name reads its store
-    value.  Wildcards match anything.  A comparison over a variable the store
-    does not ground is entailed only by the identical atom in the store.
-    Stores are not guards: compare two stores with ``conj(c, d) == c``.
+    A placeholder, a generated name the store does not mention, takes its
+    value only from the store, at its first match; any other name reads its
+    store value.  An equation is checked once its left name has a value, or,
+    for ``v = W``, once ``W`` has one; one that nothing reaches fails unless
+    it equates two placeholders.  So atom order and spelling do not change
+    the answer.  Wildcards match anything.  Comparisons come last; one over a
+    variable the store does not ground is entailed only by the identical store
+    atom.  Stores are not guards: compare two stores with ``conj(c, d) == c``.
     """
     if not store.consistent:
         return True
@@ -593,14 +591,14 @@ def entails(store: Constraint, guard: Constraint) -> bool:
             return theta[name]
         return sigma.get(name) or Var(name)  # a solved store binds a name to its final term
 
-    def is_placeholder(name: str) -> bool:
-        return is_fresh_name(name) and name not in theta and name not in store.variables()
+    def unreached(name: str) -> bool:
+        return name not in theta and is_fresh_name(name) and name not in sigma and name not in store.variables()
 
     def match(sv: Term, gt: Term) -> bool:
         if isinstance(gt, Wildcard):
             return True
         if isinstance(gt, Var):
-            if is_placeholder(gt.name):
+            if unreached(gt.name):
                 theta[gt.name] = sv
                 return True
             return value(gt.name) == sv
@@ -608,41 +606,47 @@ def entails(store: Constraint, guard: Constraint) -> bool:
             return isinstance(sv, Cons) and match(sv.head, gt.head) and match(sv.tail, gt.tail)
         return sv == gt
 
-    for atom in sorted(guard.atoms, key=_atom_sort_key):
-        if isinstance(atom, TermEq):
-            var, term = atom.var, atom.term
-            if isinstance(term, Var) and is_placeholder(var):
-                var, term = term.name, Var(var)
-            if not match(value(var), term):
+    def reached(a: TermEq) -> bool:
+        if isinstance(a.term, Var):
+            return not unreached(a.var) or not unreached(a.term.name)
+        # a generated name the store leaves unbound waits; if mentioned, only ``_`` matches it
+        return a.var in theta or a.var in sigma or not is_fresh_name(a.var)
+
+    todo = {a for a in guard.atoms if isinstance(a, TermEq)}
+    while (atom := next(filter(reached, todo), None)) is not None:
+        todo.remove(atom)
+        var, term = (atom.term.name, Var(atom.var)) if unreached(atom.var) else (atom.var, atom.term)
+        if not match(value(var), term):
+            return False
+    # of what nothing reached, placeholder = placeholder holds, and so does a mentioned name = _
+    if not all(isinstance(a.term, Var) or (isinstance(a.term, Wildcard) and not unreached(a.var)) for a in todo):
+        return False
+    for atom in (a for a in guard.atoms if isinstance(a, LinCmp)):
+        rep = value(atom.var)
+        if isinstance(rep, Num):
+            if not compare(rep.value, atom.op, atom.bound):
                 return False
-        else:
-            rep = value(atom.var)
-            if isinstance(rep, Num):
-                if not compare(rep.value, atom.op, atom.bound):
-                    return False
-            elif isinstance(rep, Var):
-                if LinCmp(rep.name, atom.op, atom.bound) not in store.atoms:
-                    return False
-            else:
-                return False
+        elif not isinstance(rep, Var) or LinCmp(rep.name, atom.op, atom.bound) not in store.atoms:
+            return False
     return True
 
 
 def split_guard(guard: Constraint, continuous_vars) -> tuple:
     """Split a guard into (discrete part, continuous comparison list).
 
-    Numeric equations on continuous variables are normalized to ``=`` comparisons.
+    Numeric equations on continuous variables become ``=`` comparisons; any
+    other equation that reads one is a model error.
     """
     disc = []
     cont = []
     for atom in guard.atoms:
-        if atom.var in continuous_vars:
-            if isinstance(atom, LinCmp):
-                cont.append(atom)
-            elif isinstance(atom.term, Num):
-                cont.append(LinCmp(atom.var, "=", atom.term.value))
-            else:
-                raise ValueError(f"continuous variable {atom.var} bound to a non-number in a guard")
-        else:
+        if atom.var in continuous_vars and isinstance(atom, LinCmp):
+            cont.append(atom)
+        elif atom.var in continuous_vars and isinstance(atom.term, Num):
+            cont.append(LinCmp(atom.var, "=", atom.term.value))
+        elif isinstance(atom, LinCmp) or continuous_vars.isdisjoint((atom.var, *term_vars(atom.term))):
             disc.append(atom)
+        else:
+            name = next(n for n in (atom.var, *term_vars(atom.term)) if n in continuous_vars)
+            raise MissingContinuousVariableError(f"a guard equates continuous variable {name} with a non-number: {atom}")
     return Constraint(frozenset(disc), guard.consistent), cont

@@ -251,7 +251,7 @@ def atoms_truth_interval(atoms: Sequence[LinCmp], entries: Dict[str, Entry]) -> 
     for atom in atoms:
         entry = entries.get(atom.var)
         if entry is None:
-            raise MissingContinuousVariableError(atom.var)
+            raise MissingContinuousVariableError(f"a guard reads continuous variable {atom.var}, which has no value yet")
         iv = intersect(iv, truth_interval(entry.value, entry.flow, atom))
         if iv.empty:
             return EMPTY_INTERVAL

@@ -279,7 +279,7 @@ class Parser:
             return STOP
         if self.accept("tell"):
             self.expect("(")
-            c = self.parse_constraint(allow_wildcard=False)
+            c = self.parse_constraint(guard=False)
             self.expect(")")
             return Tell(c)
         if self.at("change"):
@@ -338,23 +338,20 @@ class Parser:
 
     # -- constraints
 
-    def parse_constraint(self, allow_wildcard: bool = True) -> Constraint:
-        start = self.peek().offset
+    def parse_constraint(self, guard: bool = True) -> Constraint:
+        """A guard keeps its atoms as written and may hold wildcards; a tell is solved."""
         atoms = []
         falsy = False
         while True:
             if self.accept("false"):
                 falsy = True
             elif not self.accept("true"):
-                atoms.append(self.parse_atomic(allow_wildcard))
+                atoms.append(self.parse_atomic(guard))
             if not self.accept("/\\"):
                 break
         if falsy:
             return FALSE
-        try:
-            return solve(atoms)
-        except ValueError:  # unification reached a wildcard
-            self.error("a variable matched against a term with a wildcard takes no other term in one guard", start)
+        return Constraint(frozenset(atoms)) if guard else solve(atoms)
 
     def parse_atomic(self, allow_wildcard: bool):
         var = self.variable_name()
@@ -369,9 +366,9 @@ class Parser:
         self.error("expected a comparison operator")
 
     def parse_term(self, allow_wildcard: bool) -> Term:
+        if self.at("_") and not allow_wildcard:
+            self.error("wildcard '_' is only allowed inside ask/now guards")
         if self.accept("_"):
-            if not allow_wildcard:
-                self.error("wildcard '_' is only allowed inside ask/now guards")
             return WILDCARD
         if self.at("["):
             return self.parse_list(allow_wildcard)

@@ -354,10 +354,8 @@ def _rename_term(t: Term, mapping: dict) -> Term:
 def rename_atoms(c: Constraint, mapping: dict) -> Constraint:
     """``c`` renamed atom by atom, not re-solved.
 
-    Guards are renamed this way: ``entails`` checks a guard's atoms one by
-    one, so each renamed atom keeps its meaning even where the renaming
-    sends two names to one.  Re-solving such a guard could unify two terms
-    with wildcards, which only guard matching may read.
+    Guards are renamed this way: a guard is its atoms as written, whether
+    parsed or renamed at a call, and ``entails`` alone says what they mean.
     """
     if not c.consistent or not mapping:
         return c

@@ -20,6 +20,7 @@ from fractions import Fraction
 from hytccp.constraints import (
     Atom,
     Cons,
+    Constraint,
     LinCmp,
     Num,
     TRUE,
@@ -62,9 +63,15 @@ def _term(rng: random.Random, wildcard_ok: bool):
 
 
 def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
-    # distinct left-hand variables: two bindings of one variable could try to
-    # unify a wildcard, which is rejected outside guard matching
-    lhs = rng.sample(DISCRETE_VARS, 2)
+    """A guard (``wildcard_ok``) as the parser keeps one, its atoms as written; else a solved tell.
+
+    A tell takes two distinct left-hand variables; a guard's second may
+    repeat its first.  Both draws take from ``rng`` what ``rng.sample`` would.
+    """
+    if wildcard_ok:
+        lhs = [DISCRETE_VARS[rng.randrange(len(DISCRETE_VARS))], DISCRETE_VARS[rng.randrange(len(DISCRETE_VARS) - 1)]]
+    else:
+        lhs = rng.sample(DISCRETE_VARS, 2)
     atoms = []
     for i in range(rng.randint(1, 2)):
         if cont_vars and rng.random() < 0.35:
@@ -76,7 +83,7 @@ def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
             atoms.append(TermEq(var, Num(bound)) if op == "=" else LinCmp(var, op, bound))
         else:
             atoms.append(TermEq(lhs[i], _term(rng, wildcard_ok)))
-    return solve(atoms)
+    return Constraint(frozenset(atoms)) if wildcard_ok else solve(atoms)
 
 
 def _flow(rng: random.Random, var: str) -> FlowSpec:

@@ -42,10 +42,10 @@ def test_check_locates_an_undeclared_call(tmp_path, capsys):
 
 
 def test_check_locates_wildcard_terms_meeting_in_one_guard(tmp_path, capsys):
-    path = write(tmp_path, "wild.hyt", "init :- ask(X = [a|_] /\\ X = [_|b]) -> stop.")
+    # such a guard parses; the error located is the wildcard in the tell after it
+    path = write(tmp_path, "wild.hyt", "init :- ask(X = [a|_] /\\ X = [_|b]) -> tell(Y = [a|_]).")
     assert main(["check", path]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}:1:13: ") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {path}:1:52: wildcard '_' is only allowed inside ask/now guards\n"
 
 
 def test_run_timelock_exits_2(tmp_path):
@@ -155,7 +155,7 @@ def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):
 
 @pytest.mark.parametrize("bound, outer", [("A", "Z"), ("Z", "A")])
 def test_run_var_var_guard_on_a_bound_name(tmp_path, bound, outer):
-    # alpha-variants: the guard fires whichever name solve keeps
+    # alpha-variants: the guard fires however the names are spelled
     text = f"init :- tell({outer} = 5) || exists {bound} (ask({bound} = {outer}) -> tell(Done = yes))."
     out = str(tmp_path / "t.jsonl")
     assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
@@ -166,7 +166,7 @@ def test_run_var_var_guard_on_a_bound_name(tmp_path, bound, outer):
 @pytest.mark.parametrize("bound, outer", [("A", "Z"), ("Z", "A")])
 def test_run_var_var_guard_reads_the_store_value_of_a_bound_name(tmp_path, bound, outer):
     # the inner ask reads a store that binds the scope's name to 5 and the
-    # outer one to 6: it must not fire, whichever name solve keeps
+    # outer one to 6: it must not fire, however the names are spelled
     text = (
         f"init :- tell({outer} = 6) || exists {bound} (tell({bound} = 5)"
         f" || (ask({bound} = 5) -> (ask({bound} = {outer}) -> tell(Done = yes))))."
@@ -176,6 +176,35 @@ def test_run_var_var_guard_reads_the_store_value_of_a_bound_name(tmp_path, bound
     events = [json.loads(line) for line in open(out).read().strip().split("\n")]
     assert events[-1]["cause"] == "suspended"
     assert not any("Done=yes" in ev.get("told", ()) for ev in events)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "init :- tell(Z = [a|T]) || exists A (ask(A = Z /\\ A = [a|_]) -> tell(Done = yes)).",
+        "init :- tell(_Z = [a|T]) || exists A (ask(A = _Z /\\ A = [a|_]) -> tell(Done = yes)).",
+        "init :- tell(X = [a|b]) || (ask(X = [a|_] /\\ X = [_|b]) -> tell(Done = yes)).",
+    ],
+    ids=["linked_bound_name", "linked_bound_name_underscore", "wildcards_on_one_variable"],
+)
+def test_run_guard_as_written_fires(tmp_path, text):
+    # the guard keeps its atoms as written: no link is lost, and wildcard
+    # terms on one variable are each matched against its store value
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert events[-1]["cause"] == "all_stop"
+    assert any("Done=yes" in ev.get("told", ()) for ev in events)
+
+
+def test_run_placeholder_takes_its_value_only_from_the_store(tmp_path):
+    # X is a scope's name: the ask may not choose X = a before the tell says X = b
+    text = "init :- exists X (ask(X = a) -> tell(Fired = yes) || tell(X = b))."
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert events[-1]["cause"] == "suspended"
+    assert not any("Fired=yes" in ev.get("told", ()) for ev in events)
 
 
 def test_check_empty_file(tmp_path):
@@ -199,8 +228,23 @@ def test_parse_output_reparses(tmp_path):
         ("explore", None, "random() needs a seeded generator"),
         ("run", "init :- change(C, Y, der(C) = 1).", "variable Y is not bound to a number"),
         ("run", "init :- change(C, _, der(C) = 1).", "continuous variable C, which has no value yet"),
+        (
+            "run",
+            "init :- change(Z, 0, der(Z) = 1) || tell(A = 5) || (ask(Z = A) -> stop + ask~(Z =< 10)).",
+            "a guard equates continuous variable Z with a non-number: Z=A",
+        ),
+        (
+            "run",
+            "init :- change(T, 0, der(T) = 1) || tell(X = 5) || (ask(T = X) -> stop + ask~(T =< 10)).",
+            "a guard equates continuous variable T with a non-number: T=X",
+        ),
+        (
+            "run",
+            "init :- change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10)).",
+            "a guard equates continuous variable T with a non-number: T=a",
+        ),
     ],
-    ids=["explore_random", "unbound_value", "keep_uninitialized"],
+    ids=["explore_random", "unbound_value", "keep_uninitialized", "guard_Z_A", "guard_T_X", "guard_T_atom"],
 )
 def test_runtime_model_error_is_reported_not_raised(tmp_path, capsys, command, source, message):
     path = "models/dam.hyt" if source is None else write(tmp_path, "model.hyt", source)

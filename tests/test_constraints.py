@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hytccp.constraints import (
     Atom,
@@ -11,6 +11,7 @@ from hytccp.constraints import (
     Constraint,
     FALSE,
     LinCmp,
+    MissingContinuousVariableError,
     NIL,
     Num,
     TRUE,
@@ -30,7 +31,8 @@ from hytccp.syntax import rename_atoms
 
 
 def c(text):
-    return parse_constraint(text)
+    """The solved form of ``text``: ``parse_constraint`` keeps a guard's atoms as written."""
+    return solve(parse_constraint(text).atoms)
 
 
 def scoped(text, *names):
@@ -200,6 +202,61 @@ def test_conj_is_lower_bound(a, b):
     assert entails(both, b)
 
 
+# --- guards as written: the answer does not depend on spelling or atom order
+
+
+def as_written(*atoms):
+    """A guard as the parser keeps it: its atoms, not solved."""
+    return Constraint(frozenset(atoms))
+
+
+RIGID = ["A", "Z", "_Z"]  # "_Z" sorts after "[", "Z" before it, "A" before a generated name
+PLACEHOLDERS = ["P#1", "_Q#2"]  # generated names no store below mentions
+VALUES = [Atom("a"), Cons(Atom("a"), Var("T")), Cons(Atom("a"), NIL), None]  # None: unbound
+PATTERNS = [Atom("a"), Cons(Atom("a"), WILDCARD), Cons(WILDCARD, NIL), *map(Var, RIGID + PLACEHOLDERS)]
+
+# a small space, so that guard atoms often meet the store and each other
+stores_st = st.lists(st.sampled_from(VALUES), min_size=len(RIGID), max_size=len(RIGID)).map(
+    lambda values: solve([TermEq(name, v) for name, v in zip(RIGID, values) if v is not None])
+)
+guard_terms_st = st.sampled_from(PATTERNS) | st.sampled_from(RIGID + PLACEHOLDERS).map(lambda n: Cons(Var(n), WILDCARD))
+guards_st = st.lists(st.builds(TermEq, st.sampled_from(RIGID + PLACEHOLDERS), guard_terms_st), min_size=1, max_size=3).map(
+    lambda atoms: as_written(*atoms)
+)
+renamings_st = st.tuples(st.permutations(RIGID), st.permutations(PLACEHOLDERS)).map(
+    lambda perms: {**dict(zip(RIGID, perms[0])), **dict(zip(PLACEHOLDERS, perms[1]))}
+)
+
+
+@settings(max_examples=1000)
+@given(stores_st, guards_st, renamings_st)
+@example(
+    solve([TermEq("Z", Cons(Atom("a"), Var("T")))]),
+    as_written(TermEq("P#1", Var("Z")), TermEq("P#1", Cons(Atom("a"), WILDCARD))),
+    {"Z": "_Z", "_Z": "Z"},
+)
+def test_entails_ignores_spelling_and_atom_order(store, guard, mapping):
+    # a bijective renaming keeps a solved store solved and sends placeholders
+    # to placeholders; it changes how the names sort and the atoms' hash order
+    assert entails(rename_atoms(store, mapping), rename_atoms(guard, mapping)) == entails(store, guard)
+
+
+def test_entails_placeholder_takes_its_value_only_from_the_store():
+    # nothing in the store reaches P#1, so the guard may not choose its value
+    assert not entails(TRUE, as_written(TermEq("P#1", Atom("a"))))
+    assert not entails(TRUE, as_written(TermEq("P#1", WILDCARD)))
+    # placeholder = placeholder holds, and so does a chain reached from the store
+    assert entails(TRUE, as_written(TermEq("P#1", Var("Q#2"))))
+    chain = as_written(TermEq("P#1", Var("Q#2")), TermEq("Q#2", Var("X")), TermEq("P#1", Atom("a")))
+    assert entails(c("X = a"), chain)
+    assert not entails(c("X = b"), chain)
+    # a generated name the store mentions but leaves unbound is no placeholder: only _ matches it
+    mentions = constraint(LinCmp("M#1", "<", Fraction(1)))
+    assert entails(mentions, as_written(TermEq("M#1", WILDCARD)))
+    assert not entails(mentions, as_written(TermEq("M#1", Atom("a"))))
+    assert not entails(mentions, as_written(TermEq("M#1", Cons(WILDCARD, WILDCARD))))
+
+
 # --- continuous guard helpers
 
 
@@ -210,8 +267,9 @@ def test_split_guard_normalizes_numeric_equations():
 
 
 def test_split_guard_rejects_non_numeric_continuous_binding():
-    with pytest.raises(ValueError):
-        split_guard(c("T = a"), {"T"})
+    for text in ("T = a", "T = X", "X = T", "X = [a|T]"):
+        with pytest.raises(MissingContinuousVariableError):
+            split_guard(parse_constraint(text), {"T"})
 
 
 def test_format_rational():

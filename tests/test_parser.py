@@ -55,6 +55,18 @@ def test_wildcard_only_in_guards():
         parse_agent("tell(X = [_|_])")
 
 
+def test_guards_keep_their_atoms_as_written():
+    text = "A = Z /\\ A = [a|_] /\\ N < 3"
+    written = frozenset({TermEq("A", Var("Z")), TermEq("A", Cons(Atom("a"), WILDCARD)), LinCmp("N", "<", Fraction(3))})
+    choice = parse_agent(f"ask({text}) -> stop + ask~({text})")
+    now = parse_agent(f"now {text} then stop else stop")
+    for guard in (choice.ask_branches[0].guard, choice.cont_branches[0], now.guard):
+        assert guard.atoms == written
+    # a tell is solved
+    stream = Cons(Atom("a"), Var("T"))
+    assert parse_agent("tell(A = Z /\\ A = [a|T])").constraint.bindings() == {"A": stream, "Z": stream}
+
+
 def test_random_term_bounds_checked():
     parse_constraint("X = random(0, 350)")
     with pytest.raises(ParseError):
@@ -107,18 +119,15 @@ def test_parse_flow_rejects_nonlinear():
         parse_agent("change(V, 0, der(V) = 1/N)")
 
 
-WILDCARD_CLASH = "a variable matched against a term with a wildcard takes no other term in one guard"
-
-
 def test_parse_errors_have_positions():
     cases = [
         (parse_agent, "tell(X = )", 1, 10, "expected a term, found ')'"),
         (parse_program, "% header\ninit :- stop #.\n", 2, 14, "unexpected character '#'"),
         (parse_program, "p :- stop.\ninit :- p.\nstop stop\n", 3, 6, "trailing input after the initial agent"),
         (parse_program, "p :- stop.\n\nq :- p.\n", 4, 1, "program has no initial agent and no init/0 declaration"),
-        # unifying two terms of one variable reaches a wildcard: located at the guard
-        (parse_program, "init :- ask(X = [a|_] /\\ X = [_|b]) -> stop.", 1, 13, WILDCARD_CLASH),
-        (parse_program, "init :- now X = [a|_] /\\ X = [a|_] then stop else stop.", 1, 13, WILDCARD_CLASH),
+        # wildcard terms on one variable are a guard like any other: the error lies past it
+        (parse_program, "init :- ask(X = [a|_] /\\ X = [_|b]) -> tell(Y = [a|_]).", 1, 52, "wildcard '_' is only allowed inside ask/now guards"),
+        (parse_program, "init :- now X = [a|_] /\\ X = [a|_] then stop else .", 1, 51, "expected an agent, found '.'"),
     ]
     for parse, text, line, col, message in cases:
         with pytest.raises(ParseError) as exc:
