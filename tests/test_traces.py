@@ -1,0 +1,56 @@
+"""Golden outputs: the SHA-256 of `hytccp run` and `hytccp parse` on the shipped
+models, and the state counts of `explore` on the generator corpora.
+
+A change that means to keep behaviour keeps every value here.  A change that
+means to alter one says so in CHANGES.md, with the reason.
+"""
+import hashlib
+
+import pytest
+
+from hytccp.cli import main
+from hytccp.simulator import explore
+
+from generators import random_program, recursive_program
+
+GOLDEN = {
+    ("run", "models/dam.hyt", "--max-time", "86400"):
+        "34929191dac83e4107c120129fef37fa5fede1f78d9c5b44ed9f457173ecc7cc",
+    ("run", "models/dam.hyt", "--max-time", "21600", "--policy", "random", "--seed", "1"):
+        "df983df1235b6b430e43893c98eb0d7191ae0a6b11d1531958945e8050734df1",
+    ("run", "models/dam.hyt", "--max-time", "21600", "--policy", "random", "--seed", "2"):
+        "1b81933ccba8d4a07ab4771a3879f857771921278f673c038f7b983172f642fe",
+    ("run", "models/timer.hyt"): "4b5d4ee911b4f15dfcb293ab4f8fa634913adf7f4f1e7a6c328c408ac18c2136",
+    ("run", "models/stop.hyt"): "37949821ecdf91fce5a8474c7275b1b465c2a83eae5a028bdb92961c413c7dd8",
+    ("parse", "models/dam.hyt"): "030a25e06cf8b94b4c9ef03bfec8f18f332983d4f74d9484ed239fb742952bcb",
+    ("parse", "models/timer.hyt"): "95f7fdf130405207ea1eb803bdb6a5f9f0764e30180dc64c554e4c0b7100bc9b",
+    ("parse", "models/stop.hyt"): "36a609bd609420fbcc3b1fb730273ca3dffbd34231f2d3db96adb0610f05e29d",
+}
+
+# len(explore(random_program(s), 5).states) for s = 0..299, one digit each
+RANDOM_COUNTS = (
+    "343536434444363644346633444443334434434444433433464644543344634464444466344"
+    "444464343464446345443444444354463444443344436364334664444464634564633433464"
+    "454344443444444334464345334444444444744444344444686843464443644443443343454"
+    "446444444433344344344634449444343334473443344443336444434944344446343366363"
+)
+
+# len(explore(recursive_program(s), 8, time_samples=1).states) for s = 0..11
+RECURSIVE_COUNTS = [20, 16, 15, 15, 20, 22, 15, 15, 20, 22, 15, 22]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_cli_output_digest(tmp_path, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+def test_random_program_state_counts():
+    counts = "".join(str(len(explore(random_program(s), 5).states)) for s in range(300))
+    assert counts == RANDOM_COUNTS
+
+
+def test_recursive_program_state_counts():
+    counts = [len(explore(recursive_program(s), 8, time_samples=1).states) for s in range(12)]
+    assert counts == RECURSIVE_COUNTS
