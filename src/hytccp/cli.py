@@ -1,8 +1,8 @@
 """Command-line driver: parse, check, run and explore .hyt models.
 
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
-1 tool, input or runtime model error (missing file, parse error, bad flags,
-an unbound change value, random() under explore),
+1 tool, input or runtime model error (missing file, parse error, a bad flag or
+HYTCCP_DIVERGENCE_BUDGET, an unbound change value, random() under explore),
 2 model pathology (timelock, instantaneous divergence).
 """
 from __future__ import annotations
@@ -14,19 +14,29 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational
+from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational, split_guard
 from .flows import UninitializedContinuousVariableError
 from .parser import ParseError, parse_program
-from .semantics import EvaluationError
+from .semantics import EvaluationError, open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
-from .syntax import Call, Change, Choice, FlowSpec, KEEP, Program, nodes, parts, pretty
+from .syntax import Call, Change, Choice, FlowSpec, KEEP, Now, Program, continuous_names, nodes, parts, pretty
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+def _number(parse, ok, what: str):
+    """An argparse type: the text ``parse``d, if the value passes ``ok``; ``what`` names it in the error."""
+
+    def convert(text: str):
+        try:
+            if ok(value := parse(text)):
+                return value
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+
+    return convert
+
+
+_count = _number(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -41,15 +51,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     add_common(p_run)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--policy", choices=["first", "random"], default="first")
-    p_run.add_argument("--max-time", type=_fraction, default=Fraction(3600))
-    p_run.add_argument("--max-steps", type=int, default=1_000_000)
-    p_run.add_argument("--horizon", type=_fraction, default=None)
+    p_run.add_argument("--max-time", type=_number(Fraction, lambda t: t >= 0, "a non-negative rational"), default=Fraction(3600))
+    p_run.add_argument("--max-steps", type=_count, default=1_000_000)
+    p_run.add_argument("--horizon", type=_number(Fraction, lambda t: t > 0, "a positive rational"), default=None)
     p_run.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
     p_explore = sub.add_parser("explore", help="bounded exhaustive reachability")
     add_common(p_explore)
-    p_explore.add_argument("--depth", type=int, default=5)
-    p_explore.add_argument("--time-samples", type=int, default=0)
+    p_explore.add_argument("--depth", type=_count, default=5)
+    p_explore.add_argument("--time-samples", type=_count, default=0)
 
     p_check = sub.add_parser("check", help="parse and run static checks")
     p_check.add_argument("input", help="path to a .hyt model")
@@ -77,16 +87,27 @@ def _write(payload: str, out: Optional[str]) -> None:
 
 def static_diagnostics(program: Program) -> List[str]:
     """Continuous-variable sanity: every read/KEEP variable must be initialized,
-    and every name a ``change`` value or flow reads must be one something binds."""
+    every name a ``change`` value or flow reads must be one something binds, and
+    no guard may equate a continuous variable with a non-number."""
     initialized: set = set()
     kept: set = set()
     invariant_reads: set = set()
     mentioned: set = set()  # names in a tell or a guard: what can bind a change value
     change_reads = []  # (name, process)
+    issues = []
     processes = [(decl.name, decl.params, decl.body) for decl in program.declarations]
     if not isinstance(program.initial, Call):
         processes.append(("the initial agent", (), program.initial))
     for process, params, root in processes:
+        # guards are read as they run, scopes opened, so a bound name a change keeps is continuous
+        body = open_scopes(root, program.continuous, {})
+        continuous = continuous_names(body, program.continuous)
+        for agent in (a for a in nodes(body) if isinstance(a, (Choice, Now))):
+            for guard in (p for p in parts(agent) if isinstance(p, Constraint)):
+                try:
+                    split_guard(guard, continuous)
+                except MissingContinuousVariableError as exc:
+                    issues.append(str(exc))
         for agent in nodes(root):
             mentioned.update(*(p.variables() for p in parts(agent) if isinstance(p, Constraint)))
             if isinstance(agent, Change):
@@ -103,7 +124,6 @@ def static_diagnostics(program: Program) -> List[str]:
                     for a in inv.atoms:
                         if isinstance(a, LinCmp) or (isinstance(a, TermEq) and isinstance(a.term, Num)):
                             invariant_reads.add(a.var)
-    issues = []
     for var in sorted((kept | invariant_reads) - initialized):
         issues.append(f"uninitialized continuous variable {var}: read or kept before any change({var}, value, flow)")
     for var, process in change_reads:
@@ -113,6 +133,10 @@ def static_diagnostics(program: Program) -> List[str]:
 
 
 def cmd_run(args) -> int:
+    budget = os.environ.get("HYTCCP_DIVERGENCE_BUDGET", str(DEFAULT_DIVERGENCE_BUDGET))
+    if not budget.isdigit():
+        print(f"error: HYTCCP_DIVERGENCE_BUDGET is not a non-negative integer: {budget!r}", file=sys.stderr)
+        return 1
     program = _read_model(args.input)
     options = RunOptions(
         max_time=args.max_time,
@@ -120,16 +144,14 @@ def cmd_run(args) -> int:
         horizon=args.horizon,
         policy=args.policy,
         seed=args.seed,
-        divergence_budget=int(os.environ.get("HYTCCP_DIVERGENCE_BUDGET", DEFAULT_DIVERGENCE_BUDGET)),
+        divergence_budget=int(budget),
     )
     trace = run(program, options)
     payload = trace.to_jsonl() if args.format == "jsonl" else trace.to_csv()
     _write(payload, args.out)
-    terminal = trace.terminal
-    kind = terminal.kind if terminal else "unknown"
-    n_events = len(trace.events)
-    print(f"hytccp run: {n_events} events, terminal={kind}, clock={terminal.clock if terminal else '?'}", file=sys.stderr)
-    return 2 if kind in ("timelock", "instant_divergence") else 0
+    terminal = trace.terminal  # run always ends its trace with one
+    print(f"hytccp run: {len(trace.events)} events, terminal={terminal.kind}, clock={terminal.clock}", file=sys.stderr)
+    return 2 if terminal.kind in ("timelock", "instant_divergence") else 0
 
 
 def cmd_explore(args) -> int:
@@ -165,8 +187,10 @@ def cmd_parse(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a bad flag: an input error, 1 here
+        return 1 if exc.code else 0
     handlers = {"run": cmd_run, "explore": cmd_explore, "check": cmd_check, "parse": cmd_parse}
     try:
         return handlers[args.command](args)

@@ -187,7 +187,7 @@ def term_vars(t: Term) -> list:
 
 
 # ---------------------------------------------------------------------------
-# fresh names (used by hiding and by capture-avoiding agent substitution)
+# fresh names (used by hiding: semantics.open_scopes renames bound names to them)
 
 _fresh_counter = itertools.count(1)
 

@@ -35,7 +35,6 @@ from .syntax import (
     Tell,
     nodes,
     par,
-    substitute,
 )
 
 
@@ -66,11 +65,8 @@ def _step(
                 results.append((branch.body, store, cont))
         return results
     if isinstance(agent, Now):
-        if guard_holds(agent.guard, store, snapshot):
-            inner = _step(agent.then, store, cont, snapshot, program)
-            return inner if inner else [(agent.then, store, cont)]
-        inner = _step(agent.orelse, store, cont, snapshot, program)
-        return inner if inner else [(agent.orelse, store, cont)]
+        chosen = agent.then if guard_holds(agent.guard, store, snapshot) else agent.orelse
+        return _step(chosen, store, cont, snapshot, program) or [(chosen, store, cont)]
     if isinstance(agent, Parallel):
         lefts = _step(agent.left, store, cont, snapshot, program)
         results = []
@@ -88,8 +84,8 @@ def _step(
     if isinstance(agent, Call):
         results = []
         for decl in program.lookup(agent.name, len(agent.args)):
-            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), program.continuous)
-            results.append((body, store, cont))
+            mapping = {p: a for p, a in zip(decl.params, agent.args) if p != a}
+            results.append((open_scopes(decl.body, program.continuous, mapping), store, cont))
         return results
     raise TypeError(f"not an agent: {agent!r}")
 

@@ -5,9 +5,9 @@ Discrete steps are instantaneous and implement tell, choice, now, parallel
 Continuous steps advance every continuous variable by one shared duration
 and leave the agent and the discrete store untouched.  Time may pass only
 when no discrete step is enabled anywhere.  Hiding is renaming to generated
-names: ``open_scopes`` replaces every scope of the starting agent
-(``start_configuration``) and of each unfolded call body by its renamed
-body, so the step rules never meet a scope.  Agents the engine makes obey
+names: ``open_scopes``, one walk, opens every scope of the starting agent
+(``start_configuration``) and, as it renames parameters, of each unfolded
+call body, so the step rules never meet a scope.  Agents the engine makes obey
 ``A || stop == A`` (``syntax.par``), so stopped components do not pile up
 as a run goes on.
 """
@@ -29,7 +29,6 @@ from .constraints import (
     conj,
     entails,
     fresh_var,
-    is_fresh_name,
     solve,
     split_guard,
 )
@@ -60,7 +59,6 @@ from .syntax import (
     continuous_names,
     par,
     rebuild,
-    substitute,
 )
 
 DrawFn = Callable[[Fraction, Fraction], Fraction]
@@ -133,46 +131,39 @@ def eval_change_value(value, store: Constraint):
 
 def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
     """Replace random(lo,hi) placeholders in a told constraint by drawn values."""
-
-    def has_random(t: Term) -> bool:
-        if isinstance(t, RandomTerm):
-            return True
-        if isinstance(t, Cons):
-            return has_random(t.head) or has_random(t.tail)
-        return False
-
-    if not any(isinstance(a, TermEq) and has_random(a.term) for a in c.atoms):
-        return c
+    drawn = False
 
     def repl(t: Term) -> Term:
+        nonlocal drawn
         if isinstance(t, RandomTerm):
+            drawn = True
             return Num(draw(t.lo, t.hi))
         if isinstance(t, Cons):
             return Cons(repl(t.head), repl(t.tail))
         return t
 
     atoms = [TermEq(a.var, repl(a.term)) if isinstance(a, TermEq) else a for a in c.atoms]
-    return solve(atoms)
+    return solve(atoms) if drawn else c
 
 
 # ---------------------------------------------------------------------------
 # the discrete step relation
 
 
-def open_scopes(agent: Agent, continuous, mapping: Optional[dict] = None) -> Agent:
-    """Scope extrusion: each scope ``exists x (A)`` in ``agent`` becomes ``A[x'/x]``, x' fresh.
+def open_scopes(agent: Agent, continuous, mapping: dict) -> Agent:
+    """``agent`` with its free names renamed per ``mapping`` and each scope opened.
 
-    Every scope node goes (``exists x' (A) == A``): the body tells and reads
-    the one shared store.  Continuous variables are global and keep their
-    names: a bound name that the scope's body sets with ``change`` or passes
-    to a position in ``continuous`` (``Program.continuous``).  So do names
-    generated already.
+    One walk instantiates a call body (``mapping`` takes parameters to
+    arguments) or opens the starting agent.  Each scope ``exists x (A)``
+    becomes ``A[x'/x]``, x' fresh (``exists x' (A) == A``), once its bound
+    names drop out of ``mapping``.  A continuous x (set by ``change`` in A or
+    passed to a position in ``continuous``) is global and keeps its name,
+    unless a value of ``mapping`` spells it: keeping it would capture that value.
     """
-    mapping = mapping or {}
     if isinstance(agent, Hide):
-        kept = continuous_names(agent.body, continuous)
         mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
-        mapping.update((x, fresh_var(x)) for x in agent.vars if not is_fresh_name(x) and x not in kept)
+        kept = continuous_names(agent.body, continuous).difference(mapping.values())
+        mapping.update((x, fresh_var(x)) for x in agent.vars if x not in kept)
         return open_scopes(agent.body, continuous, mapping)
     return rebuild(agent, tuple(open_scopes(kid, continuous, mapping) for kid in children(agent)), mapping)
 
@@ -188,7 +179,7 @@ def start_configuration(program: Program, cfg: Optional[Configuration] = None) -
         cfg = Configuration(program.initial)
     if cfg.continuous.entries:
         raise ValueError("a run starts from an empty continuous store")
-    return replace(cfg, agent=open_scopes(cfg.agent, program.continuous))
+    return replace(cfg, agent=open_scopes(cfg.agent, program.continuous, {}))
 
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
@@ -228,10 +219,7 @@ def step_agent(
         cond = guard_holds(agent.guard, store, snapshot)
         chosen = agent.then if cond else agent.orelse
         side = "then" if cond else "else"
-        inner = step_agent(chosen, store, snapshot, program, draw, path + (side,))
-        if inner:
-            return inner
-        return [Outcome(chosen, TRUE, ())]
+        return step_agent(chosen, store, snapshot, program, draw, path + (side,)) or [Outcome(chosen, TRUE, ())]
 
     if isinstance(agent, Parallel):
         left = step_agent(agent.left, store, snapshot, program, draw, path + ("L",))
@@ -257,7 +245,8 @@ def step_agent(
         decls = program.lookup(agent.name, len(agent.args))
         outs = []
         for i, decl in enumerate(decls):
-            body = open_scopes(substitute(decl.body, dict(zip(decl.params, agent.args))), program.continuous)
+            mapping = {p: a for p, a in zip(decl.params, agent.args) if p != a}
+            body = open_scopes(decl.body, program.continuous, mapping)
             record = (ChoiceRecord(path + ("call:" + agent.name,), i, len(decls)),) if len(decls) > 1 else ()
             outs.append(Outcome(body, TRUE, (), record))
         return outs

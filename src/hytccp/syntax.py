@@ -23,7 +23,6 @@ from .constraints import (
     Cons,
     atom_text_order,
     format_rational,
-    fresh_var,
     solve,
 )
 
@@ -130,10 +129,11 @@ class Hide:
     """Scope agent ``exists vars (body)``.
 
     A scope has no store of its own.  Before the first step, and at each
-    process call for the unfolded body, the engine renames its bound names
-    to generated ones and puts the renamed body in its place
-    (``semantics.open_scopes``).  So scope nodes exist only in parser output
-    and declaration bodies, never in a running agent.
+    process call in the same walk that renames the parameters, the engine
+    renames its bound names to generated ones and puts the renamed body in
+    its place (``semantics.open_scopes``).  So scope nodes exist only in
+    parser output and declaration bodies, never in a running agent, and
+    never bind a generated name.
     """
 
     vars: Tuple[str, ...]
@@ -301,16 +301,15 @@ def nodes(agent: Agent) -> Iterator[Agent]:
 def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
     """The same node over sub-agents ``kids``, with its own names renamed per ``mapping``.
 
-    Bound names are renamed like any other: capture avoidance is up to the
-    caller.  A parallel node is rebuilt with ``par``.
+    Not for a scope: ``open_scopes``, the one walk that meets scopes,
+    replaces each by its renamed body instead.  A parallel node is rebuilt
+    with ``par``.
     """
     name = lambda n: mapping.get(n, n)
     if isinstance(agent, Tell):
         return Tell(rename_constraint(agent.constraint, mapping))
     if isinstance(agent, Parallel):
         return par(*kids)
-    if isinstance(agent, Hide):
-        return Hide(tuple(map(name, agent.vars)), kids[0])
     if isinstance(agent, Choice):
         return Choice(
             tuple(AskBranch(rename_atoms(b.guard, mapping), kid) for b, kid in zip(agent.ask_branches, kids)),
@@ -373,21 +372,6 @@ def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
     if not c.consistent or not mapping:
         return c
     return solve(rename_atoms(c, mapping).atoms)
-
-
-def substitute(agent: Agent, mapping: dict) -> Agent:
-    """Rename free variables of ``agent`` per ``mapping``, avoiding capture."""
-    mapping = {k: v for k, v in mapping.items() if k != v}
-    if not mapping:
-        return agent
-    if isinstance(agent, Hide):
-        # bound names shadow the mapping; one it would capture is renamed first
-        mapping = {k: v for k, v in mapping.items() if k not in agent.vars}
-        taken = set(mapping.values()) | set(mapping)
-        clash = {x: fresh_var(x) for x in agent.vars if x in taken}
-        if clash:
-            agent = rebuild(agent, (substitute(agent.body, clash),), clash)
-    return rebuild(agent, tuple(substitute(kid, mapping) for kid in children(agent)), mapping)
 
 
 # --- pretty printer (inverse of the parser on parsed ASTs)

@@ -62,6 +62,44 @@ def test_run_divergence_budget_env(tmp_path, monkeypatch):
     assert json.loads(open(out).read().strip().split("\n")[-1])["cause"] == "instant_divergence"
 
 
+@pytest.mark.parametrize("argv", [["run", "models/stop.hyt", "--bogus"], ["explore", "models/stop.hyt", "--depth", "x"]])
+def test_a_bad_flag_exits_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--horizon" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_run_rejects_a_non_positive_horizon(value, capsys):
+    assert main(["run", "models/timer.hyt", "--horizon", value]) == 1
+    assert f"argument --horizon: not a positive rational: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "models/stop.hyt", "--max-time", "-1"],
+        ["run", "models/stop.hyt", "--max-steps", "-1"],
+        ["explore", "models/stop.hyt", "--depth", "-1"],
+        ["explore", "models/stop.hyt", "--time-samples", "-1"],
+    ],
+    ids=lambda argv: argv[2],
+)
+def test_a_negative_bound_is_rejected(argv, capsys):
+    assert main(argv) == 1
+    assert f"argument {argv[2]}: not a non-negative" in capsys.readouterr().err
+
+
+def test_run_a_non_integer_divergence_budget_is_one_error_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HYTCCP_DIVERGENCE_BUDGET", "ten")
+    assert main(["run", "models/stop.hyt", "--out", str(tmp_path / "t.jsonl")]) == 1
+    assert capsys.readouterr().err == "error: HYTCCP_DIVERGENCE_BUDGET is not a non-negative integer: 'ten'\n"
+
+
 def test_run_csv_format(tmp_path):
     out = str(tmp_path / "trace.csv")
     assert main(["run", "models/timer.hyt", "--max-time", "120", "--format", "csv", "--out", out]) == 0
@@ -92,6 +130,21 @@ def test_run_renames_a_discrete_scope_name_that_another_declaration_changes(tmp_
     told = [atom for e in events for atom in e.get("told", [])]
     assert [atom.split("=")[0] for atom in told] == ["A#1", "T#2", "B#3", "T#4"]
     assert events[-1]["cause"] == "suspended"
+
+
+def test_run_renames_a_kept_continuous_scope_name_that_an_argument_spells(tmp_path):
+    # the argument T and p's bound continuous T are two variables: the bound
+    # one is renamed, so the guard reads the discrete T the tell binds
+    text = (
+        "p(X) :- exists T (change(T, 0, der(T) = 1) || tell(X = a))."
+        "  init :- p(T) || (ask(T = a) -> tell(Done = yes))."
+    )
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert events[-1]["cause"] == "all_stop"
+    assert any("Done=yes" in ev.get("told", ()) for ev in events)
+    assert [change[0] for ev in events for change in ev.get("changes", ())] == ["T#1"]
 
 
 def test_run_dam_four_periods(tmp_path):
@@ -140,6 +193,18 @@ def test_check_accepts_change_values_bound_by_tell_guard_or_parameter(tmp_path):
 @pytest.mark.parametrize("model", sorted(glob.glob("models/*.hyt")))
 def test_check_passes_the_shipped_models(model):
     assert main(["check", model]) == 0
+
+
+def test_check_flags_a_guard_equating_a_continuous_variable_with_a_non_number(tmp_path, capsys):
+    path = write(tmp_path, "g.hyt", "init :- change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10)).")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == "error: a guard equates continuous variable T with a non-number: T=a\n"
+
+
+def test_check_reads_a_guard_with_the_continuous_names_of_its_own_declaration(tmp_path):
+    # clk's T is continuous, p's T is not: p may equate its T with an atom
+    text = "clk(T) :- change(T, 0, der(T) = 1).  p(T) :- ask(T = a) -> stop.  init :- exists C, D (clk(C) || p(D))."
+    assert main(["check", write(tmp_path, "g.hyt", text)]) == 0
 
 
 def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):

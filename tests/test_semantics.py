@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hytccp.constraints import (
     TRUE,
@@ -21,13 +22,37 @@ from hytccp.semantics import (
     continuous_step,
     discrete_successors,
     guard_holds,
+    open_scopes,
     start_configuration,
     step_agent,
 )
 from hytccp.simulator import ContinuousEvent, RunOptions, run
-from hytccp.syntax import Call, Flow, Hide, Program, STOP, Stop, Tell, nodes, pretty
+from hytccp.syntax import (
+    Call,
+    Change,
+    Flow,
+    FlowSpec,
+    Hide,
+    LinExpr,
+    Program,
+    STOP,
+    Stop,
+    Tell,
+    free_vars,
+    nodes,
+    par,
+    pretty,
+)
+
+from generators import CONT_VARS, DISCRETE_VARS, random_agent
 
 EMPTY_PROGRAM = Program({}, (), STOP)
+
+agents = st.builds(
+    lambda seed, depth: random_agent(random.Random(seed), depth, CONT_VARS),
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+)
 
 
 def cfg_of(agent_text, store_text="true", cont=EMPTY_STORE):
@@ -126,6 +151,27 @@ def test_call_unfolds_with_parameter_substitution():
     (atom,) = cfg.discrete.atoms
     assert isinstance(atom, TermEq) and is_fresh_name(atom.var)
     assert atom.term == Atom("done")
+
+
+@given(agents)
+def test_open_scopes_empty_mapping_on_a_scope_free_agent_is_identity(agent):
+    scope_free = open_scopes(agent, frozenset(), {})
+    assert not any(isinstance(node, Hide) for node in nodes(scope_free))
+    assert open_scopes(scope_free, frozenset(), {}) == scope_free
+
+
+@given(agents, st.data())
+def test_open_scopes_renames_free_occurrences_without_capture(agent, data):
+    fv = free_vars(agent)
+    x = data.draw(st.sampled_from(sorted(fv | {"Absent"})))
+    # y is not free in the agent, but may be bound inside it, here also by a
+    # scope whose change keeps it: the mapping's value y must rename that
+    # binder, or y would name an occurrence x never had
+    y = data.draw(st.sampled_from([v for v in DISCRETE_VARS + CONT_VARS + ["New"] if v not in fv]))
+    kept = Change(y, Fraction(0), FlowSpec(y, LinExpr(((Fraction(1), None),))))
+    body = open_scopes(Hide((y,), par(kept, agent)), frozenset(), {x: y})
+    expected = (fv - {x}) | ({y} if x in fv else set())
+    assert {n for n in free_vars(body) if not is_fresh_name(n)} == expected
 
 
 def test_change_value_from_discrete_store():

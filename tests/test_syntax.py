@@ -1,19 +1,6 @@
-"""Agent traversal: pre-order nodes, free variables, capture-avoiding substitution;
-the program's continuous parameter positions."""
-import random
-
-from hypothesis import given, strategies as st
-
+"""Agent traversal: pre-order nodes; the program's continuous parameter positions."""
 from hytccp.parser import parse_agent, parse_program
-from hytccp.syntax import STOP, continuous_names, free_vars, nodes, substitute
-
-from generators import CONT_VARS, DISCRETE_VARS, random_agent
-
-agents = st.builds(
-    lambda seed, depth: random_agent(random.Random(seed), depth, CONT_VARS),
-    st.integers(0, 10**6),
-    st.integers(1, 4),
-)
+from hytccp.syntax import STOP, continuous_names, nodes
 
 
 def test_nodes_pre_order():
@@ -23,22 +10,6 @@ def test_nodes_pre_order():
     )
     kinds = [type(node).__name__ for node in nodes(agent)]
     assert kinds == ["Parallel", "Tell", "Hide", "Choice", "Stop", "Now", "Stop", "Call"]
-
-
-@given(agents)
-def test_substitute_empty_mapping_is_identity(agent):
-    assert substitute(agent, {}) is agent
-
-
-@given(agents, st.data())
-def test_substitute_renames_free_occurrences_without_capture(agent, data):
-    fv = free_vars(agent)
-    x = data.draw(st.sampled_from(sorted(fv | {"Absent"})))
-    # y is not free in the agent, but may be bound inside it: capture avoidance
-    # must rename that binder, or y would vanish from the free variables
-    y = data.draw(st.sampled_from([v for v in DISCRETE_VARS + ["New"] if v not in fv]))
-    expected = (fv - {x}) | ({y} if x in fv else set())
-    assert free_vars(substitute(agent, {x: y})) == expected
 
 
 # --- Program.continuous and continuous_names
