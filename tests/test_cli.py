@@ -195,9 +195,16 @@ def test_check_passes_the_shipped_models(model):
     assert main(["check", model]) == 0
 
 
-def test_check_flags_a_guard_equating_a_continuous_variable_with_a_non_number(tmp_path, capsys):
-    path = write(tmp_path, "g.hyt", "init :- change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10)).")
-    assert main(["check", path]) == 1
+@pytest.mark.parametrize(
+    "text",
+    [
+        "init :- change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10)).",
+        "init :- exists T (change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10))).",
+    ],
+    ids=["free", "bound_and_kept"],
+)
+def test_check_flags_a_guard_equating_a_continuous_variable_with_a_non_number(tmp_path, capsys, text):
+    assert main(["check", write(tmp_path, "g.hyt", text)]) == 1
     assert capsys.readouterr().err == "error: a guard equates continuous variable T with a non-number: T=a\n"
 
 
