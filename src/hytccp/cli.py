@@ -14,12 +14,12 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, TermEq, format_rational, split_guard
+from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, format_rational, split_guard
 from .flows import UninitializedContinuousVariableError
 from .parser import ParseError, parse_program
 from .semantics import EvaluationError, open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
-from .syntax import Call, Change, Choice, FlowSpec, KEEP, Now, Program, continuous_names, nodes, parts, pretty
+from .syntax import Call, Change, Choice, FlowSpec, KEEP, Now, Program, continuous_names, nodes, parts, position_fixpoint, pretty
 
 
 def _number(parse, ok, what: str):
@@ -85,13 +85,30 @@ def _write(payload: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
+def _unset_reads(agent, positions) -> set:
+    """The names ``agent`` reads as continuous values (in an ``ask~`` atom, kept
+    by a ``change`` or passed to a position in ``positions``) but never sets
+    with a full ``change``."""
+    read, full = set(), set()
+    for node in nodes(agent):
+        if isinstance(node, Change):
+            (read if node.value is KEEP or node.flow is KEEP else full).add(node.var)
+        elif isinstance(node, Choice):
+            read.update(a.var for inv in node.cont_branches for a in inv.atoms if isinstance(a, LinCmp) or isinstance(a.term, Num))
+        elif isinstance(node, Call):
+            read.update(arg for i, arg in enumerate(node.args) if (node.name, len(node.args), i) in positions)
+    return read - full
+
+
 def static_diagnostics(program: Program) -> List[str]:
-    """Continuous-variable sanity: every read/KEEP variable must be initialized,
-    every name a ``change`` value or flow reads must be one something binds, and
-    no guard may equate a continuous variable with a non-number."""
+    """Continuous-variable sanity: every variable read or kept must be
+    initialized (a parameter by each caller's argument), every name a
+    ``change`` value or flow reads must be one something binds, and no guard
+    may equate a continuous variable with a non-number."""
+    # a parameter its declaration reads and never sets: each call's argument is read there
+    positions = position_fixpoint(program.declarations, _unset_reads)
     initialized: set = set()
-    kept: set = set()
-    invariant_reads: set = set()
+    reads: set = set()
     mentioned: set = set()  # names in a tell or a guard: what can bind a change value
     change_reads = []  # (name, process)
     issues = []
@@ -108,23 +125,17 @@ def static_diagnostics(program: Program) -> List[str]:
                     split_guard(guard, continuous)
                 except MissingContinuousVariableError as exc:
                     issues.append(str(exc))
+        reads |= _unset_reads(root, positions) - set(params)
         for agent in nodes(root):
             mentioned.update(*(p.variables() for p in parts(agent) if isinstance(p, Constraint)))
             if isinstance(agent, Change):
-                if agent.value is KEEP or agent.flow is KEEP:
-                    kept.add(agent.var)
-                else:
+                if agent.value is not KEEP and agent.flow is not KEEP:
                     initialized.add(agent.var)
-                reads = {agent.value} if isinstance(agent.value, str) else set()
+                values = {agent.value} if isinstance(agent.value, str) else set()
                 if isinstance(agent.flow, FlowSpec):
-                    reads |= agent.flow.expr.variables() - {agent.flow.var}
-                change_reads += [(x, process) for x in sorted(reads - set(params))]
-            elif isinstance(agent, Choice):
-                for inv in agent.cont_branches:
-                    for a in inv.atoms:
-                        if isinstance(a, LinCmp) or (isinstance(a, TermEq) and isinstance(a.term, Num)):
-                            invariant_reads.add(a.var)
-    for var in sorted((kept | invariant_reads) - initialized):
+                    values |= agent.flow.expr.variables() - {agent.flow.var}
+                change_reads += [(x, process) for x in sorted(values - set(params))]
+    for var in sorted(reads - initialized):
         issues.append(f"uninitialized continuous variable {var}: read or kept before any change({var}, value, flow)")
     for var, process in change_reads:
         if var not in mentioned:

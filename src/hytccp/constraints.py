@@ -1,11 +1,11 @@
 """Cylindric constraint system over Herbrand terms and single-variable comparisons.
 
-One concrete instantiation: term equations in solved form (covering atoms,
-numbers and open-ended streams) plus comparisons of a single variable against
-a rational constant.  Conjunction and entailment are the lattice operations;
-inconsistency is a value (FALSE), never an exception.  Hiding lives in the
-engine: a scope's bound names become generated ones, which its body tells in
-the one shared store and which ``entails`` matches as guard placeholders.
+One concrete instantiation: term equations (atoms, numbers, open-ended
+streams) and comparisons of a single variable against a rational constant,
+in solved form in a store only.  Conjunction and entailment are the lattice
+operations; inconsistency is a value (FALSE), never an exception.  Hiding
+lives in the engine: a scope's bound names become generated ones, which its
+body tells in the one shared store and which ``entails`` matches as placeholders.
 
 Terms and atomic constraints are immutable; they cache their hash (and their
 variable sets) at construction because stores grow monotonically and the same
@@ -228,7 +228,7 @@ OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
 class TermEq:
-    """Equation in solved form: a variable equals a term."""
+    """Equation: a variable equals a term (in a store, its final term)."""
 
     __slots__ = ("var", "term", "_hash", "_vars")
 
@@ -349,7 +349,7 @@ def compare(value, op: str, bound) -> bool:
 
 
 class Constraint:
-    """Finite conjunction of atomic constraints: solved for a store or a tell, as written for a guard.
+    """Finite conjunction of atomic constraints: solved for a store (``conj``), as written for a tell or a guard.
 
     ``consistent=False`` marks the absorbing false element; its atom set is
     empty by convention.
@@ -489,21 +489,17 @@ def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
 
 
 def conj(c: Constraint, d: Constraint) -> Constraint:
-    """Merge two constraints; false is absorbing."""
+    """The solved store ``c`` extended by ``d``, any constraint: the one place atoms are solved."""
     if not c.consistent or not d.consistent:
         return FALSE
     if d.atoms <= c.atoms:
         return c
-    if c.atoms <= d.atoms:
-        return d
     return _conj_solved(c, d)
 
 
 @lru_cache(maxsize=16384)
 def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
-    """Merge two solved, mutually non-subsuming constraints by extending the larger one."""
-    if len(d.atoms) > len(c.atoms):
-        c, d = d, c
+    """The solved store ``c`` extended by the atoms of ``d``, which ``c`` does not hold all of."""
     return _merge(c, d.atoms)
 
 
@@ -564,6 +560,12 @@ def _merge(c: Constraint, atoms: Iterable[AtomicConstraint]) -> Constraint:
         if not _resolve_cmp(cmp_, subst, solved):
             return FALSE
     return Constraint(frozenset(solved))
+
+
+def bound_number(store: Constraint, name: str) -> Optional[Fraction]:
+    """The number the store binds ``name`` to, or None."""
+    term = store.bindings().get(name)  # a solved store binds a name to its final term
+    return term.value if isinstance(term, Num) else None
 
 
 @lru_cache(maxsize=65536)

@@ -31,7 +31,6 @@ from .constraints import (
     NIL,
     WILDCARD,
     RandomTerm,
-    solve,
 )
 from .syntax import (
     Agent,
@@ -279,7 +278,7 @@ class Parser:
             return STOP
         if self.accept("tell"):
             self.expect("(")
-            c = self.parse_constraint(guard=False)
+            c = self.parse_constraint(allow_wildcard=False)
             self.expect(")")
             return Tell(c)
         if self.at("change"):
@@ -338,20 +337,18 @@ class Parser:
 
     # -- constraints
 
-    def parse_constraint(self, guard: bool = True) -> Constraint:
-        """A guard keeps its atoms as written and may hold wildcards; a tell is solved."""
+    def parse_constraint(self, allow_wildcard: bool = True) -> Constraint:
+        """A constraint, its atoms as written; only a guard may hold wildcards."""
         atoms = []
         falsy = False
         while True:
             if self.accept("false"):
                 falsy = True
             elif not self.accept("true"):
-                atoms.append(self.parse_atomic(guard))
+                atoms.append(self.parse_atomic(allow_wildcard))
             if not self.accept("/\\"):
                 break
-        if falsy:
-            return FALSE
-        return Constraint(frozenset(atoms)) if guard else solve(atoms)
+        return FALSE if falsy else Constraint(frozenset(atoms))
 
     def parse_atomic(self, allow_wildcard: bool):
         var = self.variable_name()

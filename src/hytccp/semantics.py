@@ -9,7 +9,8 @@ names: ``open_scopes``, one walk, opens every scope of the starting agent
 (``start_configuration``) and, as it renames parameters, of each unfolded
 call body, so the step rules never meet a scope.  Agents the engine makes obey
 ``A || stop == A`` (``syntax.par``), so stopped components do not pile up
-as a run goes on.
+as a run goes on.  A step's increment is the atoms of its tells as written,
+renamed, draws substituted: only ``conj`` solves them, into the store.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import (
     Constraint,
+    FALSE,
     TRUE,
     Num,
     Cons,
@@ -26,10 +28,10 @@ from .constraints import (
     Term,
     TermEq,
     LinCmp,
+    bound_number,
     conj,
     entails,
     fresh_var,
-    solve,
     split_guard,
 )
 from .flows import (
@@ -102,10 +104,10 @@ class Outcome:
 
 
 def _lookup_number(name: str, store: Constraint) -> Fraction:
-    term = store.bindings().get(name)  # a solved store binds a name to its final term
-    if isinstance(term, Num):
-        return term.value
-    raise EvaluationError(f"variable {name} is not bound to a number")
+    value = bound_number(store, name)
+    if value is None:
+        raise EvaluationError(f"variable {name} is not bound to a number")
+    return value
 
 
 def eval_flow(spec: FlowSpec, store: Constraint) -> Flow:
@@ -130,7 +132,7 @@ def eval_change_value(value, store: Constraint):
 
 
 def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
-    """Replace random(lo,hi) placeholders in a told constraint by drawn values."""
+    """A tell's atoms with each random(lo,hi) placeholder replaced by a drawn value, not solved."""
     drawn = False
 
     def repl(t: Term) -> Term:
@@ -142,8 +144,8 @@ def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
             return Cons(repl(t.head), repl(t.tail))
         return t
 
-    atoms = [TermEq(a.var, repl(a.term)) if isinstance(a, TermEq) else a for a in c.atoms]
-    return solve(atoms) if drawn else c
+    atoms = frozenset(TermEq(a.var, repl(a.term)) if isinstance(a, TermEq) else a for a in c.atoms)
+    return Constraint(atoms) if drawn else c
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,8 @@ def step_agent(
             return [
                 Outcome(
                     par(a.agent, b.agent),
-                    conj(a.told, b.told),
+                    # both increments' atoms, unsolved; false if either side is
+                    Constraint(a.told.atoms | b.told.atoms) if a.told.consistent and b.told.consistent else FALSE,
                     a.changes + b.changes,
                     a.choices + b.choices,
                 )

@@ -279,17 +279,15 @@ def explore(
     depth: int,
     time_samples: int = 0,
     state_cap: int = 100_000,
-    initial: Optional[Configuration] = None,
-    horizon: Optional[Fraction] = Fraction(10**6),
 ) -> ReachabilityReport:
     """Breadth-first reachable set up to ``depth`` combined steps.
 
-    The search starts from ``initial`` (by default the initial agent) with
-    its scopes opened.  Continuous steps use the earliest-event delay plus
-    ``time_samples`` extra durations sampled inside (0, tau).
+    The search starts from the initial agent with its scopes opened.
+    Continuous steps use the earliest-event delay, up to a horizon of 10**6,
+    plus ``time_samples`` extra durations sampled inside (0, tau).
     """
     reset_fresh_counter()
-    cfg0 = start_configuration(program, initial)
+    cfg0 = start_configuration(program)
     key0 = canonical_key(cfg0)
     seen = {key0}
     frontier = [cfg0]
@@ -297,7 +295,7 @@ def explore(
     for _ in range(depth):
         nxt: List[Configuration] = []
         for cfg in frontier:
-            for succ in _explore_successors(cfg, program, time_samples, horizon):
+            for succ in _explore_successors(cfg, program, time_samples):
                 key = canonical_key(succ)
                 if key not in seen:
                     if len(seen) >= state_cap:
@@ -311,11 +309,11 @@ def explore(
     return ReachabilityReport(seen, depth, complete, key0)
 
 
-def _explore_successors(cfg: Configuration, program: Program, time_samples: int, horizon) -> List[Configuration]:
+def _explore_successors(cfg: Configuration, program: Program, time_samples: int) -> List[Configuration]:
     succs = [c for c, _ in discrete_successors(cfg, program)]
     if succs:
         return succs
-    result = compute_delay(cfg, program, horizon)
+    result = compute_delay(cfg, program, Fraction(10**6))
     if result.kind != "delay":
         return []
     tau = result.outcome.tau

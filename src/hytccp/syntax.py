@@ -23,7 +23,6 @@ from .constraints import (
     Cons,
     atom_text_order,
     format_rational,
-    solve,
 )
 
 
@@ -216,20 +215,22 @@ class Program:
         """The continuous parameter positions ``(name, arity, index)``.
 
         A position is continuous if its declaration's body sets the parameter
-        with ``change`` or passes it to a continuous position (a fixpoint).
-        Keyed by position: a parameter name another declaration changes stays
-        discrete.
+        with ``change`` or passes it to a continuous position.  Keyed by
+        position: a parameter name another declaration changes stays discrete.
         """
-        positions, found = None, frozenset()
-        while found != positions:
-            positions = found
-            found = frozenset(
-                (d.name, len(d.params), i)
-                for d in self.declarations
-                for i, p in enumerate(d.params)
-                if p in continuous_names(d.body, positions)
-            )
-        return found
+        return position_fixpoint(self.declarations, continuous_names)
+
+
+def position_fixpoint(declarations, names) -> frozenset:
+    """The least set of parameter positions ``(name, arity, index)`` holding
+    each parameter that ``names(body, positions)`` finds in its declaration."""
+    positions, found = None, frozenset()
+    while found != positions:
+        positions = found
+        found = frozenset(
+            (d.name, len(d.params), i) for d in declarations for i, p in enumerate(d.params) if p in names(d.body, positions)
+        )
+    return found
 
 
 def continuous_names(agent: Agent, positions) -> set:
@@ -307,7 +308,7 @@ def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
     """
     name = lambda n: mapping.get(n, n)
     if isinstance(agent, Tell):
-        return Tell(rename_constraint(agent.constraint, mapping))
+        return Tell(rename_atoms(agent.constraint, mapping))
     if isinstance(agent, Parallel):
         return par(*kids)
     if isinstance(agent, Choice):
@@ -351,10 +352,11 @@ def _rename_term(t: Term, mapping: dict) -> Term:
 
 
 def rename_atoms(c: Constraint, mapping: dict) -> Constraint:
-    """``c`` renamed atom by atom, not re-solved.
+    """``c`` renamed atom by atom, not solved.
 
-    Guards are renamed this way: a guard is its atoms as written, whether
-    parsed or renamed at a call, and ``entails`` alone says what they mean.
+    Tells and guards are renamed this way: each is its atoms as written,
+    whether parsed or renamed at a call.  ``conj`` alone solves a tell, and
+    ``entails`` alone says what a guard means.
     """
     if not c.consistent or not mapping:
         return c
@@ -365,13 +367,6 @@ def rename_atoms(c: Constraint, mapping: dict) -> Constraint:
         else:
             atoms.append(LinCmp(mapping.get(a.var, a.var), a.op, a.bound))
     return Constraint(frozenset(atoms))
-
-
-def rename_constraint(c: Constraint, mapping: dict) -> Constraint:
-    """``c`` renamed and brought back to solved form (tells and stores)."""
-    if not c.consistent or not mapping:
-        return c
-    return solve(rename_atoms(c, mapping).atoms)
 
 
 # --- pretty printer (inverse of the parser on parsed ASTs)

@@ -27,7 +27,6 @@ from hytccp.constraints import (
     TermEq,
     Var,
     WILDCARD,
-    solve,
 )
 from hytccp.parser import parse_program
 from hytccp.syntax import (
@@ -63,7 +62,7 @@ def _term(rng: random.Random, wildcard_ok: bool):
 
 
 def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
-    """A guard (``wildcard_ok``) as the parser keeps one, its atoms as written; else a solved tell.
+    """A guard (``wildcard_ok``) or a tell as the parser keeps one: its atoms as written.
 
     A tell takes two distinct left-hand variables; a guard's second may
     repeat its first.  Both draws take from ``rng`` what ``rng.sample`` would.
@@ -83,7 +82,7 @@ def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
             atoms.append(TermEq(var, Num(bound)) if op == "=" else LinCmp(var, op, bound))
         else:
             atoms.append(TermEq(lhs[i], _term(rng, wildcard_ok)))
-    return Constraint(frozenset(atoms)) if wildcard_ok else solve(atoms)
+    return Constraint(frozenset(atoms))
 
 
 def _flow(rng: random.Random, var: str) -> FlowSpec:
@@ -115,7 +114,7 @@ def random_agent(rng: random.Random, depth: int, cont_vars):
         if rng.random() < 0.5:
             if cont_vars and rng.random() < 0.7:
                 invariants = (
-                    solve([LinCmp(rng.choice(cont_vars), rng.choice(["<=", "<"]), Fraction(rng.randint(1, 10)))]),
+                    Constraint(frozenset({LinCmp(rng.choice(cont_vars), rng.choice(["<=", "<"]), Fraction(rng.randint(1, 10)))})),
                 )
             else:
                 invariants = (TRUE,)
@@ -138,7 +137,7 @@ def random_program(seed: int, max_depth: int = 3) -> Program:
     rng = random.Random(seed)
     cont_vars = CONT_VARS[: rng.randint(0, 3)]
     body = random_agent(rng, rng.randint(1, max_depth), cont_vars)
-    go = solve([TermEq("Go", Atom("go"))])
+    go = Constraint(frozenset({TermEq("Go", Atom("go"))}))
     agent = Tell(go)
     for var in cont_vars:
         agent = Parallel(agent, Change(var, Fraction(rng.randint(0, 5)), _flow(rng, var)))

@@ -195,6 +195,43 @@ def test_check_passes_the_shipped_models(model):
     assert main(["check", model]) == 0
 
 
+CLOCK_AND_READER = "clk(T) :- change(T, 0, der(T) = 1) || q(T).  q(S) :- ask~(S =< 3) + ask(S = 3) -> stop.  "
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        CLOCK_AND_READER + "init :- clk(C).",
+        "heat(X) :- ask~(X =< 22) + ask(X >= 22) -> (change(X, _, der(X) = 0 - X/146) || cool(X)).\n"
+        "cool(X) :- ask~(X >= 18) + ask(X =< 18) -> (change(X, _, der(X) = 100/146 - X/146) || heat(X)).\n"
+        "init :- exists T (change(T, 20, der(T) = 100/146 - T/146) || heat(T)).",
+    ],
+    ids=["reader_of_a_clock", "heat_cool"],
+)
+def test_check_reads_a_parameter_through_each_call(tmp_path, text):
+    # a parameter read in ask~ or kept with _ is initialized by the caller's argument
+    path = write(tmp_path, "p.hyt", text)
+    assert main(["check", path]) == 0
+    assert main(["run", path, "--max-time", "100", "--out", str(tmp_path / "t.jsonl")]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("p(X) :- ask~(X =< 3).  init :- exists Y (p(Y)).", "Y"),
+        (CLOCK_AND_READER + "init :- clk(C) || exists D (q(D)).", "D"),
+    ],
+    ids=["unset_argument", "unset_argument_beside_a_clock"],
+)
+def test_check_flags_an_argument_read_through_a_parameter(tmp_path, capsys, text, name):
+    path = write(tmp_path, "p.hyt", text)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: uninitialized continuous variable {name}: read or kept before any change({name}, value, flow)\n"
+    )
+    assert main(["run", path, "--out", str(tmp_path / "t.jsonl")]) == 2  # timelock
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -282,6 +319,17 @@ def test_run_placeholder_takes_its_value_only_from_the_store(tmp_path):
 def test_check_empty_file(tmp_path):
     path = write(tmp_path, "empty.hyt", "")
     assert main(["check", path]) == 1
+
+
+def test_a_tell_is_kept_as_written_and_told_renamed(tmp_path, capsys):
+    # renamed onto one argument, the tell fails the occurs check only in the store
+    path = write(tmp_path, "p.hyt", "p(A, B) :- tell(A = Z /\\ Z = [a|B]).  init :- exists X (p(X, X)).")
+    assert main(["parse", path]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "p(A, B) :- tell(A = Z /\\ Z = [a|B])."
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", path, "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert [ev["told"] for ev in events if ev.get("told")] == [["X#1=Z", "Z=[a|X#1]"]]
 
 
 def test_parse_output_reparses(tmp_path):

@@ -126,6 +126,14 @@ def test_conj_idempotent_and_units(a):
     assert conj(a, FALSE) is FALSE
 
 
+@given(constraints_st, atoms_st)
+@example(TRUE, [TermEq("X", Var("Y")), TermEq("Y", Atom("a"))])
+@example(c("X = 3"), [TermEq("Y", Var("X")), LinCmp("Y", "<", Fraction(2))])
+def test_conj_solves_a_tell_as_written(store, atoms):
+    # a tell keeps its atoms as written (no _): conj alone solves them
+    assert conj(store, Constraint(frozenset(atoms))) == conj(store, solve(atoms))
+
+
 # --- entailment
 
 

@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module, and only the
-parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``.
+"""Every name a package module imports is used in that module, only the
+parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
+and only ``constraints`` names the solved form (``solve``, ``_merge``,
+``bindings``).
 
 No linter ships with the project, so these are the checks that keep dead
-imports out and scopes out of the engine.  ``__init__.py`` is exempt: its
-imports are the public API.
+imports out, scopes out of the engine and the solved form private to the
+store.  ``__init__.py`` is exempt from the first: its imports are the public
+API.
 """
 import ast
 from pathlib import Path
@@ -77,4 +80,28 @@ def test_only_parser_syntax_and_open_scopes_name_hide():
         for path in SRC.glob("*.py")
         if path.name not in HIDE_MODULES
     }
+    assert {name: lines for name, lines in mentions.items() if lines} == {}
+
+
+SOLVED_FORM = {"solve", "_merge", "bindings"}
+
+
+def solved_form_mentions(source: str) -> list:
+    """Lines that name ``solve``, ``_merge`` or ``bindings``, as a name, an attribute or an import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id in SOLVED_FORM
+        or isinstance(node, ast.Attribute) and node.attr in SOLVED_FORM
+        or isinstance(node, ast.ImportFrom) and SOLVED_FORM.intersection(alias.name for alias in node.names)
+    )
+
+
+def test_detector_finds_the_solved_form():
+    source = "from .constraints import (\n    conj,\n    solve,\n)\nx = store.bindings()\ny = _merge\nz = solved\n"
+    assert solved_form_mentions(source) == [1, 5, 6]
+
+
+def test_only_constraints_names_the_solved_form():
+    mentions = {path.name: solved_form_mentions(path.read_text()) for path in SRC.glob("*.py") if path.name != "constraints.py"}
     assert {name: lines for name, lines in mentions.items() if lines} == {}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hytccp.constraints import Atom, Cons, LinCmp, NIL, Num, TermEq, Var, WILDCARD
+from hytccp.constraints import TRUE, Atom, Cons, LinCmp, NIL, Num, TermEq, Var, WILDCARD, conj
 from hytccp.parser import ParseError, parse_agent, parse_constraint, parse_program
 from hytccp.syntax import (
     Call,
@@ -62,9 +62,11 @@ def test_guards_keep_their_atoms_as_written():
     now = parse_agent(f"now {text} then stop else stop")
     for guard in (choice.ask_branches[0].guard, choice.cont_branches[0], now.guard):
         assert guard.atoms == written
-    # a tell is solved
+    # a tell keeps its atoms as written too, and conj solves them
     stream = Cons(Atom("a"), Var("T"))
-    assert parse_agent("tell(A = Z /\\ A = [a|T])").constraint.bindings() == {"A": stream, "Z": stream}
+    tell = parse_agent("tell(A = Z /\\ A = [a|T])").constraint
+    assert tell.atoms == frozenset({TermEq("A", Var("Z")), TermEq("A", stream)})
+    assert conj(TRUE, tell).bindings() == {"A": stream, "Z": stream}
 
 
 def test_random_term_bounds_checked():
