@@ -1,5 +1,8 @@
 """Command-line driver: parse, check, run and explore .hyt models.
 
+``check`` opens scopes as ``run`` does, follows each name's roles
+(``syntax.uses``) through parameters, and spells names as the model wrote them.
+
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
 1 tool, input or runtime model error (missing file, parse error, a bad flag or
 HYTCCP_DIVERGENCE_BUDGET, an unbound change value, random() under explore),
@@ -12,14 +15,14 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-from .constraints import Constraint, LinCmp, MissingContinuousVariableError, Num, format_rational, split_guard
+from .constraints import MissingContinuousVariableError, Num, TermEq, as_written, format_rational, fresh_var
 from .flows import UninitializedContinuousVariableError
 from .parser import ParseError, parse_program
 from .semantics import EvaluationError, open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
-from .syntax import Call, Change, Choice, FlowSpec, KEEP, Now, Program, continuous_names, nodes, parts, position_fixpoint, pretty
+from .syntax import GUARD, INVARIANT, KEPT, READ, SET, TELL, Declaration, Program, position_fixpoint, pretty, uses
 
 
 def _number(parse, ok, what: str):
@@ -85,62 +88,61 @@ def _write(payload: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
 
 
-def _unset_reads(agent, positions) -> set:
-    """The names ``agent`` reads as continuous values (in an ``ask~`` atom, kept
-    by a ``change`` or passed to a position in ``positions``) but never sets
-    with a full ``change``."""
-    read, full = set(), set()
-    for node in nodes(agent):
-        if isinstance(node, Change):
-            (read if node.value is KEEP or node.flow is KEEP else full).add(node.var)
-        elif isinstance(node, Choice):
-            read.update(a.var for inv in node.cont_branches for a in inv.atoms if isinstance(a, LinCmp) or isinstance(a.term, Num))
-        elif isinstance(node, Call):
-            read.update(arg for i, arg in enumerate(node.args) if (node.name, len(node.args), i) in positions)
-    return read - full
+def _roles(body) -> Iterator[tuple]:
+    """The ``uses`` of an opened body, a tell or a guard read as its names.
+
+    A name a guard atom equates with a non-number also has that atom as a role.
+    """
+    for item, role in uses(body):
+        if isinstance(item, str):
+            yield item, role
+            continue
+        yield from ((x, role) for x in item.variables())
+        if role is GUARD:
+            for atom in item.atoms:
+                if isinstance(atom, TermEq) and not isinstance(atom.term, Num):
+                    yield from ((x, atom) for x in atom.variables())
 
 
 def static_diagnostics(program: Program) -> List[str]:
-    """Continuous-variable sanity: every variable read or kept must be
-    initialized (a parameter by each caller's argument), every name a
-    ``change`` value or flow reads must be one something binds, and no guard
-    may equate a continuous variable with a non-number."""
-    # a parameter its declaration reads and never sets: each call's argument is read there
-    positions = position_fixpoint(program.declarations, _unset_reads)
-    initialized: set = set()
-    reads: set = set()
-    mentioned: set = set()  # names in a tell or a guard: what can bind a change value
-    change_reads = []  # (name, process)
-    issues = []
-    processes = [(decl.name, decl.params, decl.body) for decl in program.declarations]
-    if not isinstance(program.initial, Call):
-        processes.append(("the initial agent", (), program.initial))
-    for process, params, root in processes:
-        # guards are read as they run, scopes opened, so a bound name a change keeps is continuous
-        body = open_scopes(root, program.continuous, {})
-        continuous = continuous_names(body, program.continuous)
-        for agent in (a for a in nodes(body) if isinstance(a, (Choice, Now))):
-            for guard in (p for p in parts(agent) if isinstance(p, Constraint)):
-                try:
-                    split_guard(guard, continuous)
-                except MissingContinuousVariableError as exc:
-                    issues.append(str(exc))
-        reads |= _unset_reads(root, positions) - set(params)
-        for agent in nodes(root):
-            mentioned.update(*(p.variables() for p in parts(agent) if isinstance(p, Constraint)))
-            if isinstance(agent, Change):
-                if agent.value is not KEEP and agent.flow is not KEEP:
-                    initialized.add(agent.var)
-                values = {agent.value} if isinstance(agent.value, str) else set()
-                if isinstance(agent.flow, FlowSpec):
-                    values |= agent.flow.expr.variables() - {agent.flow.var}
-                change_reads += [(x, process) for x in sorted(values - set(params))]
-    for var in sorted(reads - initialized):
-        issues.append(f"uninitialized continuous variable {var}: read or kept before any change({var}, value, flow)")
-    for var, process in change_reads:
-        if var not in mentioned:
-            issues.append(f"unbound change value {var} in {process}: no tell or guard mentions it")
-    return issues
+    """Continuous-variable sanity, read from one program-wide table of each name's roles.
+
+    Declaration bodies (parameters renamed to generated names) and the initial
+    agent are opened as ``run`` opens them.  A name has its ``_roles`` and, at
+    each call, those of the parameter it is passed to.  A name read in ``ask~``
+    or kept must be fully set, a continuous one must not be equated in a guard
+    with a non-number, and a ``change`` must read only names a tell or a guard
+    mentions.
+    """
+    opened = []
+    for d in program.declarations:
+        params = tuple(map(fresh_var, d.params))  # so a scope's kept continuous name is not a parameter
+        opened.append(Declaration(d.name, params, open_scopes(d.body, program.continuous, dict(zip(d.params, params)))))
+    positions = position_fixpoint(opened, _roles)
+    initial = Declaration("the initial agent", (), open_scopes(program.initial, program.continuous, {}))
+    table: dict = {}  # name -> its roles, directly and through positions
+    reader: dict = {}  # name -> the first process whose change reads it
+    for d in (*opened, initial):
+        for name, role in _roles(d.body):
+            if name not in d.params:
+                found = positions.get(role, ()) if isinstance(role, tuple) else (role,)
+                table.setdefault(name, set()).update(found)
+                if READ in found:
+                    reader.setdefault(name, d.name)
+    issues = set()
+    for x, roles in table.items():
+        name = as_written(x)
+        if SET in roles or KEPT in roles:
+            issues.update(
+                f"a guard equates continuous variable {name} with a non-number: {as_written(str(atom))}"
+                for atom in roles
+                if isinstance(atom, TermEq)
+            )
+        if (INVARIANT in roles or KEPT in roles) and SET not in roles:
+            issues.add(f"uninitialized continuous variable {name}: read or kept before any change({name}, value, flow)")
+        if READ in roles and TELL not in roles and GUARD not in roles:
+            issues.add(f"unbound change value {name} in {reader[x]}: no tell or guard mentions it")
+    return sorted(issues)
 
 
 def cmd_run(args) -> int:
@@ -212,7 +214,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {args.input}:{exc}", file=sys.stderr)
         return 1
     except (EvaluationError, UninitializedContinuousVariableError, MissingContinuousVariableError) as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
+        print(f"error: {args.input}: {as_written(str(exc))}", file=sys.stderr)
         return 1
 
 

@@ -201,6 +201,11 @@ def is_fresh_name(name: str) -> bool:
     return "#" in name
 
 
+def as_written(text: str) -> str:
+    """``text`` with each generated name spelled as the model wrote it: ``X`` for ``X#2``."""
+    return re.sub(r"#\d+", "", text)
+
+
 # a generated name inside printed text
 FRESH_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*#\d+")
 

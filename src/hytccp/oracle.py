@@ -56,7 +56,7 @@ def _step(
         return [(STOP, conj(store, agent.constraint), cont)]
     if isinstance(agent, Change):
         value = eval_change_value(agent.value, store)
-        flow = agent.flow if agent.flow is KEEP else eval_flow(agent.flow, store)
+        flow = agent.flow if agent.flow is KEEP else eval_flow(agent.var, agent.flow, store)
         return [(STOP, store, apply_change(cont, agent.var, value, flow))]
     if isinstance(agent, Choice):
         results = []

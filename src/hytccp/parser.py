@@ -39,7 +39,6 @@ from .syntax import (
     Change,
     Choice,
     Declaration,
-    FlowSpec,
     Hide,
     KEEP,
     LinExpr,
@@ -321,7 +320,7 @@ class Parser:
             if dvar != var:
                 self.error(f"der({dvar}) does not match changed variable {var}")
             self.expect("=")
-            flow = FlowSpec(var, self.parse_linexpr())
+            flow = self.parse_linexpr()
         self.expect(")")
         return Change(var, value, flow)
 

@@ -48,9 +48,9 @@ from .syntax import (
     Change,
     Choice,
     Flow,
-    FlowSpec,
     Hide,
     KEEP,
+    LinExpr,
     Now,
     Parallel,
     Program,
@@ -110,13 +110,14 @@ def _lookup_number(name: str, store: Constraint) -> Fraction:
     return value
 
 
-def eval_flow(spec: FlowSpec, store: Constraint) -> Flow:
+def eval_flow(x: str, expr: LinExpr, store: Constraint) -> Flow:
+    """The flow ``d(x)/dt = expr``, its other variables read from ``store``."""
     a = Fraction(0)
     b = Fraction(0)
-    for coef, var in spec.expr.terms:
+    for coef, var in expr.terms:
         if var is None:
             a += coef
-        elif var == spec.var:
+        elif var == x:
             b += coef
         else:
             a += coef * _lookup_number(var, store)
@@ -206,7 +207,7 @@ def step_agent(
 
     if isinstance(agent, Change):
         value = eval_change_value(agent.value, store)
-        flow = agent.flow if agent.flow is KEEP else eval_flow(agent.flow, store)
+        flow = agent.flow if agent.flow is KEEP else eval_flow(agent.var, agent.flow, store)
         return [Outcome(STOP, TRUE, ((agent.var, value, flow),))]
 
     if isinstance(agent, Choice):

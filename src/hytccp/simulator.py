@@ -262,7 +262,6 @@ class ReachabilityReport:
     states: Set[Tuple]
     depth: int
     complete: bool
-    initial: Tuple
 
     def to_json(self) -> dict:
         return {
@@ -288,8 +287,7 @@ def explore(
     """
     reset_fresh_counter()
     cfg0 = start_configuration(program)
-    key0 = canonical_key(cfg0)
-    seen = {key0}
+    seen = {canonical_key(cfg0)}
     frontier = [cfg0]
     complete = True
     for _ in range(depth):
@@ -306,7 +304,7 @@ def explore(
         frontier = nxt
         if not frontier:
             break
-    return ReachabilityReport(seen, depth, complete, key0)
+    return ReachabilityReport(seen, depth, complete)
 
 
 def _explore_successors(cfg: Configuration, program: Program, time_samples: int) -> List[Configuration]:

@@ -19,6 +19,7 @@ from .constraints import (
     Term,
     TermEq,
     LinCmp,
+    Num,
     Var,
     Cons,
     atom_text_order,
@@ -28,13 +29,6 @@ from .constraints import (
 
 class Keep:
     """Marker for the ``_`` argument of change: leave that component untouched."""
-
-    _instance: Optional["Keep"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __repr__(self) -> str:
         return "KEEP"
@@ -96,9 +90,6 @@ class LinExpr:
                 body = f"{format_rational(mag)}*{var}"
             parts.append(body if i == 0 and sign == "+" else f"{sign} {body}" if i else f"-{body}")
         return " ".join(parts)
-
-    def variables(self) -> set:
-        return {v for _, v in self.terms if v is not None}
 
     def rename(self, mapping: dict) -> "LinExpr":
         return LinExpr(tuple((c, mapping.get(v, v) if v is not None else None) for c, v in self.terms))
@@ -168,15 +159,7 @@ class Call:
 class Change:
     var: str
     value: Union[Fraction, str, Keep]  # rational, discrete variable, or KEEP
-    flow: Union["FlowSpec", Keep]
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """Unevaluated flow of a change agent: dx/dt = expr, expr linear."""
-
-    var: str
-    expr: LinExpr
+    flow: Union[LinExpr, Keep]  # d(var)/dt, unevaluated, or KEEP
 
 
 Agent = Union[Stop, Tell, Parallel, Hide, Choice, Now, Call, Change]
@@ -214,71 +197,99 @@ class Program:
     def continuous(self) -> frozenset:
         """The continuous parameter positions ``(name, arity, index)``.
 
-        A position is continuous if its declaration's body sets the parameter
-        with ``change`` or passes it to a continuous position.  Keyed by
-        position: a parameter name another declaration changes stays discrete.
+        A position is continuous if its declaration's body changes the
+        parameter or passes it to a continuous position.  Keyed by position:
+        a parameter name another declaration changes stays discrete.
         """
-        return position_fixpoint(self.declarations, continuous_names)
+        closed = position_fixpoint(self.declarations, uses)
+        return frozenset(position for position, roles in closed.items() if SET in roles or KEPT in roles)
 
 
-def position_fixpoint(declarations, names) -> frozenset:
-    """The least set of parameter positions ``(name, arity, index)`` holding
-    each parameter that ``names(body, positions)`` finds in its declaration."""
-    positions, found = None, frozenset()
-    while found != positions:
-        positions = found
-        found = frozenset(
-            (d.name, len(d.params), i) for d in declarations for i, p in enumerate(d.params) if p in names(d.body, positions)
-        )
-    return found
+def position_fixpoint(declarations, roles) -> dict:
+    """Each parameter position ``(name, arity, index)`` with its parameter's roles:
+    those ``roles(body)`` pairs it with, as ``uses`` does, and, to the least
+    fixpoint, those of each position it is passed to."""
+    own = [
+        ((d.name, len(d.params), d.params.index(name)), role)
+        for d in declarations
+        for name, role in roles(d.body)
+        if name in d.params
+    ]
+    closed: dict = {}
+    while True:
+        found: dict = {}
+        for position, role in own:
+            found.setdefault(position, set()).update(closed.get(role, ()) if isinstance(role, tuple) else (role,))
+        if found == closed:
+            return closed
+        closed = found
 
 
 def continuous_names(agent: Agent, positions) -> set:
-    """The free names ``agent`` sets with ``change`` or passes to a position in ``positions``."""
-    if isinstance(agent, Change):
-        return {agent.var}
-    if isinstance(agent, Call):
-        return {arg for i, arg in enumerate(agent.args) if (agent.name, len(agent.args), i) in positions}
-    names = set().union(*(continuous_names(kid, positions) for kid in children(agent)))
-    return names.difference(agent.vars) if isinstance(agent, Hide) else names
+    """The free names ``agent`` changes or passes to a position in ``positions``."""
+    return {name for name, role in uses(agent) if role is SET or role is KEPT or role in positions}
 
 
 # --- traversal: the one place that knows which fields of each form are
 # sub-agents, names and constraints
 
+# The role of a name in ``uses``: SET by change(X, value, flow), KEPT by a
+# change(X, _, flow) or change(X, value, _), READ by a change value or flow,
+# INVARIANT in an ask~ atom comparing it with a number, in a TELL or a GUARD
+# (ask, now or ask~), or passed to a call position (name, arity, index).
+SET, KEPT, READ, INVARIANT, TELL, GUARD = "set", "kept", "read", "invariant", "tell", "guard"
 
-def parts(agent: Agent) -> tuple:
-    """What the node holds, in field order: names (str), constraints and sub-agents.
 
-    A choice lists each guard before its body; a scope lists its bound names,
-    then its body.
+def uses(agent: Agent) -> list:
+    """Each use of a free name of ``agent``, in pre-order (atoms in set order): ``(name, role)``.
+
+    A tell or a guard is one use, ``(constraint, TELL or GUARD)``, whose reader
+    reads its names; only under a scope that binds some of them is each free
+    one a use of its own, ``(name, TELL or GUARD)``.
     """
-    if isinstance(agent, Stop):
-        return ()
-    if isinstance(agent, Tell):
-        return (agent.constraint,)
-    if isinstance(agent, Parallel):
-        return (agent.left, agent.right)
-    if isinstance(agent, Hide):
-        return (*agent.vars, agent.body)
-    if isinstance(agent, Choice):
-        return (*(x for b in agent.ask_branches for x in (b.guard, b.body)), *agent.cont_branches)
-    if isinstance(agent, Now):
-        return (agent.guard, agent.then, agent.orelse)
-    if isinstance(agent, Call):
-        return agent.args
-    if isinstance(agent, Change):
-        names = [agent.var]
-        if isinstance(agent.value, str):
-            names.append(agent.value)
-        if isinstance(agent.flow, FlowSpec):
-            names += sorted(agent.flow.expr.variables())
-        return tuple(names)
-    raise TypeError(f"not an agent: {agent!r}")
+    out = []
+    stack = [(agent, frozenset())]  # a sub-agent and the names scopes above it bind
+    while stack:
+        node, bound = stack.pop()
+        own = []
+        if isinstance(node, Parallel):
+            stack += ((node.right, bound), (node.left, bound))
+        elif isinstance(node, Hide):
+            stack.append((node.body, bound.union(node.vars)))
+        elif isinstance(node, Change):
+            own.append((node.var, KEPT if node.value is KEEP or node.flow is KEEP else SET))
+            if isinstance(node.value, str):
+                own.append((node.value, READ))
+            if node.flow is not KEEP:
+                own += [(x, READ) for _, x in node.flow.terms if x is not None and x != node.var]
+        elif isinstance(node, Call):
+            own = [(x, (node.name, len(node.args), i)) for i, x in enumerate(node.args)]
+        elif isinstance(node, Tell):
+            own.append((node.constraint, TELL))
+        elif isinstance(node, Choice):
+            stack += [(b.body, bound) for b in reversed(node.ask_branches)]
+            own = [(c, GUARD) for c in (*(b.guard for b in node.ask_branches), *node.cont_branches)]
+            reads = (a.var for c in node.cont_branches for a in c.atoms if isinstance(a, LinCmp) or isinstance(a.term, Num))
+            own += [(x, INVARIANT) for x in reads]
+        elif isinstance(node, Now):
+            stack += ((node.orelse, bound), (node.then, bound))
+            own.append((node.guard, GUARD))
+        for item, role in own:
+            if not bound or isinstance(item, str) and item not in bound:
+                out.append((item, role))
+            elif isinstance(item, Constraint):
+                names = item.variables()
+                out += [(item, role)] if bound.isdisjoint(names) else [(x, role) for x in sorted(names - bound)]
+    return out
+
+
+def free_vars(agent: Agent) -> set:
+    """The free names of ``agent``."""
+    return set().union(*({item} if isinstance(item, str) else item.variables() for item, _ in uses(agent)))
 
 
 def children(agent: Agent) -> Tuple[Agent, ...]:
-    """The sub-agents of ``agent``, left to right: the agents among its ``parts``."""
+    """The sub-agents of ``agent``, left to right."""
     if isinstance(agent, Parallel):
         return (agent.left, agent.right)
     if isinstance(agent, Hide):
@@ -322,25 +333,9 @@ def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
         return Call(agent.name, tuple(map(name, agent.args)))
     if isinstance(agent, Change):
         value = name(agent.value) if isinstance(agent.value, str) else agent.value
-        flow = agent.flow
-        if isinstance(flow, FlowSpec):
-            flow = FlowSpec(name(flow.var), flow.expr.rename(mapping))
+        flow = agent.flow if agent.flow is KEEP else agent.flow.rename(mapping)
         return Change(name(agent.var), value, flow)
     return agent
-
-
-def free_vars(agent: Agent) -> set:
-    out: set = set()
-    for p in parts(agent):
-        if isinstance(p, str):
-            out.add(p)
-        elif isinstance(p, Constraint):
-            out |= p.variables()
-        else:
-            out |= free_vars(p)
-    if isinstance(agent, Hide):
-        out -= set(agent.vars)
-    return out
 
 
 def _rename_term(t: Term, mapping: dict) -> Term:
@@ -388,7 +383,7 @@ def _pp_atom(a) -> str:
 
 def _pp_change(agent: Change) -> str:
     val = agent.value if isinstance(agent.value, str) else "_" if agent.value is KEEP else format_rational(agent.value)
-    flow = "_" if agent.flow is KEEP else f"der({agent.flow.var}) = {agent.flow.expr}"
+    flow = "_" if agent.flow is KEEP else f"der({agent.var}) = {agent.flow}"
     return f"change({agent.var}, {val}, {flow})"
 
 

@@ -33,7 +33,6 @@ from hytccp.syntax import (
     AskBranch,
     Change,
     Choice,
-    FlowSpec,
     Hide,
     LinExpr,
     KEEP,
@@ -85,9 +84,9 @@ def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
     return Constraint(frozenset(atoms))
 
 
-def _flow(rng: random.Random, var: str) -> FlowSpec:
+def _flow(rng: random.Random) -> LinExpr:
     # constant slope in [-2, 2] \ {0}: exact linear trajectories
-    return FlowSpec(var, LinExpr(((Fraction(rng.choice([-2, -1, 1, 2])), None),)))
+    return LinExpr(((Fraction(rng.choice([-2, -1, 1, 2])), None),))
 
 
 def random_agent(rng: random.Random, depth: int, cont_vars):
@@ -128,7 +127,7 @@ def random_agent(rng: random.Random, depth: int, cont_vars):
     if r < 0.94 and cont_vars:
         var = rng.choice(cont_vars)
         value = KEEP if rng.random() < 0.5 else Fraction(rng.randint(0, 5))
-        return Change(var, value, _flow(rng, var))
+        return Change(var, value, _flow(rng))
     return Hide((rng.choice(DISCRETE_VARS),), random_agent(rng, depth - 1, cont_vars))
 
 
@@ -140,7 +139,7 @@ def random_program(seed: int, max_depth: int = 3) -> Program:
     go = Constraint(frozenset({TermEq("Go", Atom("go"))}))
     agent = Tell(go)
     for var in cont_vars:
-        agent = Parallel(agent, Change(var, Fraction(rng.randint(0, 5)), _flow(rng, var)))
+        agent = Parallel(agent, Change(var, Fraction(rng.randint(0, 5)), _flow(rng)))
     agent = Parallel(agent, Choice((AskBranch(go, body),), ()))
     return Program({}, (), agent, source=f"generated-{seed}")
 

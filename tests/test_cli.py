@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from hytccp.cli import main
+from generators import random_program, recursive_program
+from hytccp.cli import main, static_diagnostics
 from hytccp.parser import parse_program
 
 
@@ -251,6 +252,67 @@ def test_check_reads_a_guard_with_the_continuous_names_of_its_own_declaration(tm
     assert main(["check", write(tmp_path, "g.hyt", text)]) == 0
 
 
+UNINITIALIZED_X = "uninitialized continuous variable X: read or kept before any change(X, value, flow)"
+
+
+@pytest.mark.parametrize(
+    "text, error, run_exit",
+    [
+        (
+            "clk(T) :- change(T, 0, der(T) = 1) || q(T) || (ask(T = 9) -> stop + ask~(T =< 9))."
+            "  q(S) :- ask(S = a) -> stop.  init :- clk(C).",
+            "a guard equates continuous variable C with a non-number: S=a",
+            1,
+        ),
+        (
+            "init :- exists X (change(X, 0, der(X) = 1)) || exists X (ask~(X =< 3) + ask(X = 3) -> stop).",
+            UNINITIALIZED_X,
+            2,
+        ),
+        (
+            "p :- exists X (change(X, 0, der(X) = 1)).  q :- exists X (ask~(X =< 3) + ask(X = 3) -> stop)."
+            "  init :- p || q.",
+            UNINITIALIZED_X,
+            2,
+        ),
+        (
+            "init :- exists Y (tell(Y = 2)) || exists Y (change(C, Y, der(C) = 1)).",
+            "unbound change value Y in init: no tell or guard mentions it",
+            1,
+        ),
+        (
+            "p :- change(X, 0, der(X) = 1).  q :- ask(X = a) -> stop.  init :- p || q.",
+            "a guard equates continuous variable X with a non-number: X=a",
+            1,
+        ),
+        ("p(X) :- exists X (ask~(X =< 3)).  init :- change(A, 0, der(A) = 1) || p(A).", UNINITIALIZED_X, 2),
+    ],
+    ids=[
+        "guard_through_a_parameter",
+        "scopes",
+        "scopes_in_two_declarations",
+        "bound_value",
+        "global_name",
+        "shadowed_parameter",
+    ],
+)
+def test_check_reads_scopes_and_parameters_as_run_does(tmp_path, capsys, text, error, run_exit):
+    # each scope's names are its own, roles reach an argument through its
+    # parameter, and a generated name is spelled as written
+    path = write(tmp_path, "p.hyt", text)
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert main(["run", path, "--out", str(tmp_path / "t.jsonl")]) == run_exit
+
+
+def test_check_passes_the_generated_programs():
+    # no false positive from the program-wide table: every generated program runs
+    programs = {f"random_{seed}": random_program(seed) for seed in range(300)}
+    programs.update((f"recursive_{seed}", recursive_program(seed)) for seed in range(12))
+    issues = {name: static_diagnostics(program) for name, program in programs.items()}
+    assert {name: found for name, found in issues.items() if found} == {}
+
+
 def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):
     # both parameters become X: the guard keeps both atoms, with their
     # wildcard, and the free Y leaves it unentailed
@@ -347,6 +409,11 @@ def test_parse_output_reparses(tmp_path):
     [
         ("explore", None, "random() needs a seeded generator"),
         ("run", "init :- change(C, Y, der(C) = 1).", "variable Y is not bound to a number"),
+        (
+            "run",
+            "init :- exists Y (tell(Y = 2)) || exists Y (change(C, Y, der(C) = 1)).",
+            "variable Y is not bound to a number",
+        ),
         ("run", "init :- change(C, _, der(C) = 1).", "continuous variable C, which has no value yet"),
         (
             "run",
@@ -364,7 +431,15 @@ def test_parse_output_reparses(tmp_path):
             "a guard equates continuous variable T with a non-number: T=a",
         ),
     ],
-    ids=["explore_random", "unbound_value", "keep_uninitialized", "guard_Z_A", "guard_T_X", "guard_T_atom"],
+    ids=[
+        "explore_random",
+        "unbound_value",
+        "unbound_generated_value",
+        "keep_uninitialized",
+        "guard_Z_A",
+        "guard_T_X",
+        "guard_T_atom",
+    ],
 )
 def test_runtime_model_error_is_reported_not_raised(tmp_path, capsys, command, source, message):
     path = "models/dam.hyt" if source is None else write(tmp_path, "model.hyt", source)

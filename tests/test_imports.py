@@ -1,12 +1,12 @@
 """Every name a package module imports is used in that module, only the
 parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
-and only ``constraints`` names the solved form (``solve``, ``_merge``,
-``bindings``).
+only ``constraints`` names the solved form (``solve``, ``_merge``,
+``bindings``), and the CLI reads names through ``syntax.uses`` alone.
 
 No linter ships with the project, so these are the checks that keep dead
-imports out, scopes out of the engine and the solved form private to the
-store.  ``__init__.py`` is exempt from the first: its imports are the public
-API.
+imports out, scopes out of the engine, the solved form private to the
+store and ``check`` on the one name-use walk.  ``__init__.py`` is exempt
+from the first: its imports are the public API.
 """
 import ast
 from pathlib import Path
@@ -86,22 +86,35 @@ def test_only_parser_syntax_and_open_scopes_name_hide():
 SOLVED_FORM = {"solve", "_merge", "bindings"}
 
 
-def solved_form_mentions(source: str) -> list:
-    """Lines that name ``solve``, ``_merge`` or ``bindings``, as a name, an attribute or an import."""
+def mentions(source: str, names: set) -> list:
+    """Lines that name one of ``names``, as a name, an attribute or an import."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Name) and node.id in SOLVED_FORM
-        or isinstance(node, ast.Attribute) and node.attr in SOLVED_FORM
-        or isinstance(node, ast.ImportFrom) and SOLVED_FORM.intersection(alias.name for alias in node.names)
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.ImportFrom) and names.intersection(alias.name for alias in node.names)
     )
 
 
 def test_detector_finds_the_solved_form():
     source = "from .constraints import (\n    conj,\n    solve,\n)\nx = store.bindings()\ny = _merge\nz = solved\n"
-    assert solved_form_mentions(source) == [1, 5, 6]
+    assert mentions(source, SOLVED_FORM) == [1, 5, 6]
 
 
 def test_only_constraints_names_the_solved_form():
-    mentions = {path.name: solved_form_mentions(path.read_text()) for path in SRC.glob("*.py") if path.name != "constraints.py"}
-    assert {name: lines for name, lines in mentions.items() if lines} == {}
+    found = {path.name: mentions(path.read_text(), SOLVED_FORM) for path in SRC.glob("*.py") if path.name != "constraints.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# the agent walkers ``check`` must not use: it reads names through ``syntax.uses``
+WALKERS = {"nodes", "parts", "children", "continuous_names"}
+
+
+def test_detector_finds_a_walker():
+    source = "from .syntax import (\n    Program,\n    nodes,\n)\nx = syntax.children(a)\ny = uses(a)\nparts = 1\n"
+    assert mentions(source, WALKERS) == [1, 5, 7]
+
+
+def test_check_reads_names_only_through_uses():
+    assert mentions((SRC / "cli.py").read_text(), WALKERS) == []

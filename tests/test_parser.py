@@ -10,9 +10,9 @@ from hytccp.syntax import (
     Call,
     Change,
     Choice,
-    FlowSpec,
     Hide,
     KEEP,
+    LinExpr,
     Now,
     Parallel,
     STOP,
@@ -99,7 +99,7 @@ def test_parse_exists_and_change():
     change = agent.body.left
     assert isinstance(change, Change)
     assert change.value == Fraction(0)
-    assert isinstance(change.flow, FlowSpec)
+    assert isinstance(change.flow, LinExpr)
 
 
 def test_parse_change_keep_markers():
@@ -109,7 +109,7 @@ def test_parse_change_keep_markers():
 
 def test_parse_flow_expression_with_division():
     agent = parse_agent("change(V, _, der(V) = N*(1/3600) - 200*(1/3600))")
-    terms = dict((v, c) for c, v in agent.flow.expr.terms)
+    terms = dict((v, c) for c, v in agent.flow.terms)
     assert terms["N"] == Fraction(1, 3600)
     assert terms[None] == Fraction(-200, 3600)
 

@@ -31,7 +31,6 @@ from hytccp.syntax import (
     Call,
     Change,
     Flow,
-    FlowSpec,
     Hide,
     LinExpr,
     Program,
@@ -168,7 +167,7 @@ def test_open_scopes_renames_free_occurrences_without_capture(agent, data):
     # scope whose change keeps it: the mapping's value y must rename that
     # binder, or y would name an occurrence x never had
     y = data.draw(st.sampled_from([v for v in DISCRETE_VARS + CONT_VARS + ["New"] if v not in fv]))
-    kept = Change(y, Fraction(0), FlowSpec(y, LinExpr(((Fraction(1), None),))))
+    kept = Change(y, Fraction(0), LinExpr(((Fraction(1), None),)))
     body = open_scopes(Hide((y,), par(kept, agent)), frozenset(), {x: y})
     expected = (fv - {x}) | ({y} if x in fv else set())
     assert {n for n in free_vars(body) if not is_fresh_name(n)} == expected

@@ -20,7 +20,7 @@ from hytccp.simulator import (
     explore,
     run,
 )
-from hytccp.syntax import Tell, children, nodes, parts, rebuild, rename_atoms
+from hytccp.syntax import Tell, children, rebuild, rename_atoms, uses
 
 from generators import random_program, recursive_program
 
@@ -149,13 +149,14 @@ def test_canonical_key_identifies_renamed_configurations():
     assert canonical_key(c2) == k1
 
 
+# a running agent has no scope, so ``uses`` reports each tell and guard whole
 def constraints_of(cfg):
-    return [cfg.discrete] + [p for node in nodes(cfg.agent) for p in parts(node) if isinstance(p, Constraint)]
+    return [cfg.discrete] + [item for item, _ in uses(cfg.agent) if isinstance(item, Constraint)]
 
 
 def generated_names(cfg):
     names = {n for c in constraints_of(cfg) for n in c.variables()}
-    names |= {p for node in nodes(cfg.agent) for p in parts(node) if isinstance(p, str)}
+    names |= {item for item, _ in uses(cfg.agent) if isinstance(item, str)}
     return sorted(n for n in names if is_fresh_name(n) and n not in cfg.continuous.as_dict())
 
 

@@ -1,6 +1,7 @@
-"""Agent traversal: pre-order nodes; the program's continuous parameter positions."""
-from hytccp.parser import parse_agent, parse_program
-from hytccp.syntax import STOP, continuous_names, nodes
+"""Agent traversal: pre-order nodes, name uses and their roles; the program's
+continuous parameter positions."""
+from hytccp.parser import parse_agent, parse_constraint, parse_program
+from hytccp.syntax import GUARD, INVARIANT, KEPT, READ, SET, STOP, TELL, continuous_names, nodes, position_fixpoint, uses
 
 
 def test_nodes_pre_order():
@@ -10,6 +11,33 @@ def test_nodes_pre_order():
     )
     kinds = [type(node).__name__ for node in nodes(agent)]
     assert kinds == ["Parallel", "Tell", "Hide", "Choice", "Stop", "Now", "Stop", "Call"]
+
+
+def test_uses_lists_each_free_name_with_its_role():
+    agent = parse_agent(
+        "exists K (tell(K = 2) || tell(K = Y) || change(C, K, der(C) = N - C) || p(K, C))"
+        " || change(D, _, der(D) = 1) || (ask(X = a) -> stop + ask~(D =< 3 /\\ Z = 1))"
+    )
+    found = uses(agent)
+    assert found[:-2] == [
+        ("Y", TELL),  # a tell under a scope that binds some of its names: its free ones alone
+        ("C", SET),
+        ("N", READ),
+        ("C", ("p", 2, 1)),
+        ("D", KEPT),
+        (parse_constraint("X = a"), GUARD),  # a guard whole
+        (parse_constraint("D =< 3 /\\ Z = 1"), GUARD),
+    ]
+    assert sorted(found[-2:]) == [("D", INVARIANT), ("Z", INVARIANT)]  # in atom order
+
+
+def test_position_fixpoint_closes_roles_over_calls():
+    prog = parse_program("q(S, U) :- ask~(S =< 3) || change(U, _, _).  r(T) :- q(T, T).  init :- exists A (r(A)).")
+    assert position_fixpoint(prog.declarations, uses) == {
+        ("q", 2, 0): {INVARIANT},
+        ("q", 2, 1): {KEPT},
+        ("r", 1, 0): {INVARIANT, KEPT},
+    }
 
 
 # --- Program.continuous and continuous_names
