@@ -5,6 +5,9 @@ A change that means to keep behaviour keeps every value here.  A change that
 means to alter one says so in CHANGES.md, with the reason.
 """
 import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +41,15 @@ RANDOM_COUNTS = (
 # len(explore(recursive_program(s), 8, time_samples=1).states) for s = 0..11
 RECURSIVE_COUNTS = [20, 16, 15, 15, 20, 22, 15, 15, 20, 22, 15, 22]
 
+# SHA-256 of `hytccp run` on bench/workloads.thermostat_source(1) to 1500 s,
+# seed 1.  Exponential flows are evaluated in floats, so this digest depends on
+# the platform's libm (math.exp, math.log).
+THERMOSTAT_DIGEST = "d7ebac3a8ad3254fd68812862b9f82a8506b1ffe6a123f63046494945313a540"
+
+# SHA-256 of the explore reports of recursive_program(s), s = 0..11, at depth 8
+# with one time sample: each report as sorted JSON, one a line
+RECURSIVE_REPORTS_DIGEST = "1abb47c7b53aee87c4d35b2bcb5c88630488f8384e4a20dbbb21c0acf1122684"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_cli_output_digest(tmp_path, argv):
@@ -54,3 +66,24 @@ def test_random_program_state_counts():
 def test_recursive_program_state_counts():
     counts = [len(explore(recursive_program(s), 8, time_samples=1).states) for s in range(12)]
     assert counts == RECURSIVE_COUNTS
+
+
+def _thermostat_source(seed: int) -> str:
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.thermostat_source(seed)
+
+
+def test_thermostat_run_digest(tmp_path):
+    model = tmp_path / "thermostats.hyt"
+    model.write_text(_thermostat_source(1))
+    out = tmp_path / "out"
+    assert main(["run", str(model), "--max-time", "1500", "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == THERMOSTAT_DIGEST
+
+
+def test_recursive_program_reports_digest():
+    reports = (json.dumps(explore(recursive_program(s), 8, time_samples=1).to_json(), sort_keys=True) for s in range(12))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == RECURSIVE_REPORTS_DIGEST
