@@ -5,6 +5,7 @@ from .constraints import (
     Constraint,
     TRUE,
     FALSE,
+    ModelError,
     TermEq,
     LinCmp,
     Var,

@@ -4,9 +4,9 @@
 (``syntax.uses``) through parameters, and spells names as the model wrote them.
 
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
-1 tool, input or runtime model error (missing file, parse error, a bad flag or
-HYTCCP_DIVERGENCE_BUDGET, an unbound change value, random() under explore),
-2 model pathology (timelock, instantaneous divergence).
+1 tool, input or model error (missing file, parse error, a bad flag or
+HYTCCP_DIVERGENCE_BUDGET, a ``ModelError``), 2 model pathology (timelock,
+instantaneous divergence).
 """
 from __future__ import annotations
 
@@ -15,14 +15,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, List, Optional
 
-from .constraints import MissingContinuousVariableError, Num, TermEq, as_written, format_rational, fresh_var
-from .flows import UninitializedContinuousVariableError
+from .constraints import Constraint, ModelError, Num, TermEq, as_written, format_rational, fresh_var, split_guard
 from .parser import ParseError, parse_program
-from .semantics import EvaluationError, open_scopes
+from .semantics import open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
-from .syntax import GUARD, INVARIANT, KEPT, READ, SET, TELL, Declaration, Program, position_fixpoint, pretty, uses
+from .syntax import GUARD, INVARIANT, KEPT, READ, SET, TELL, Declaration, Program, position_fixpoint, pretty, rename_atoms, uses
 
 
 def _number(parse, ok, what: str):
@@ -91,7 +91,8 @@ def _write(payload: str, out: Optional[str]) -> None:
 def _roles(body) -> Iterator[tuple]:
     """The ``uses`` of an opened body, a tell or a guard read as its names.
 
-    A name a guard atom equates with a non-number also has that atom as a role.
+    A name a guard atom equates with a non-number also has, as a role, the
+    ``_guard_fault`` of that atom, which words the error for the name passed in its place.
     """
     for item, role in uses(body):
         if isinstance(item, str):
@@ -101,7 +102,15 @@ def _roles(body) -> Iterator[tuple]:
         if role is GUARD:
             for atom in item.atoms:
                 if isinstance(atom, TermEq) and not isinstance(atom.term, Num):
-                    yield from ((x, atom) for x in atom.variables())
+                    yield from ((x, partial(_guard_fault, atom, x)) for x in atom.variables())
+
+
+def _guard_fault(atom: TermEq, name: str, x: str) -> str:
+    """``run``'s error for a guard ``atom`` on continuous ``x``, passed in place of ``name``."""
+    try:
+        split_guard(rename_atoms(Constraint(frozenset({atom})), {name: x}), {x})
+    except ModelError as exc:  # it always raises: the atom equates x with a non-number
+        return str(exc)
 
 
 def static_diagnostics(program: Program) -> List[str]:
@@ -133,11 +142,7 @@ def static_diagnostics(program: Program) -> List[str]:
     for x, roles in table.items():
         name = as_written(x)
         if SET in roles or KEPT in roles:
-            issues.update(
-                f"a guard equates continuous variable {name} with a non-number: {as_written(str(atom))}"
-                for atom in roles
-                if isinstance(atom, TermEq)
-            )
+            issues.update(as_written(role(x)) for role in roles if isinstance(role, partial))
         if (INVARIANT in roles or KEPT in roles) and SET not in roles:
             issues.add(f"uninitialized continuous variable {name}: read or kept before any change({name}, value, flow)")
         if READ in roles and TELL not in roles and GUARD not in roles:
@@ -213,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {args.input}:{exc}", file=sys.stderr)
         return 1
-    except (EvaluationError, UninitializedContinuousVariableError, MissingContinuousVariableError) as exc:
+    except ModelError as exc:
         print(f"error: {args.input}: {as_written(str(exc))}", file=sys.stderr)
         return 1
 

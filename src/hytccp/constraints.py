@@ -164,9 +164,7 @@ NIL = Atom("[]")
 WILDCARD = Wildcard()
 
 
-def format_rational(q: Union[Fraction, float]) -> str:
-    if isinstance(q, float):
-        return repr(q)
+def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -407,11 +405,8 @@ def constraint(*atoms: AtomicConstraint) -> Constraint:
     return solve(atoms)
 
 
-class MissingContinuousVariableError(KeyError):
-    """A guard reads a continuous variable with no value yet, or equates one with a non-number."""
-
-    def __str__(self) -> str:
-        return self.args[0]
+class ModelError(Exception):
+    """A fault of the model itself, met by ``run`` or ``check``: one ``error:`` line, exit 1."""
 
 
 # ---------------------------------------------------------------------------
@@ -655,5 +650,5 @@ def split_guard(guard: Constraint, continuous_vars) -> tuple:
             disc.append(atom)
         else:
             name = next(n for n in (atom.var, *term_vars(atom.term)) if n in continuous_vars)
-            raise MissingContinuousVariableError(f"a guard equates continuous variable {name} with a non-number: {atom}")
+            raise ModelError(f"a guard equates continuous variable {name} with a non-number: {atom}")
     return Constraint(frozenset(disc), guard.consistent), cont

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .constraints import LinCmp, MissingContinuousVariableError, compare, format_rational
+from .constraints import LinCmp, ModelError, compare
 from .syntax import Flow, KEEP, Keep
 
 Value = Union[Fraction, float]
@@ -25,6 +25,9 @@ Value = Union[Fraction, float]
 UNBOUNDED = None  # infinity marker for delays / interval endpoints
 
 BISECTION_TOL = 1e-12
+
+# the model error an OverflowError in this module becomes where the engine enters it
+OUT_OF_RANGE = "a value or bound of an exponential flow is beyond the float range"
 
 
 @dataclass(frozen=True)
@@ -46,19 +49,8 @@ class ContinuousStore:
     def get(self, name: str) -> Optional[Entry]:
         return next((entry for n, entry in self.entries if n == name), None)
 
-    def __str__(self) -> str:
-        inner = ", ".join(f"{n}->({format_rational(e.value)}, {e.flow})" for n, e in self.entries)
-        return "{" + inner + "}"
-
 
 EMPTY_STORE = ContinuousStore()
-
-
-class UninitializedContinuousVariableError(KeyError):
-    """change with a KEEP component on a variable that has no entry yet."""
-
-    def __str__(self) -> str:
-        return f"change keeps a component of continuous variable {self.args[0]}, which has no value yet"
 
 
 def apply_change(store: ContinuousStore, x: str, v: Union[Value, Keep], f: Union[Flow, Keep]) -> ContinuousStore:
@@ -66,7 +58,7 @@ def apply_change(store: ContinuousStore, x: str, v: Union[Value, Keep], f: Union
     entries = store.as_dict()
     current = entries.get(x)
     if current is None and (v is KEEP or f is KEEP):
-        raise UninitializedContinuousVariableError(x)
+        raise ModelError(f"change keeps a component of continuous variable {x}, which has no value yet")
     entries[x] = Entry(current.value if v is KEEP else v, current.flow if f is KEEP else f)
     return ContinuousStore(tuple(sorted(entries.items())))
 
@@ -84,9 +76,12 @@ def evolve(store: ContinuousStore, t: Value) -> ContinuousStore:
     """Project every entry forward by t; flows are unchanged."""
     if t == 0:
         return store
-    return ContinuousStore(
-        tuple((name, Entry(solve_flow(e.value, e.flow, t), e.flow)) for name, e in store.entries)
-    )
+    try:
+        return ContinuousStore(
+            tuple((name, Entry(solve_flow(e.value, e.flow, t), e.flow)) for name, e in store.entries)
+        )
+    except OverflowError:
+        raise ModelError(OUT_OF_RANGE) from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +240,12 @@ def intersect(a: Interval, b: Interval) -> Interval:
 def atoms_truth_interval(atoms: Sequence[LinCmp], entries: Dict[str, Entry]) -> Interval:
     """Intersection of the truth intervals of several continuous comparisons.
 
-    ``entries`` is the name -> entry map of the continuous store (``as_dict``).
+    ``entries`` is the name -> entry map of the continuous store (``as_dict``),
+    which holds every name of ``atoms``: callers split each guard by that store.
     """
     iv = ALWAYS
     for atom in atoms:
-        entry = entries.get(atom.var)
-        if entry is None:
-            raise MissingContinuousVariableError(f"a guard reads continuous variable {atom.var}, which has no value yet")
+        entry = entries[atom.var]
         iv = intersect(iv, truth_interval(entry.value, entry.flow, atom))
         if iv.empty:
             return EMPTY_INTERVAL
@@ -311,48 +305,51 @@ def max_delay(
     None, otherwise the smallest tau wins and a tie goes to the cause
     with the lower ``DELAY_PRIORITY``.
     """
-    entries = store.as_dict()
-    # the earliest currently-false guard to become true: (start, open, end)
-    first_guard = None
-    for atoms in guards:
-        iv = atoms_truth_interval(atoms, entries)
-        if iv.empty or (iv.start == 0 and not iv.start_open):
-            continue  # never true, or already true: nothing to wait for
-        if first_guard is None or (iv.start, iv.start_open) < first_guard[:2]:
-            first_guard = (iv.start, iv.start_open, iv.end)
-
-    best: Optional[DelayOutcome] = None
-    for invariants in components:
-        # expiry: max over the currently-true invariants (None = never expires)
-        ends = []
-        for atoms in invariants:
+    try:
+        entries = store.as_dict()
+        # the earliest currently-false guard to become true: (start, open, end)
+        first_guard = None
+        for atoms in guards:
             iv = atoms_truth_interval(atoms, entries)
-            if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
-                continue  # not true now
-            ends.append(iv.end)
-        if not ends:
-            return None
-        bounds: List[Tuple[Value, bool, DelayCause]] = []  # (time, open, cause)
-        if first_guard is not None:
-            bounds.append((first_guard[0], first_guard[1], DelayCause.GUARD_ENABLES))
-        if UNBOUNDED not in ends:
-            bounds.append((max(ends), False, DelayCause.INVARIANT_EXPIRES))
-        if horizon is not None:
-            bounds.append((horizon, False, DelayCause.HORIZON))
-        if not bounds:
-            return None
-        # at one instant a closed bound comes first: a guard true only strictly
-        # after t must not carry time past an invariant that ends at t
-        bounds.sort(key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
-        tau, is_open, cause = bounds[0]
-        if is_open:
-            later = [b[0] for b in bounds[1:] if b[0] > tau]
-            if first_guard[2] is not UNBOUNDED and first_guard[2] > tau:
-                later.append(first_guard[2])
-            ceiling = min(later) if later else tau + 1
-            tau = tau + (ceiling - tau) / 2
-        if tau <= 0:
-            return None
-        if best is None or (tau, DELAY_PRIORITY[cause]) < (best.tau, DELAY_PRIORITY[best.cause]):
-            best = DelayOutcome(tau, cause)
-    return best
+            if iv.empty or (iv.start == 0 and not iv.start_open):
+                continue  # never true, or already true: nothing to wait for
+            if first_guard is None or (iv.start, iv.start_open) < first_guard[:2]:
+                first_guard = (iv.start, iv.start_open, iv.end)
+
+        best: Optional[DelayOutcome] = None
+        for invariants in components:
+            # expiry: max over the currently-true invariants (None = never expires)
+            ends = []
+            for atoms in invariants:
+                iv = atoms_truth_interval(atoms, entries)
+                if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
+                    continue  # not true now
+                ends.append(iv.end)
+            if not ends:
+                return None
+            bounds: List[Tuple[Value, bool, DelayCause]] = []  # (time, open, cause)
+            if first_guard is not None:
+                bounds.append((first_guard[0], first_guard[1], DelayCause.GUARD_ENABLES))
+            if UNBOUNDED not in ends:
+                bounds.append((max(ends), False, DelayCause.INVARIANT_EXPIRES))
+            if horizon is not None:
+                bounds.append((horizon, False, DelayCause.HORIZON))
+            if not bounds:
+                return None
+            # at one instant a closed bound comes first: a guard true only strictly
+            # after t must not carry time past an invariant that ends at t
+            bounds.sort(key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
+            tau, is_open, cause = bounds[0]
+            if is_open:
+                later = [b[0] for b in bounds[1:] if b[0] > tau]
+                if first_guard[2] is not UNBOUNDED and first_guard[2] > tau:
+                    later.append(first_guard[2])
+                ceiling = min(later) if later else tau + 1
+                tau = tau + (ceiling - tau) / 2
+            if tau <= 0:
+                return None
+            if best is None or (tau, DELAY_PRIORITY[cause]) < (best.tau, DELAY_PRIORITY[best.cause]):
+                best = DelayOutcome(tau, cause)
+        return best
+    except OverflowError:
+        raise ModelError(OUT_OF_RANGE) from None

@@ -12,6 +12,7 @@ the token it is about; tokens keep only their offset.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -277,7 +278,7 @@ class Parser:
             return STOP
         if self.accept("tell"):
             self.expect("(")
-            c = self.parse_constraint(allow_wildcard=False)
+            c = self.parse_constraint(guard=False)
             self.expect(")")
             return Tell(c)
         if self.at("change"):
@@ -336,38 +337,44 @@ class Parser:
 
     # -- constraints
 
-    def parse_constraint(self, allow_wildcard: bool = True) -> Constraint:
-        """A constraint, its atoms as written; only a guard may hold wildcards."""
+    def parse_constraint(self, guard: bool = True) -> Constraint:
+        """A constraint, its atoms as written: a guard, or a tell (``guard=False``).
+
+        Only a guard may hold wildcards, and only a tell may draw ``random()``.
+        """
         atoms = []
         falsy = False
         while True:
             if self.accept("false"):
                 falsy = True
             elif not self.accept("true"):
-                atoms.append(self.parse_atomic(allow_wildcard))
+                atoms.append(self.parse_atomic(guard))
             if not self.accept("/\\"):
                 break
         return FALSE if falsy else Constraint(frozenset(atoms))
 
-    def parse_atomic(self, allow_wildcard: bool):
+    def parse_atomic(self, guard: bool):
         var = self.variable_name()
         tok = self.peek()
         if tok.text == "=" and tok.kind == "op":
             self.next()
-            term = self.parse_term(allow_wildcard)
+            term = self.parse_term(guard)
             return TermEq(var, term)
         if tok.text in _CMP_OPS:
             self.next()
             return LinCmp(var, _CMP_OPS[tok.text], self.const_expr())
         self.error("expected a comparison operator")
 
-    def parse_term(self, allow_wildcard: bool) -> Term:
-        if self.at("_") and not allow_wildcard:
+    def parse_term(self, guard: bool) -> Term:
+        tok = self.peek()
+        if self.at("_") and not guard:
             self.error("wildcard '_' is only allowed inside ask/now guards")
+        if self.at("random") and guard:
+            self.error("random() is only allowed inside tell")
         if self.accept("_"):
             return WILDCARD
         if self.at("["):
-            return self.parse_list(allow_wildcard)
+            return self.parse_list(guard)
         if self.accept("random"):
             self.expect("(")
             lo = self.const_expr()
@@ -375,9 +382,10 @@ class Parser:
             hi = self.const_expr()
             self.expect(")")
             if lo > hi:
-                self.error(f"random bounds out of order: {lo} > {hi}")
+                self.error(f"random bounds out of order: {lo} > {hi}", tok.offset)
+            if math.ceil(lo) > math.floor(hi):
+                self.error(f"no integer in random range [{lo}, {hi}]", tok.offset)
             return RandomTerm(lo, hi)
-        tok = self.peek()
         if tok.kind == "number" or tok.text == "-":
             value = self.parse_number()
             return Num(value)
@@ -390,16 +398,16 @@ class Parser:
             return Atom(name)
         self.error(f"expected a term, found {tok.text!r}")
 
-    def parse_list(self, allow_wildcard: bool) -> Term:
+    def parse_list(self, guard: bool) -> Term:
         self.expect("[")
         if self.accept("]"):
             return NIL
-        items = [self.parse_term(allow_wildcard)]
+        items = [self.parse_term(guard)]
         while self.accept(","):
-            items.append(self.parse_term(allow_wildcard))
+            items.append(self.parse_term(guard))
         tail: Term = NIL
         if self.accept("|"):
-            tail = self.parse_term(allow_wildcard)
+            tail = self.parse_term(guard)
         self.expect("]")
         for item in reversed(items):
             tail = Cons(item, tail)
@@ -457,7 +465,6 @@ class Parser:
             sign = -sign
         coef = Fraction(1)
         var: Optional[str] = None
-        has_number = False
         divide = False
         while True:
             tok = self.peek()
@@ -483,15 +490,12 @@ class Parser:
                 if divide and factor == 0:
                     self.error("division by zero")
                 coef = coef / factor if divide else coef * factor
-                has_number = True
             if self.accept("*"):
                 divide = False
             elif self.accept("/"):
                 divide = True
             else:
                 break
-        if var is None and not has_number:
-            self.error("empty expression")
         return sign * coef, var
 
 

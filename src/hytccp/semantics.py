@@ -28,6 +28,7 @@ from .constraints import (
     Term,
     TermEq,
     LinCmp,
+    ModelError,
     bound_number,
     conj,
     entails,
@@ -66,12 +67,8 @@ from .syntax import (
 DrawFn = Callable[[Fraction, Fraction], Fraction]
 
 
-class EvaluationError(Exception):
-    """A value the model needs could not be evaluated to a number."""
-
-
 def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
-    raise EvaluationError("random() needs a seeded generator; explore does not draw random values")
+    raise ModelError("random() needs a seeded generator; explore does not draw random values")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class Outcome:
 def _lookup_number(name: str, store: Constraint) -> Fraction:
     value = bound_number(store, name)
     if value is None:
-        raise EvaluationError(f"variable {name} is not bound to a number")
+        raise ModelError(f"variable {name} is not bound to a number")
     return value
 
 

@@ -432,11 +432,8 @@ def builtin_random(lo: Fraction, hi: Fraction, rng: random.Random) -> Fraction:
 
     Quantized to integers (``random.Random.randint`` on the integer points of
     the interval) so traces are reproducible and discrete stores stay exact.
+    The parser checks that the interval holds an integer.
     """
-    if lo > hi:
-        raise ValueError(f"random bounds out of order: {lo} > {hi}")
     low = math.ceil(lo)
     high = math.floor(hi)
-    if low > high:
-        raise ValueError(f"no integer in random range [{lo}, {hi}]")
     return Fraction(rng.randint(low, high))

@@ -254,16 +254,23 @@ def test_check_reads_a_guard_with_the_continuous_names_of_its_own_declaration(tm
 
 UNINITIALIZED_X = "uninitialized continuous variable X: read or kept before any change(X, value, flow)"
 
+# a guard in q equates its parameter with an atom; clk passes q its continuous T, directly or through r
+GUARD_THROUGH_ONE_PARAMETER = (
+    "clk(T) :- change(T, 0, der(T) = 1) || q(T) || (ask(T = 9) -> stop + ask~(T =< 9))."
+    "  q(S) :- ask(S = a) -> stop.  init :- clk(C)."
+)
+GUARD_THROUGH_TWO_PARAMETERS = (
+    "clk(T) :- change(T, 0, der(T) = 1) || r(T) || (ask(T = 9) -> stop + ask~(T =< 9))."
+    "  r(U) :- q(U).  q(S) :- ask(S = a) -> stop.  init :- clk(C)."
+)
+GUARD_FAULT_C = "a guard equates continuous variable C with a non-number: C=a"
+
 
 @pytest.mark.parametrize(
     "text, error, run_exit",
     [
-        (
-            "clk(T) :- change(T, 0, der(T) = 1) || q(T) || (ask(T = 9) -> stop + ask~(T =< 9))."
-            "  q(S) :- ask(S = a) -> stop.  init :- clk(C).",
-            "a guard equates continuous variable C with a non-number: S=a",
-            1,
-        ),
+        (GUARD_THROUGH_ONE_PARAMETER, GUARD_FAULT_C, 1),
+        (GUARD_THROUGH_TWO_PARAMETERS, GUARD_FAULT_C, 1),
         (
             "init :- exists X (change(X, 0, der(X) = 1)) || exists X (ask~(X =< 3) + ask(X = 3) -> stop).",
             UNINITIALIZED_X,
@@ -289,6 +296,7 @@ UNINITIALIZED_X = "uninitialized continuous variable X: read or kept before any 
     ],
     ids=[
         "guard_through_a_parameter",
+        "guard_through_two_parameters",
         "scopes",
         "scopes_in_two_declarations",
         "bound_value",
@@ -404,6 +412,9 @@ def test_parse_output_reparses(tmp_path):
         assert reparsed.lookup(decl.name, len(decl.params))[0].body == decl.body
 
 
+TEN_TO_400 = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "command, source, message",
     [
@@ -430,6 +441,31 @@ def test_parse_output_reparses(tmp_path):
             "init :- change(T, 0, der(T) = 1) || (ask(T = a) -> stop + ask~(T =< 10)).",
             "a guard equates continuous variable T with a non-number: T=a",
         ),
+        # check words these two alike (test_check_reads_scopes_and_parameters_as_run_does)
+        ("run", GUARD_THROUGH_ONE_PARAMETER, GUARD_FAULT_C),
+        ("run", GUARD_THROUGH_TWO_PARAMETERS, GUARD_FAULT_C),
+        ("run", "init :- tell(X = random(1/3, 2/3)).", "1:18: no integer in random range [1/3, 2/3]"),
+        ("check", "init :- tell(X = random(1/3, 2/3)).", "1:18: no integer in random range [1/3, 2/3]"),
+        (
+            "run",
+            "init :- tell(X = 1) || (ask(X = random(0, 3)) -> tell(Y = done)).",
+            "1:33: random() is only allowed inside tell",
+        ),
+        (
+            "check",
+            "init :- tell(X = 1) || (ask(X = random(0, 3)) -> tell(Y = done)).",
+            "1:33: random() is only allowed inside tell",
+        ),
+        (
+            "run",
+            "init :- change(X, 1, der(X) = X) || ask~(true).",
+            "a value or bound of an exponential flow is beyond the float range",
+        ),
+        (
+            "run",
+            f"init :- change(X, 1, der(X) = X) || (ask~(X =< {TEN_TO_400}) + ask(X >= {TEN_TO_400}) -> stop).",
+            "a value or bound of an exponential flow is beyond the float range",
+        ),
     ],
     ids=[
         "explore_random",
@@ -439,10 +475,20 @@ def test_parse_output_reparses(tmp_path):
         "guard_Z_A",
         "guard_T_X",
         "guard_T_atom",
+        "guard_through_a_parameter",
+        "guard_through_two_parameters",
+        "random_without_an_integer",
+        "random_without_an_integer_check",
+        "random_in_a_guard",
+        "random_in_a_guard_check",
+        "exponential_value_overflow",
+        "exponential_bound_overflow",
     ],
 )
 def test_runtime_model_error_is_reported_not_raised(tmp_path, capsys, command, source, message):
+    # one located error line: ``<path>: <message>``, or ``<path>:<line>:<col>: <message>`` for a parse error
     path = "models/dam.hyt" if source is None else write(tmp_path, "model.hyt", source)
-    assert main([command, path, "--out", str(tmp_path / "out")]) == 1
+    out = [] if command == "check" else ["--out", str(tmp_path / "out")]
+    assert main([command, path, *out]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.count("\n") == 1 and err.startswith(f"error: {path}:") and message in err

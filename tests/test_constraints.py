@@ -11,7 +11,7 @@ from hytccp.constraints import (
     Constraint,
     FALSE,
     LinCmp,
-    MissingContinuousVariableError,
+    ModelError,
     NIL,
     Num,
     TRUE,
@@ -80,6 +80,12 @@ def test_ground_false_comparison_is_false():
 
 def test_comparison_on_non_number_is_false():
     assert c("X = a /\\ X < 5") is FALSE
+
+
+def test_conj_resolves_a_stored_comparison_once_its_name_is_bound():
+    store = c("X =< 3")
+    assert conj(store, parse_constraint("X = 2")) == c("X = 2")
+    assert conj(store, parse_constraint("X = 5")) is FALSE
 
 
 def test_wildcard_rejected_outside_guard_matching():
@@ -276,14 +282,13 @@ def test_split_guard_normalizes_numeric_equations():
 
 def test_split_guard_rejects_non_numeric_continuous_binding():
     for text in ("T = a", "T = X", "X = T", "X = [a|T]"):
-        with pytest.raises(MissingContinuousVariableError):
+        with pytest.raises(ModelError):
             split_guard(parse_constraint(text), {"T"})
 
 
 def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
-    assert format_rational(0.5) == "0.5"
 
 
 # --- comparisons of float values against rational bounds

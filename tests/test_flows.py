@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hytccp import flows, semantics, simulator
-from hytccp.constraints import LinCmp
+from hytccp.constraints import LinCmp, ModelError
 from hytccp.flows import (
     ALWAYS,
     ContinuousStore,
@@ -111,8 +111,16 @@ def test_apply_change_and_keep():
 
 
 def test_apply_change_keep_requires_existing_entry():
-    with pytest.raises(KeyError):
+    with pytest.raises(ModelError):
         apply_change(EMPTY_STORE, "T", KEEP, Flow(Fraction(1), Fraction(0)))
+
+
+def test_an_exponential_flow_beyond_the_float_range_is_a_model_error():
+    store = apply_change(EMPTY_STORE, "X", Fraction(1), Flow(Fraction(0), Fraction(1)))
+    with pytest.raises(ModelError, match="beyond the float range"):
+        evolve(store, Fraction(3600))
+    with pytest.raises(ModelError, match="beyond the float range"):
+        max_delay([[[LinCmp("X", "<=", Fraction(10) ** 400)]]], [], store, None)
 
 
 def test_evolve_moves_every_entry_by_one_shared_duration():

@@ -1,11 +1,14 @@
 """Every name a package module imports is used in that module, only the
 parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
-``bindings``), and the CLI reads names through ``syntax.uses`` alone.
+``bindings``), the CLI reads names through ``syntax.uses`` alone, and
+the package defines three exception classes, one of them ``ModelError``,
+which ``cli.main`` catches once.
 
 No linter ships with the project, so these are the checks that keep dead
 imports out, scopes out of the engine, the solved form private to the
-store and ``check`` on the one name-use walk.  ``__init__.py`` is exempt
+store, ``check`` on the one name-use walk and every model fault on one
+error path.  ``__init__.py`` is exempt
 from the first: its imports are the public API.
 """
 import ast
@@ -118,3 +121,31 @@ def test_detector_finds_a_walker():
 
 def test_check_reads_names_only_through_uses():
     assert mentions((SRC / "cli.py").read_text(), WALKERS) == []
+
+
+def exception_classes(source: str) -> list:
+    """Names of the classes ``source`` defines on a base named ``Exception`` or ``...Error``,
+    or on a class found before them."""
+    found: list = []
+    for node in ast.walk(ast.parse(source)):
+        bases = [base.id for base in getattr(node, "bases", ()) if isinstance(base, ast.Name)]
+        if any(base == "Exception" or base.endswith("Error") or base in found for base in bases):
+            found.append(node.name)
+    return found
+
+
+def test_detector_finds_an_exception_class():
+    source = "class A(KeyError):\n    pass\nclass B(Exception):\n    pass\nclass C(A):\n    pass\nclass D(object, ValueError):\n    pass\nclass E(object):\n    pass\n"
+    assert exception_classes(source) == ["A", "B", "C", "D"]
+
+
+def test_the_package_defines_three_exception_classes():
+    found = sorted(name for path in SRC.glob("*.py") for name in exception_classes(path.read_text()))
+    assert found == ["ModelError", "OracleSizeError", "ParseError"]
+
+
+def test_main_handles_model_faults_in_one_except_model_error():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handled = [ast.unparse(handler.type) for node in ast.walk(main) if isinstance(node, ast.Try) for handler in node.handlers]
+    assert handled == ["SystemExit", "FileNotFoundError", "ParseError", "ModelError"]

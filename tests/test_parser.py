@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hytccp.constraints import TRUE, Atom, Cons, LinCmp, NIL, Num, TermEq, Var, WILDCARD, conj
+from hytccp.constraints import TRUE, Atom, Cons, LinCmp, NIL, Num, RandomTerm, TermEq, Var, WILDCARD, conj
 from hytccp.parser import ParseError, parse_agent, parse_constraint, parse_program
 from hytccp.syntax import (
     Call,
@@ -70,9 +70,9 @@ def test_guards_keep_their_atoms_as_written():
 
 
 def test_random_term_bounds_checked():
-    parse_constraint("X = random(0, 350)")
+    assert parse_agent("tell(X = random(0, 350))").constraint.atoms == {TermEq("X", RandomTerm(Fraction(0), Fraction(350)))}
     with pytest.raises(ParseError):
-        parse_constraint("X = random(5, 1)")
+        parse_agent("tell(X = random(5, 1))")
 
 
 # --- agents
@@ -130,6 +130,26 @@ def test_parse_errors_have_positions():
         # wildcard terms on one variable are a guard like any other: the error lies past it
         (parse_program, "init :- ask(X = [a|_] /\\ X = [_|b]) -> tell(Y = [a|_]).", 1, 52, "wildcard '_' is only allowed inside ask/now guards"),
         (parse_program, "init :- now X = [a|_] /\\ X = [a|_] then stop else .", 1, 51, "expected an agent, found '.'"),
+        (parse_program, "const 1 = 2;", 1, 7, "expected constant name"),
+        (parse_program, "p(X, X) :- stop.  init :- p(A, B).", 1, 9, "duplicate parameter in declaration of p"),
+        (parse_agent, "tell(x = 1)", 1, 6, "expected a variable (capitalized identifier)"),
+        (parse_program, "const A = 1;  init :- tell(A = 1).", 1, 28, "A is a constant, not a variable"),
+        (parse_agent, "stop + stop", 1, 6, "only ask/ask~ branches can be joined with '+'"),
+        (parse_agent, "ask(X = 1) -> stop + stop", 1, 22, "expected an ask/ask~ branch after '+'"),
+        (parse_agent, "change(X, 0, der(Y) = 1)", 1, 21, "der(Y) does not match changed variable X"),
+        (parse_agent, "change(X, 2*Y, _)", 1, 14, "change value must be a rational constant or a single variable"),
+        (parse_agent, "tell(X)", 1, 7, "expected a comparison operator"),
+        (parse_agent, "tell(X = - a)", 1, 12, "expected a number"),
+        (parse_agent, "tell(X = 1/0)", 1, 13, "division by zero"),
+        (parse_program, "const A = X;  init :- stop.", 1, 12, "expected a constant expression, found variable X"),
+        (parse_program, "const A = (X);  init :- stop.", 1, 14, "nested expressions must be constant"),
+        (parse_program, "const A = foo;  init :- stop.", 1, 11, "expected a number, constant or variable"),
+        (parse_program, "const A = 1/(0);  init :- stop.", 1, 16, "division by zero"),
+        (parse_agent, "stop stop", 1, 6, "trailing input after agent"),
+        # both random() rules are checked at the random token
+        (parse_agent, "tell(X = random(5, 1))", 1, 10, "random bounds out of order: 5 > 1"),
+        (parse_agent, "tell(X = random(1/3, 2/3))", 1, 10, "no integer in random range [1/3, 2/3]"),
+        (parse_agent, "ask(X = [random(0, 3)]) -> stop", 1, 10, "random() is only allowed inside tell"),
     ]
     for parse, text, line, col, message in cases:
         with pytest.raises(ParseError) as exc:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from hytccp.constraints import (
     TRUE,
     LinCmp,
+    ModelError,
     conj,
     entails,
     is_fresh_name,
@@ -17,7 +18,6 @@ from hytccp.flows import DelayCause, EMPTY_STORE, apply_change
 from hytccp.parser import parse_agent, parse_constraint, parse_program
 from hytccp.semantics import (
     Configuration,
-    EvaluationError,
     compute_delay,
     continuous_step,
     discrete_successors,
@@ -181,7 +181,7 @@ def test_change_value_from_discrete_store():
 
 
 def test_change_unbound_value_is_an_error():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(ModelError):
         succs(cfg_of("change(T, N, der(T) = 1)"))
 
 
