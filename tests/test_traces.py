@@ -19,6 +19,8 @@ from generators import random_program, recursive_program
 GOLDEN = {
     ("run", "models/dam.hyt", "--max-time", "86400"):
         "34929191dac83e4107c120129fef37fa5fede1f78d9c5b44ed9f457173ecc7cc",
+    ("run", "models/dam.hyt", "--max-time", "345600"):
+        "ed95a31c9c90c71d738b8c215c75592ef4bd64dce44305812f8abae2ab0918c2",
     ("run", "models/dam.hyt", "--max-time", "21600", "--policy", "random", "--seed", "1"):
         "df983df1235b6b430e43893c98eb0d7191ae0a6b11d1531958945e8050734df1",
     ("run", "models/dam.hyt", "--max-time", "21600", "--policy", "random", "--seed", "2"):
