@@ -1,9 +1,12 @@
 """Cylindric constraint system over Herbrand terms and single-variable comparisons.
 
 One concrete instantiation: term equations (atoms, numbers, open-ended
-streams) and comparisons of a single variable against a rational constant,
-in solved form in a store only.  Conjunction and entailment are the lattice
-operations; inconsistency is a value (FALSE), never an exception.  Hiding
+streams) and comparisons of a single variable against a rational constant.
+A tell or a guard keeps its atoms as written.  A store, made by ``conj``,
+keeps each bound name's term as unified, which may mention other bound names
+(triangular bindings, followed on read), and builds its solved form only
+when it is printed or its atoms are read.  Conjunction and entailment are
+the lattice operations; inconsistency is a value (FALSE), never an exception.  Hiding
 lives in the engine: a scope's bound names become generated ones, which its
 body tells in the one shared store and which ``entails`` matches as placeholders.
 
@@ -230,8 +233,13 @@ def reset_fresh_counter() -> None:
 OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
+def _part(name: str, term: Term) -> int:
+    """What an equation ``name = term`` adds to a constraint's hash: its name and the top of its term."""
+    return hash((name, Cons if isinstance(term, Cons) else term))
+
+
 class TermEq:
-    """Equation: a variable equals a term (in a store, its final term)."""
+    """Equation: a variable equals a term (in a store's atoms, its final term)."""
 
     __slots__ = ("var", "term", "_hash", "_vars")
 
@@ -352,28 +360,35 @@ def compare(value, op: str, bound) -> bool:
 
 
 class Constraint:
-    """Finite conjunction of atomic constraints: solved for a store (``conj``), as written for a tell or a guard.
+    """Finite conjunction of atomic constraints as written: a tell or a guard.
 
     ``consistent=False`` marks the absorbing false element; its atom set is
-    empty by convention.
+    empty by convention.  A store is the subclass ``_Store``.  Equal
+    constraints hash equal, a store and its atoms as written alike: the hash
+    sums each equation's name with the top of its term (``_part``) and each
+    comparison, so a store computes it without building its solved form.
     """
 
-    __slots__ = ("atoms", "consistent", "_vars")
+    __slots__ = ("atoms", "consistent", "_vars", "_hash")
 
     def __init__(self, atoms: frozenset, consistent: bool = True):
         self.atoms = atoms
         self.consistent = consistent
         self._vars: Optional[set] = None
+        self._hash: Optional[int] = None
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Constraint)
             and self.consistent == other.consistent
             and self.atoms == other.atoms
         )
 
     def __hash__(self) -> int:
-        return hash((self.atoms, self.consistent))
+        if self._hash is None:
+            parts = (_part(a.var, a.term) if isinstance(a, TermEq) else hash(a) for a in self.atoms)
+            self._hash = hash((sum(parts), self.consistent))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Constraint({set(self.atoms)!r})" if self.consistent else "FALSE"
@@ -397,7 +412,45 @@ class Constraint:
         return self._vars
 
 
-TRUE = Constraint(frozenset())
+class _Store(Constraint):
+    """A consistent store as triangular bindings (Aït-Kaci, *Warren's Abstract
+    Machine: A Tutorial Reconstruction*, 1991).
+
+    ``_b`` maps each bound name to its term as unified, which may mention other
+    bound names; ``conj`` adds bindings and never rebuilds one, and readers
+    follow chains with ``_walk``.  ``_cmps`` holds the comparisons, each on an
+    unbound name.  ``_free`` maps each unbound name the store mentions to the
+    bound names that walk to it, so that ``_sum``, the sum of every bound
+    name's ``_part`` with the top of its walked term, follows a chain's end
+    when it gets bound.  ``atoms`` is the solved form: each bound name with its
+    final term, built on first read.
+    """
+
+    __slots__ = ("_b", "_cmps", "_free", "_sum", "_atoms")
+
+    def __init__(self, b: dict, cmps: frozenset, free: dict, total: int):
+        self._b = b
+        self._cmps = cmps
+        self._free = free
+        self._sum = total
+        self.consistent = True
+        self._vars = self._atoms = None
+        self._hash = hash((total + sum(map(hash, cmps)), True))
+
+    @property
+    def atoms(self) -> frozenset:
+        if self._atoms is None:
+            built = _final_terms(self._b)
+            self._atoms = frozenset([*(TermEq(name, t) for name, t in built.items()), *self._cmps])
+        return self._atoms
+
+    def variables(self) -> set:
+        if self._vars is None:
+            self._vars = set(self._b).union(self._free)
+        return self._vars
+
+
+TRUE = _Store({}, frozenset(), {}, 0)  # the empty store, and the guard or tell with no atom
 FALSE = Constraint(frozenset(), consistent=False)
 
 
@@ -410,7 +463,7 @@ class ModelError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# unification / normalization
+# unification over triangular bindings
 
 
 def _walk(t: Term, subst: dict) -> Term:
@@ -419,20 +472,56 @@ def _walk(t: Term, subst: dict) -> Term:
     return t
 
 
-def _deep(t: Term, subst: dict) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, Cons):
-        return Cons(_deep(t.head, subst), _deep(t.tail, subst))
-    return t
+def _final_terms(subst: dict) -> dict:
+    """Each bound name's term with every bound name in it replaced, each built once and shared."""
+    built: dict = {}
+
+    def rebuilt(t: Term) -> Term:
+        if isinstance(t, Var):
+            return built.get(t.name, t)
+        if isinstance(t, Cons):
+            head, tail = rebuilt(t.head), rebuilt(t.tail)
+            return t if head is t.head and tail is t.tail else Cons(head, tail)
+        return t
+
+    for root in subst:
+        todo = [root]
+        while todo:
+            name = todo[-1]
+            if name in built:
+                todo.pop()
+                continue
+            waiting = [v for v in term_vars(subst[name]) if v in subst and v not in built]
+            if waiting:
+                todo.extend(waiting)  # no cycle: unification checks occurs
+            else:
+                built[todo.pop()] = rebuilt(subst[name])
+    return built
 
 
 def _occurs(name: str, t: Term, subst: dict) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Cons):
-        return _occurs(name, t.head, subst) or _occurs(name, t.tail, subst)
+    todo = [t]
+    while todo:
+        t = _walk(todo.pop(), subst)
+        if isinstance(t, Var) and t.name == name:
+            return True
+        if isinstance(t, Cons):
+            todo += (t.tail, t.head)
     return False
+
+
+def _same(a: Term, b: Term, subst: dict) -> bool:
+    """Whether ``a`` and ``b`` are one term once every bound name in them is replaced."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        a, b = _walk(a, subst), _walk(b, subst)
+        if isinstance(a, Cons) and isinstance(b, Cons):
+            if a is not b:
+                todo += ((a.tail, b.tail), (a.head, b.head))
+        elif a != b:
+            return False
+    return True
 
 
 def _unify(a: Term, b: Term, subst: dict) -> bool:
@@ -469,18 +558,23 @@ def _unify(a: Term, b: Term, subst: dict) -> bool:
 
 def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
     """Normalize one comparison against the substitution; False means FALSE."""
-    rep = _deep(Var(c.var), subst)
+    rep = _walk(Var(c.var), subst)
     if isinstance(rep, Num):
         # satisfied ground comparisons carry no information and are dropped
         return compare(rep.value, c.op, c.bound)
     if isinstance(rep, Var):
-        solved.add(LinCmp(rep.name, c.op, c.bound))
+        solved.add(c if rep.name == c.var else LinCmp(rep.name, c.op, c.bound))
         return True
     return False  # comparing a non-numeric term against a number
 
 
+def _as_store(c: Constraint) -> Constraint:
+    """``c`` itself if it is a store or FALSE, else the store of its atoms (or FALSE)."""
+    return c if isinstance(c, _Store) or not c.consistent else _merge(TRUE, c.atoms)
+
+
 def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
-    """Normalize a set of atomic constraints to solved form (or FALSE)."""
+    """The store of a set of atomic constraints (or FALSE)."""
     return _merge(TRUE, atoms)
 
 
@@ -489,82 +583,67 @@ def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
 
 
 def conj(c: Constraint, d: Constraint) -> Constraint:
-    """The solved store ``c`` extended by ``d``, any constraint: the one place atoms are solved."""
+    """The store ``c`` extended by ``d``, a constraint or a store: the one place atoms are solved."""
     if not c.consistent or not d.consistent:
         return FALSE
-    if d.atoms <= c.atoms:
+    if d is c or d is TRUE:
         return c
     return _conj_solved(c, d)
 
 
 @lru_cache(maxsize=16384)
 def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
-    """The solved store ``c`` extended by the atoms of ``d``, which ``c`` does not hold all of."""
-    return _merge(c, d.atoms)
+    """The store ``c`` extended by the atoms of ``d``, or by its bindings if ``d`` is a store."""
+    if isinstance(d, _Store):
+        return _merge(_as_store(c), [*(TermEq(name, t) for name, t in d._b.items()), *d._cmps])
+    return _merge(_as_store(c), d.atoms)
 
 
-def _merge(c: Constraint, atoms: Iterable[AtomicConstraint]) -> Constraint:
-    """The solved constraint ``c`` extended by ``atoms``, in solved form (or FALSE).
+def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
+    """The store ``c`` extended by ``atoms`` (or FALSE); ``c`` itself if they bind nothing new.
 
-    Only bindings touched by newly unified variables are rebuilt, everything
-    else is reused atom object for atom object.  A solved form binds each
-    name to its final term: no bound name occurs in any bound term.
+    Only the told atoms are unified, into a copy of ``c``'s bindings; no old
+    binding is rebuilt.
     """
-    subst: dict = {}
-    base_eqs: dict = {}
-    base_cmps = []
-    for a in c.atoms:
-        if isinstance(a, TermEq):
-            subst[a.var] = a.term
-            base_eqs[a.var] = a
-        else:
-            base_cmps.append(a)
-
-    new_cmps = []
-    pre_keys = set(subst)
+    subst = dict(c._b)
+    told_cmps = []
     for a in atoms:
         if isinstance(a, TermEq):
             if subst.get(a.var) is a.term:
-                continue  # stores share atom objects; identical binding, no work
+                continue  # the same binding, no work
             if not _unify(Var(a.var), a.term, subst):
                 return FALSE
         elif isinstance(a, LinCmp):
-            new_cmps.append(a)
+            told_cmps.append(a)
         else:
             raise TypeError(f"not an atomic constraint: {a!r}")
-    new_keys = subst.keys() - pre_keys
-
-    solved: set = set()
-    # c is solved, so a base binding changes only if its term mentions a
-    # variable that just became bound
-    for name, atom in base_eqs.items():
-        if atom.variables() & new_keys:
-            t = _deep(Var(name), subst)
-            if not (isinstance(t, Var) and t.name == name):
-                solved.add(TermEq(name, t))
-        else:
-            solved.add(atom)
-    for name in new_keys:
-        t = _deep(Var(name), subst)
-        if isinstance(t, Var) and t.name == name:
-            continue
-        solved.add(TermEq(name, t))
-
-    for cmp_ in base_cmps:
-        if cmp_.var in new_keys:
-            if not _resolve_cmp(cmp_, subst, solved):
-                return FALSE
-        else:
-            solved.add(cmp_)
-    for cmp_ in new_cmps:
-        if not _resolve_cmp(cmp_, subst, solved):
+    cmps: set = set()
+    for cmp_ in itertools.chain(c._cmps, told_cmps):
+        if not _resolve_cmp(cmp_, subst, cmps):
             return FALSE
-    return Constraint(frozenset(solved))
+    new = list(itertools.islice(subst, len(c._b), None))  # unification only adds bindings
+    if not new and cmps == c._cmps:
+        return c
+
+    free = dict(c._free)
+    total = c._sum
+    for name in new:
+        end = _walk(subst[name], subst)
+        walked_here = free.pop(name, ())  # bound names whose chains now go on past ``name``
+        total += _part(name, end) + sum(_part(m, end) - _part(m, Var(name)) for m in walked_here)
+        if isinstance(end, Var):
+            free[end.name] = free.get(end.name, ()) + walked_here + (name,)
+    mentioned = [v for name in new for v in term_vars(subst[name])] + [cmp_.var for cmp_ in cmps]
+    for v in mentioned:
+        if v not in subst:
+            free.setdefault(v, ())
+    return _Store(subst, frozenset(cmps), free, total)
 
 
 def bound_number(store: Constraint, name: str) -> Optional[Fraction]:
     """The number the store binds ``name`` to, or None."""
-    term = store.bindings().get(name)  # a solved store binds a name to its final term
+    store = _as_store(store)
+    term = _walk(Var(name), store._b) if store.consistent else None
     return term.value if isinstance(term, Num) else None
 
 
@@ -581,20 +660,19 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     variable the store does not ground is entailed only by the identical store
     atom.  Stores are not guards: compare two stores with ``conj(c, d) == c``.
     """
+    store = _as_store(store)
     if not store.consistent:
         return True
     if not guard.consistent:
         return False
-    sigma = store.bindings()
+    sigma = store._b
     theta: dict = {}
 
     def value(name: str) -> Term:
-        if name in theta:
-            return theta[name]
-        return sigma.get(name) or Var(name)  # a solved store binds a name to its final term
+        return _walk(theta.get(name) or Var(name), sigma)
 
     def unreached(name: str) -> bool:
-        return name not in theta and is_fresh_name(name) and name not in sigma and name not in store.variables()
+        return name not in theta and is_fresh_name(name) and name not in sigma and name not in store._free
 
     def match(sv: Term, gt: Term) -> bool:
         if isinstance(gt, Wildcard):
@@ -603,7 +681,8 @@ def entails(store: Constraint, guard: Constraint) -> bool:
             if unreached(gt.name):
                 theta[gt.name] = sv
                 return True
-            return value(gt.name) == sv
+            return _same(value(gt.name), sv, sigma)
+        sv = _walk(sv, sigma)
         if isinstance(gt, Cons):
             return isinstance(sv, Cons) and match(sv.head, gt.head) and match(sv.tail, gt.tail)
         return sv == gt
@@ -628,7 +707,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
         if isinstance(rep, Num):
             if not compare(rep.value, atom.op, atom.bound):
                 return False
-        elif not isinstance(rep, Var) or LinCmp(rep.name, atom.op, atom.bound) not in store.atoms:
+        elif not isinstance(rep, Var) or LinCmp(rep.name, atom.op, atom.bound) not in store._cmps:
             return False
     return True
 
@@ -651,4 +730,6 @@ def split_guard(guard: Constraint, continuous_vars) -> tuple:
         else:
             name = next(n for n in (atom.var, *term_vars(atom.term)) if n in continuous_vars)
             raise ModelError(f"a guard equates continuous variable {name} with a non-number: {atom}")
-    return Constraint(frozenset(disc), guard.consistent), cont
+    if len(disc) == len(guard.atoms):
+        return guard, cont  # the guard itself, which keeps its hash
+    return Constraint(frozenset(disc)) if disc else TRUE, cont

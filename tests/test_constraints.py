@@ -99,9 +99,11 @@ def test_wildcard_rejected_outside_guard_matching():
 # --- conjunction laws
 
 
+# stream terms whose tails get bound later, so a store's bindings chain
+TERMS = [Atom("a"), Atom("b"), Num(Fraction(3)), Var("X"), Var("Y"), Var("Z"), Cons(Atom("a"), Var("Z")), Cons(Atom("b"), Var("W"))]
 atoms_st = st.lists(
     st.one_of(
-        st.builds(TermEq, st.sampled_from("XYZW"), st.sampled_from([Atom("a"), Atom("b"), Num(Fraction(3)), Var("X"), Var("Y"), Cons(Atom("a"), Var("Z"))])),
+        st.builds(TermEq, st.sampled_from("XYZWU"), st.sampled_from(TERMS)),
         st.builds(
             LinCmp,
             st.sampled_from("UV"),
@@ -138,6 +140,42 @@ def test_conj_idempotent_and_units(a):
 def test_conj_solves_a_tell_as_written(store, atoms):
     # a tell keeps its atoms as written (no _): conj alone solves them
     assert conj(store, Constraint(frozenset(atoms))) == conj(store, solve(atoms))
+
+
+def test_a_store_hashes_and_binds_without_its_solved_form():
+    store = conj(c("X = [a|Y]"), parse_constraint("Y = [b|Z] /\\ Z = W"))
+    assert hash(store) == hash(c("X = [a, b|W] /\\ Y = [b|W] /\\ Z = W"))
+    closed = conj(store, parse_constraint("W = []"))
+    assert store._atoms is None and closed._atoms is None
+    assert str(store) == "X=[a, b|W] /\\ Y=[b|W] /\\ Z=W"
+    assert str(closed) == "W=[] /\\ X=[a, b] /\\ Y=[b] /\\ Z=[]"
+
+
+# told one at a time, Z walks to Y, then on to X, then to a
+CHAIN = [TermEq("Z", Var("Y")), TermEq("Y", Var("X")), TermEq("X", Cons(Atom("a"), Var("W")))]
+
+
+@settings(max_examples=500)
+@given(atoms_st.flatmap(lambda atoms: st.tuples(st.just(atoms), st.permutations(atoms), st.lists(st.integers(0, len(atoms)), max_size=3))))
+@example((CHAIN, CHAIN, [1, 2]))
+def test_equal_stores_hash_and_print_alike(case):
+    # stores built from the same atoms in other orders and splits, by tells
+    # as written or by conj of stores, are one store; so is its atoms as written
+    atoms, shuffled, cuts = case
+    store = solve(atoms)
+    bounds = [0, *sorted(cuts), len(shuffled)]
+    pieces = [shuffled[i:j] for i, j in zip(bounds, bounds[1:])]
+    by_tells, by_stores = TRUE, TRUE
+    for piece in pieces:
+        by_tells = conj(by_tells, Constraint(frozenset(piece)))
+    for piece in reversed(pieces):
+        by_stores = conj(solve(piece), by_stores)
+    written = Constraint(store.atoms, store.consistent)
+    for other in (by_tells, by_stores, written):
+        assert other == store and store == other
+        assert hash(other) == hash(store) and str(other) == str(store)
+        # the names a store mentions, which decide what is a placeholder
+        assert other.variables() == written.variables()
 
 
 # --- entailment

@@ -18,36 +18,46 @@ def dam():
     return parse_program(text)
 
 
+def per_period(dam, hours, monkeypatch, count):
+    """How far ``count()`` moves in each simulated period of one dam run.
+
+    A probe on ``continuous_step`` notes the count at the end of each period;
+    period k holds the discrete steps at (k-1)*3600 and the time that follows
+    them.  The caller's patches are undone when the run ends.
+    """
+    marks = {}
+
+    def probe(cfg, tau):
+        nxt = continuous_step(cfg, tau)
+        if nxt.clock % PERIOD == 0:
+            marks[int(nxt.clock) // PERIOD] = count()
+        return nxt
+
+    continuous_step = simulator.continuous_step
+    monkeypatch.setattr(simulator, "continuous_step", probe)
+    start = count()
+    run(dam, RunOptions(max_time=Fraction(hours * PERIOD)))
+    monkeypatch.undo()
+    assert sorted(marks) == list(range(1, hours + 1))
+    return [marks[k] - marks.get(k - 1, start) for k in range(1, hours + 1)]
+
+
 def conj_calls_per_period(dam, hours, monkeypatch):
     """``conj`` calls made in each simulated period of one dam run.
 
-    ``conj`` is replaced in every module that bound the name, and a probe on
-    ``continuous_step`` notes the count at the end of each period; period k
-    holds the discrete steps at (k-1)*3600 and the time that follows them.
+    ``conj`` is replaced in every module that bound the name.
     """
     calls = 0
-    marks = {}
 
     def counting_conj(c, d):
         nonlocal calls
         calls += 1
         return constraints.conj(c, d)
 
-    def probe(cfg, tau):
-        nxt = continuous_step(cfg, tau)
-        if nxt.clock % PERIOD == 0:
-            marks[int(nxt.clock) // PERIOD] = calls
-        return nxt
-
-    continuous_step = simulator.continuous_step
     for module in (semantics, simulator):
         if getattr(module, "conj", None) is constraints.conj:
             monkeypatch.setattr(module, "conj", counting_conj)
-    monkeypatch.setattr(simulator, "continuous_step", probe)
-    run(dam, RunOptions(max_time=Fraction(hours * PERIOD)))
-    monkeypatch.undo()
-    assert sorted(marks) == list(range(1, hours + 1))
-    return [marks[k] - marks.get(k - 1, 0) for k in range(1, hours + 1)]
+    return per_period(dam, hours, monkeypatch, lambda: calls)
 
 
 def test_conj_calls_per_period_do_not_grow_with_the_horizon(dam, monkeypatch):
@@ -58,6 +68,22 @@ def test_conj_calls_per_period_do_not_grow_with_the_horizon(dam, monkeypatch):
     hours_7_12 = sum(to_12h[6:12]) / 6
     hours_13_24 = sum(to_24h[12:24]) / 12
     assert hours_13_24 == hours_7_12, (to_12h, to_24h)
+
+
+def test_cons_cells_per_period_do_not_grow_with_the_horizon(dam, monkeypatch):
+    # a store that rebuilt its streams on each tell would build more cells
+    # every period, as the streams grow by one cell a period
+    cells = 0
+    cons_init = constraints.Cons.__init__
+
+    def counting_init(self, head, tail):
+        nonlocal cells
+        cells += 1
+        cons_init(self, head, tail)
+
+    monkeypatch.setattr(constraints.Cons, "__init__", counting_init)
+    to_24h = per_period(dam, 24, monkeypatch, lambda: cells)
+    assert len(set(to_24h[6:])) == 1, to_24h
 
 
 def agent_shape(agent):
