@@ -17,6 +17,7 @@ atoms are re-examined on every step.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -233,20 +234,35 @@ def reset_fresh_counter() -> None:
 OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
-def _part(name: str, term: Term) -> int:
-    """What an equation ``name = term`` adds to a constraint's hash: its name and the top of its term."""
-    return hash((name, Cons if isinstance(term, Cons) else term))
+def _shape(term: Term, subst: dict):
+    """What an equation's hash reads of ``term``, links in ``subst`` followed: its top
+    constructor, and a list's head's."""
+    while isinstance(term, Var) and term.name in subst:
+        term = subst[term.name]
+    if not isinstance(term, Cons):
+        return term
+    head = term.head
+    while isinstance(head, Var) and head.name in subst:
+        head = subst[head.name]
+    return Cons, Cons if isinstance(head, Cons) else head
+
+
+_AS_WRITTEN: dict = {}  # no name bound: ``_shape`` of a term as written
 
 
 class TermEq:
-    """Equation: a variable equals a term (in a store's atoms, its final term)."""
+    """Equation: a variable equals a term (in a store's atoms, its final term).
+
+    Its hash reads only the name and the term's ``_shape``, so a store keeps
+    the hash of its solved form without building it.
+    """
 
     __slots__ = ("var", "term", "_hash", "_vars")
 
     def __init__(self, var: str, term: Term):
         self.var = var
         self.term = term
-        self._hash = hash(("TermEq", var, hash(term)))
+        self._hash = hash((var, _shape(term, _AS_WRITTEN)))
         self._vars: Optional[frozenset] = None
 
     def variables(self) -> frozenset:
@@ -365,8 +381,7 @@ class Constraint:
     ``consistent=False`` marks the absorbing false element; its atom set is
     empty by convention.  A store is the subclass ``_Store``.  Equal
     constraints hash equal, a store and its atoms as written alike: the hash
-    sums each equation's name with the top of its term (``_part``) and each
-    comparison, so a store computes it without building its solved form.
+    sums the hashes of the atoms, which a store keeps without building them.
     """
 
     __slots__ = ("atoms", "consistent", "_vars", "_hash")
@@ -386,19 +401,19 @@ class Constraint:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            parts = (_part(a.var, a.term) if isinstance(a, TermEq) else hash(a) for a in self.atoms)
-            self._hash = hash((sum(parts), self.consistent))
+            self._hash = hash((sum(map(_HASH, self.atoms)), self.consistent))
         return self._hash
 
     def __repr__(self) -> str:
         return f"Constraint({set(self.atoms)!r})" if self.consistent else "FALSE"
 
     def __str__(self) -> str:
+        atoms = self.atoms
         if not self.consistent:
             return "false"
-        if not self.atoms:
+        if not atoms:
             return "true"
-        return " /\\ ".join(sorted(map(str, self.atoms), key=atom_text_order))
+        return " /\\ ".join(sorted(map(str, atoms), key=atom_text_order))
 
     def bindings(self) -> dict:
         return {a.var: a.term for a in self.atoms if isinstance(a, TermEq)}
@@ -412,6 +427,9 @@ class Constraint:
         return self._vars
 
 
+_HASH = operator.attrgetter("_hash")
+
+
 class _Store(Constraint):
     """A consistent store as triangular bindings (Aït-Kaci, *Warren's Abstract
     Machine: A Tutorial Reconstruction*, 1991).
@@ -419,14 +437,14 @@ class _Store(Constraint):
     ``_b`` maps each bound name to its term as unified, which may mention other
     bound names; ``conj`` adds bindings and never rebuilds one, and readers
     follow chains with ``_walk``.  ``_cmps`` holds the comparisons, each on an
-    unbound name.  ``_free`` maps each unbound name the store mentions to the
-    bound names that walk to it, so that ``_sum``, the sum of every bound
-    name's ``_part`` with the top of its walked term, follows a chain's end
-    when it gets bound.  ``atoms`` is the solved form: each bound name with its
-    final term, built on first read.
+    unbound name.  ``_sum`` is the sum of the hashes of the solved form's
+    equations, and ``_free`` maps each unbound name the store mentions to the
+    bound names whose ``_shape`` reads it, whose hash changes when it gets
+    bound.  ``atoms`` is the solved form: each bound name with its final term,
+    built on first read.
     """
 
-    __slots__ = ("_b", "_cmps", "_free", "_sum", "_atoms")
+    __slots__ = ("_b", "_cmps", "_free", "_sum")
 
     def __init__(self, b: dict, cmps: frozenset, free: dict, total: int):
         self._b = b
@@ -434,15 +452,15 @@ class _Store(Constraint):
         self._free = free
         self._sum = total
         self.consistent = True
-        self._vars = self._atoms = None
-        self._hash = hash((total + sum(map(hash, cmps)), True))
+        self._vars = None
+        self._hash = hash((total + sum(map(_HASH, cmps)), True))
 
-    @property
-    def atoms(self) -> frozenset:
-        if self._atoms is None:
-            built = _final_terms(self._b)
-            self._atoms = frozenset([*(TermEq(name, t) for name, t in built.items()), *self._cmps])
-        return self._atoms
+    def __getattr__(self, name: str):
+        # called only while the ``atoms`` slot is empty: build the solved form into it
+        if name != "atoms":
+            raise AttributeError(name)
+        self.atoms = frozenset([*(TermEq(v, t) for v, t in _final_terms(self._b).items()), *self._cmps])
+        return self.atoms
 
     def variables(self) -> set:
         if self._vars is None:
@@ -626,18 +644,21 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
         return c
 
     free = dict(c._free)
-    total = c._sum
+    changed = dict.fromkeys(new)
     for name in new:
-        end = _walk(subst[name], subst)
-        walked_here = free.pop(name, ())  # bound names whose chains now go on past ``name``
-        total += _part(name, end) + sum(_part(m, end) - _part(m, Var(name)) for m in walked_here)
-        if isinstance(end, Var):
-            free[end.name] = free.get(end.name, ()) + walked_here + (name,)
+        changed.update(dict.fromkeys(free.pop(name, ())))  # their shapes read a name now bound
+    total = c._sum
+    for name in changed:
+        shape = _shape(subst[name], subst)
+        total += hash((name, shape)) - (hash((name, _shape(c._b[name], c._b))) if name in c._b else 0)
+        read = shape[1] if isinstance(shape, tuple) else shape
+        if isinstance(read, Var):
+            free[read.name] = free.get(read.name, ()) + (name,)
     mentioned = [v for name in new for v in term_vars(subst[name])] + [cmp_.var for cmp_ in cmps]
     for v in mentioned:
         if v not in subst:
             free.setdefault(v, ())
-    return _Store(subst, frozenset(cmps), free, total)
+    return _Store(subst, c._cmps if cmps == c._cmps else frozenset(cmps), free, total)
 
 
 def bound_number(store: Constraint, name: str) -> Optional[Fraction]:
@@ -730,6 +751,6 @@ def split_guard(guard: Constraint, continuous_vars) -> tuple:
         else:
             name = next(n for n in (atom.var, *term_vars(atom.term)) if n in continuous_vars)
             raise ModelError(f"a guard equates continuous variable {name} with a non-number: {atom}")
-    if len(disc) == len(guard.atoms):
+    if not cont:
         return guard, cont  # the guard itself, which keeps its hash
     return Constraint(frozenset(disc)) if disc else TRUE, cont

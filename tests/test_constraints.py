@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hytccp import constraints
 from hytccp.constraints import (
     Atom,
     Cons,
@@ -99,8 +100,11 @@ def test_wildcard_rejected_outside_guard_matching():
 # --- conjunction laws
 
 
-# stream terms whose tails get bound later, so a store's bindings chain
-TERMS = [Atom("a"), Atom("b"), Num(Fraction(3)), Var("X"), Var("Y"), Var("Z"), Cons(Atom("a"), Var("Z")), Cons(Atom("b"), Var("W"))]
+# stream terms whose heads and tails get bound later, so a store's bindings chain
+TERMS = [
+    Atom("a"), Atom("b"), Num(Fraction(3)), Var("X"), Var("Y"), Var("Z"),
+    Cons(Atom("a"), Var("Z")), Cons(Atom("b"), Var("W")), Cons(Var("Y"), NIL),
+]
 atoms_st = st.lists(
     st.one_of(
         st.builds(TermEq, st.sampled_from("XYZWU"), st.sampled_from(TERMS)),
@@ -142,22 +146,27 @@ def test_conj_solves_a_tell_as_written(store, atoms):
     assert conj(store, Constraint(frozenset(atoms))) == conj(store, solve(atoms))
 
 
-def test_a_store_hashes_and_binds_without_its_solved_form():
+def test_a_store_hashes_and_binds_without_its_solved_form(monkeypatch):
+    def built(subst):
+        raise AssertionError("solved form built")
+
+    monkeypatch.setattr(constraints, "_final_terms", built)
     store = conj(c("X = [a|Y]"), parse_constraint("Y = [b|Z] /\\ Z = W"))
     assert hash(store) == hash(c("X = [a, b|W] /\\ Y = [b|W] /\\ Z = W"))
     closed = conj(store, parse_constraint("W = []"))
-    assert store._atoms is None and closed._atoms is None
+    assert entails(closed, parse_constraint("X = [a|_] /\\ Z = []"))
+    monkeypatch.undo()
     assert str(store) == "X=[a, b|W] /\\ Y=[b|W] /\\ Z=W"
     assert str(closed) == "W=[] /\\ X=[a, b] /\\ Y=[b] /\\ Z=[]"
 
 
-# told one at a time, Z walks to Y, then on to X, then to a
-CHAIN = [TermEq("Z", Var("Y")), TermEq("Y", Var("X")), TermEq("X", Cons(Atom("a"), Var("W")))]
+# told one at a time, Z walks to Y, then on to X, then to a list whose head gets bound
+CHAIN = [TermEq("Z", Var("Y")), TermEq("Y", Var("X")), TermEq("X", Cons(Var("W"), NIL)), TermEq("W", Atom("a"))]
 
 
 @settings(max_examples=500)
 @given(atoms_st.flatmap(lambda atoms: st.tuples(st.just(atoms), st.permutations(atoms), st.lists(st.integers(0, len(atoms)), max_size=3))))
-@example((CHAIN, CHAIN, [1, 2]))
+@example((CHAIN, CHAIN, [1, 2, 3]))
 def test_equal_stores_hash_and_print_alike(case):
     # stores built from the same atoms in other orders and splits, by tells
     # as written or by conj of stores, are one store; so is its atoms as written
