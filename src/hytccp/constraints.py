@@ -494,11 +494,13 @@ def _final_terms(subst: dict) -> dict:
     """Each bound name's term with every bound name in it replaced, each built once and shared."""
     built: dict = {}
 
-    def rebuilt(t: Term) -> Term:
+    def rebuilt(t: Term, waiting: list) -> Term:
         if isinstance(t, Var):
+            if t.name in subst and t.name not in built:
+                waiting.append(t.name)
             return built.get(t.name, t)
         if isinstance(t, Cons):
-            head, tail = rebuilt(t.head), rebuilt(t.tail)
+            head, tail = rebuilt(t.head, waiting), rebuilt(t.tail, waiting)
             return t if head is t.head and tail is t.tail else Cons(head, tail)
         return t
 
@@ -509,11 +511,12 @@ def _final_terms(subst: dict) -> dict:
             if name in built:
                 todo.pop()
                 continue
-            waiting = [v for v in term_vars(subst[name]) if v in subst and v not in built]
+            waiting: list = []
+            term = rebuilt(subst[name], waiting)
             if waiting:
-                todo.extend(waiting)  # no cycle: unification checks occurs
+                todo += waiting  # build those first; no cycle, as unification checks occurs
             else:
-                built[todo.pop()] = rebuilt(subst[name])
+                built[todo.pop()] = term
     return built
 
 
