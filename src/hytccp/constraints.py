@@ -408,12 +408,11 @@ class Constraint:
         return f"Constraint({set(self.atoms)!r})" if self.consistent else "FALSE"
 
     def __str__(self) -> str:
-        atoms = self.atoms
         if not self.consistent:
             return "false"
-        if not atoms:
+        if not self.atoms:
             return "true"
-        return " /\\ ".join(sorted(map(str, atoms), key=atom_text_order))
+        return " /\\ ".join(sorted(map(str, self.atoms), key=atom_text_order))
 
     def bindings(self) -> dict:
         return {a.var: a.term for a in self.atoms if isinstance(a, TermEq)}
