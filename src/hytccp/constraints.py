@@ -4,8 +4,8 @@ One concrete instantiation: term equations (atoms, numbers, open-ended
 streams) and comparisons of a single variable against a rational constant.
 A tell or a guard keeps its atoms as written.  A store, made by ``conj``,
 keeps each bound name's term as unified, which may mention other bound names
-(triangular bindings, followed on read), and builds its solved form only
-when it is printed or its atoms are read.  Conjunction and entailment are
+(triangular bindings, followed on read); it prints its solved form off those
+links and builds it only when its atoms are read.  Conjunction and entailment are
 the lattice operations; inconsistency is a value (FALSE), never an exception.  Hiding
 lives in the engine: a scope's bound names become generated ones, which its
 body tells in the one shared store and which ``entails`` matches as placeholders.
@@ -440,16 +440,17 @@ class _Store(Constraint):
     equations, and ``_free`` maps each unbound name the store mentions to the
     bound names whose ``_shape`` reads it, whose hash changes when it gets
     bound.  ``atoms`` is the solved form: each bound name with its final term,
-    built on first read.
+    built on first read.  ``_str`` is the solved form's text, kept once printed.
     """
 
-    __slots__ = ("_b", "_cmps", "_free", "_sum")
+    __slots__ = ("_b", "_cmps", "_free", "_sum", "_str")
 
     def __init__(self, b: dict, cmps: frozenset, free: dict, total: int):
         self._b = b
         self._cmps = cmps
         self._free = free
         self._sum = total
+        self._str: Optional[str] = None
         self.consistent = True
         self._vars = None
         self._hash = hash((total + sum(map(_HASH, cmps)), True))
@@ -461,10 +462,13 @@ class _Store(Constraint):
         self.atoms = frozenset([*(TermEq(v, t) for v, t in _final_terms(self._b).items()), *self._cmps])
         return self.atoms
 
-    def variables(self) -> set:
-        if self._vars is None:
-            self._vars = set(self._b).union(self._free)
-        return self._vars
+    def __str__(self) -> str:
+        # the solved form's text, read off the links once, without building the solved form
+        if self._str is None:
+            b = self._b
+            texts = [*(f"{v}={_text(t, b)}" for v, t in b.items()), *map(str, self._cmps)]
+            self._str = " /\\ ".join(sorted(texts, key=atom_text_order)) or "true"
+        return self._str
 
 
 TRUE = _Store({}, frozenset(), {}, 0)  # the empty store, and the guard or tell with no atom
@@ -487,6 +491,20 @@ def _walk(t: Term, subst: dict) -> Term:
     while isinstance(t, Var) and t.name in subst:
         t = subst[t.name]
     return t
+
+
+def _text(t: Term, subst: dict) -> str:
+    """``str`` of ``t`` with every bound name in it replaced."""
+    t = _walk(t, subst)
+    if not isinstance(t, Cons):
+        return str(t)
+    items = []
+    while isinstance(t, Cons):
+        items.append(_text(t.head, subst))
+        t = _walk(t.tail, subst)
+    if t == NIL:
+        return "[" + ", ".join(items) + "]"
+    return "[" + ", ".join(items) + "|" + str(t) + "]"
 
 
 def _final_terms(subst: dict) -> dict:
@@ -613,9 +631,7 @@ def conj(c: Constraint, d: Constraint) -> Constraint:
 
 @lru_cache(maxsize=16384)
 def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
-    """The store ``c`` extended by the atoms of ``d``, or by its bindings if ``d`` is a store."""
-    if isinstance(d, _Store):
-        return _merge(_as_store(c), [*(TermEq(name, t) for name, t in d._b.items()), *d._cmps])
+    """The store ``c`` extended by the atoms of ``d``."""
     return _merge(_as_store(c), d.atoms)
 
 

@@ -147,6 +147,7 @@ def test_conj_solves_a_tell_as_written(store, atoms):
 
 
 def test_a_store_hashes_and_binds_without_its_solved_form(monkeypatch):
+    # and prints without it: the text is read off the links
     def built(subst):
         raise AssertionError("solved form built")
 
@@ -155,9 +156,10 @@ def test_a_store_hashes_and_binds_without_its_solved_form(monkeypatch):
     assert hash(store) == hash(c("X = [a, b|W] /\\ Y = [b|W] /\\ Z = W"))
     closed = conj(store, parse_constraint("W = []"))
     assert entails(closed, parse_constraint("X = [a|_] /\\ Z = []"))
-    monkeypatch.undo()
     assert str(store) == "X=[a, b|W] /\\ Y=[b|W] /\\ Z=W"
     assert str(closed) == "W=[] /\\ X=[a, b] /\\ Y=[b] /\\ Z=[]"
+    monkeypatch.undo()
+    assert str(Constraint(closed.atoms)) == str(closed)
 
 
 # told one at a time, Z walks to Y, then on to X, then to a list whose head gets bound
