@@ -52,6 +52,10 @@ THERMOSTAT_DIGEST = "d7ebac3a8ad3254fd68812862b9f82a8506b1ffe6a123f6304649494531
 # with one time sample: each report as sorted JSON, one a line
 RECURSIVE_REPORTS_DIGEST = "1abb47c7b53aee87c4d35b2bcb5c88630488f8384e4a20dbbb21c0acf1122684"
 
+# SHA-256 of the explore reports of random_program(s), s = 0..299, at depth 5:
+# each report as sorted JSON, one a line
+RANDOM_REPORTS_DIGEST = "6d711986e24f2ce70ee9df66007515896c75fc8bcddaa6edf8c8d752d5dd02ec"
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
 def test_cli_output_digest(tmp_path, argv):
@@ -89,3 +93,8 @@ def test_thermostat_run_digest(tmp_path):
 def test_recursive_program_reports_digest():
     reports = (json.dumps(explore(recursive_program(s), 8, time_samples=1).to_json(), sort_keys=True) for s in range(12))
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == RECURSIVE_REPORTS_DIGEST
+
+
+def test_random_program_reports_digest():
+    reports = (json.dumps(explore(random_program(s), 5).to_json(), sort_keys=True) for s in range(300))
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == RANDOM_REPORTS_DIGEST
