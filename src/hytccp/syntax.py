@@ -98,24 +98,33 @@ class LinExpr:
 # --- agents
 
 
+class _Node:
+    """An agent node.  Its text (``pretty``) is printed on first use and kept on
+    the node; like ``Flow``'s floats it takes no part in equality, hash or repr."""
+
+    @cached_property
+    def _text(self) -> str:
+        return _pretty(self)
+
+
 @dataclass(frozen=True)
-class Stop:
+class Stop(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Tell:
+class Tell(_Node):
     constraint: Constraint
 
 
 @dataclass(frozen=True)
-class Parallel:
+class Parallel(_Node):
     left: "Agent"
     right: "Agent"
 
 
 @dataclass(frozen=True)
-class Hide:
+class Hide(_Node):
     """Scope agent ``exists vars (body)``.
 
     A scope has no store of its own.  Before the first step, and at each
@@ -137,26 +146,26 @@ class AskBranch:
 
 
 @dataclass(frozen=True)
-class Choice:
+class Choice(_Node):
     ask_branches: Tuple[AskBranch, ...]
     cont_branches: Tuple[Constraint, ...] = ()  # ask~ invariants
 
 
 @dataclass(frozen=True)
-class Now:
+class Now(_Node):
     guard: Constraint
     then: "Agent"
     orelse: "Agent"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: Tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class Change:
+class Change(_Node):
     var: str
     value: Union[Fraction, str, Keep]  # rational, discrete variable, or KEEP
     flow: Union[LinExpr, Keep]  # d(var)/dt, unevaluated, or KEEP
@@ -381,47 +390,48 @@ def _pp_atom(a) -> str:
     return f"{a.var} {OP_TEXT[a.op]} {format_rational(a.bound)}"
 
 
-def _pp_change(agent: Change) -> str:
-    val = agent.value if isinstance(agent.value, str) else "_" if agent.value is KEEP else format_rational(agent.value)
-    flow = "_" if agent.flow is KEEP else f"der({agent.var}) = {agent.flow}"
-    return f"change({agent.var}, {val}, {flow})"
-
-
 def pretty(agent: Agent) -> str:
+    """The text of ``agent``, which the parser reads back as ``agent``.  Each
+    node's text is printed once and kept on the node, so printing an agent
+    prints only the nodes no earlier print has met."""
+    new, stack = [], [agent]  # the nodes not printed yet, each before its sub-agents
+    while stack:
+        node = stack.pop()
+        if "_text" not in node.__dict__:
+            new.append(node)
+            stack += children(node)
+    for node in reversed(new):  # sub-agents first, so no print recurses
+        node._text
+    return agent._text
+
+
+def _pretty(agent: Agent) -> str:
     if isinstance(agent, Stop):
         return "stop"
     if isinstance(agent, Tell):
         return f"tell({_pp_constraint(agent.constraint)})"
     if isinstance(agent, Parallel):
         # '||' parses left-associatively: a right-nested parallel needs parens
-        right = agent.right
-        right_s = f"({pretty(right)})" if isinstance(right, Parallel) else _pp_par_operand(right)
-        return f"{_pp_par_operand(agent.left)} || {right_s}"
+        return f"{_pp_operand(agent.left, (Choice, Now))} || {_pp_operand(agent.right)}"
     if isinstance(agent, Hide):
-        return f"exists {', '.join(agent.vars)} ({pretty(agent.body)})"
+        return f"exists {', '.join(agent.vars)} ({agent.body._text})"
     if isinstance(agent, Choice):
-        parts = [f"ask({_pp_constraint(b.guard)}) -> {_pp_branch_body(b.body)}" for b in agent.ask_branches]
+        parts = [f"ask({_pp_constraint(b.guard)}) -> {_pp_operand(b.body)}" for b in agent.ask_branches]
         parts += [f"ask~({_pp_constraint(inv)})" for inv in agent.cont_branches]
         return " + ".join(parts)
     if isinstance(agent, Now):
-        return f"now {_pp_constraint(agent.guard)} then {_pp_branch_body(agent.then)} else {_pp_branch_body(agent.orelse)}"
+        return f"now {_pp_constraint(agent.guard)} then {_pp_operand(agent.then)} else {_pp_operand(agent.orelse)}"
     if isinstance(agent, Call):
         return f"{agent.name}({', '.join(agent.args)})" if agent.args else agent.name
     if isinstance(agent, Change):
-        return _pp_change(agent)
-    raise TypeError(f"not an agent: {agent!r}")
+        val = agent.value if isinstance(agent.value, str) else "_" if agent.value is KEEP else format_rational(agent.value)
+        flow = "_" if agent.flow is KEEP else f"der({agent.var}) = {agent.flow}"
+        return f"change({agent.var}, {val}, {flow})"
 
 
-def _pp_par_operand(agent: Agent) -> str:
-    if isinstance(agent, (Choice, Now)):
-        return f"({pretty(agent)})"
-    return pretty(agent)
-
-
-def _pp_branch_body(agent: Agent) -> str:
-    if isinstance(agent, (Parallel, Choice, Now)):
-        return f"({pretty(agent)})"
-    return pretty(agent)
+def _pp_operand(agent: Agent, bracketed: tuple = (Parallel, Choice, Now)) -> str:
+    # in parentheses if one of the bracketed forms: by default those a branch body or a right '||' operand needs them for
+    return f"({agent._text})" if isinstance(agent, bracketed) else agent._text
 
 
 # --- builtins

@@ -228,6 +228,17 @@ def test_pretty_round_trip_random_agents():
         rng = random.Random(seed)
         agent = random_agent(rng, 3, ["Cx", "Cy"])
         assert parse_agent(pretty(agent)) == agent
+        assert parse_agent(pretty(agent)) == agent  # the second print reads the kept text
+
+
+def test_kept_text_is_invisible():
+    source = "tell(X = [a|T]) || (ask(X = [a|_]) -> change(C, 0, der(C) = 1) + ask~(C =< 3)) || p(X)"
+    printed, fresh = parse_agent(source), parse_agent(source)
+    text = pretty(printed)
+    assert printed == fresh and fresh == printed
+    assert hash(printed) == hash(fresh)
+    assert repr(printed) == repr(fresh) and text not in repr(printed)
+    assert pretty(fresh) == text
 
 
 def test_free_vars():

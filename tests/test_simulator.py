@@ -1,5 +1,6 @@
 """Scheduling loop, trace formats, canonical keys, bounded exploration."""
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hytccp import simulator
+from hytccp import simulator, syntax
 from hytccp.constraints import FRESH_NAME, Constraint, is_fresh_name, reset_fresh_counter
 from hytccp.parser import parse_program
 from hytccp.semantics import Configuration
@@ -20,7 +21,7 @@ from hytccp.simulator import (
     explore,
     run,
 )
-from hytccp.syntax import Tell, children, rebuild, rename_atoms, uses
+from hytccp.syntax import Choice, Now, Tell, children, nodes, rebuild, rename_atoms, uses
 
 from generators import random_program, recursive_program
 
@@ -211,6 +212,42 @@ def test_canonical_key_ignores_how_generated_names_are_numbered(data):
         renamed(cfg.agent, mapping), rename_atoms(cfg.discrete, mapping), cfg.continuous, cfg.clock
     )
     assert canonical_key(other) == canonical_key(cfg)
+
+
+def own_atoms(node):
+    """The atoms of the tell, guards and invariants ``node`` holds itself."""
+    if isinstance(node, Tell):
+        held = [node.constraint]
+    elif isinstance(node, Choice):
+        held = [b.guard for b in node.ask_branches] + list(node.cont_branches)
+    elif isinstance(node, Now):
+        held = [node.guard]
+    else:
+        held = []
+    return [a for c in held for a in c.atoms]
+
+
+def test_explore_prints_each_agent_node_once():
+    # a successor shares most of its agent with its parent, and a shared
+    # node's text is kept: no atom is printed more often than nodes hold it
+    printed = Counter()
+    keyed = {}  # every node of every keyed agent, by identity, kept alive
+
+    def count(atom):
+        printed[atom] += 1
+        return print_atom(atom)
+
+    def key(cfg):
+        keyed.update((id(node), node) for node in nodes(cfg.agent))
+        return canonical_key(cfg)
+
+    print_atom = syntax._pp_atom
+    with mock.patch.object(syntax, "_pp_atom", count), mock.patch.object(simulator, "canonical_key", key):
+        for seed in range(12):
+            explore(recursive_program(seed), 8, time_samples=1)
+    held = Counter(a for node in keyed.values() for a in own_atoms(node))
+    assert printed and all(n <= held[atom] for atom, n in printed.items())
+    assert sum(printed.values()) <= sum(held.values())
 
 
 # --- exploration
