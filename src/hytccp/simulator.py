@@ -240,10 +240,11 @@ def run(program: Program, options: RunOptions) -> Trace:
 def canonical_key(cfg: Configuration) -> Tuple:
     """Hashable key identifying configurations up to generated-variable renaming.
 
-    The agent and then the store are printed, each constraint's atoms in
-    the order of their text with generated names masked; generated names
-    are then numbered c1, c2, ... in order of first occurrence.  Atoms whose
-    masked texts are equal are still ordered by their numbers.
+    The agent and then the store are printed (each agent node's text and each
+    store's is printed once and kept), each constraint's atoms in the order
+    of their text with generated names masked; generated names are then
+    numbered c1, c2, ... in order of first occurrence.  Atoms whose masked
+    texts are equal are still ordered by their numbers.
     """
     numbers: dict = {}
     number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")

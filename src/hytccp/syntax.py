@@ -391,9 +391,8 @@ def _pp_atom(a) -> str:
 
 
 def pretty(agent: Agent) -> str:
-    """The text of ``agent``, which the parser reads back as ``agent``.  Each
-    node's text is printed once and kept on the node, so printing an agent
-    prints only the nodes no earlier print has met."""
+    """The text of ``agent``, which the parser reads back as ``agent``.  A node's text is
+    printed once and kept on the node, so a print prints only nodes no earlier one met."""
     new, stack = [], [agent]  # the nodes not printed yet, each before its sub-agents
     while stack:
         node = stack.pop()
@@ -430,7 +429,7 @@ def _pretty(agent: Agent) -> str:
 
 
 def _pp_operand(agent: Agent, bracketed: tuple = (Parallel, Choice, Now)) -> str:
-    # in parentheses if one of the bracketed forms: by default those a branch body or a right '||' operand needs them for
+    # by default, the forms bracketed as a branch body or as the right operand of '||'
     return f"({agent._text})" if isinstance(agent, bracketed) else agent._text
 
 
