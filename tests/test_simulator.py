@@ -247,7 +247,6 @@ def test_explore_prints_each_agent_node_once():
             explore(recursive_program(seed), 8, time_samples=1)
     held = Counter(a for node in keyed.values() for a in own_atoms(node))
     assert printed and all(n <= held[atom] for atom, n in printed.items())
-    assert sum(printed.values()) <= sum(held.values())
 
 
 # --- exploration
