@@ -4,9 +4,11 @@ One concrete instantiation: term equations (atoms, numbers, open-ended
 streams) and comparisons of a single variable against a rational constant.
 A tell or a guard keeps its atoms as written.  A store, made by ``conj``,
 keeps each bound name's term as unified, which may mention other bound names
-(triangular bindings, followed on read); it prints its solved form off those
-links and builds it only when its atoms are read.  Conjunction and entailment are
-the lattice operations; inconsistency is a value (FALSE), never an exception.  Hiding
+(triangular bindings, followed on read).  A store is known by its bindings: it
+hashes its bound names, compares with another store link by link, and prints
+its solved form off the links; it builds that form only when its atoms are
+read.  Conjunction and entailment are the lattice operations; inconsistency
+is a value (FALSE), never an exception.  Hiding
 lives in the engine: a scope's bound names become generated ones, which its
 body tells in the one shared store and which ``entails`` matches as placeholders.
 
@@ -234,35 +236,15 @@ def reset_fresh_counter() -> None:
 OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
-def _shape(term: Term, subst: dict):
-    """What an equation's hash reads of ``term``, links in ``subst`` followed: its top
-    constructor, and a list's head's."""
-    while isinstance(term, Var) and term.name in subst:
-        term = subst[term.name]
-    if not isinstance(term, Cons):
-        return term
-    head = term.head
-    while isinstance(head, Var) and head.name in subst:
-        head = subst[head.name]
-    return Cons, Cons if isinstance(head, Cons) else head
-
-
-_AS_WRITTEN: dict = {}  # no name bound: ``_shape`` of a term as written
-
-
 class TermEq:
-    """Equation: a variable equals a term (in a store's atoms, its final term).
-
-    Its hash reads only the name and the term's ``_shape``, so a store keeps
-    the hash of its solved form without building it.
-    """
+    """Equation: a variable equals a term (in a store's atoms, its final term)."""
 
     __slots__ = ("var", "term", "_hash", "_vars")
 
     def __init__(self, var: str, term: Term):
         self.var = var
         self.term = term
-        self._hash = hash((var, _shape(term, _AS_WRITTEN)))
+        self._hash = hash((var, term))
         self._vars: Optional[frozenset] = None
 
     def variables(self) -> frozenset:
@@ -379,9 +361,9 @@ class Constraint:
     """Finite conjunction of atomic constraints as written: a tell or a guard.
 
     ``consistent=False`` marks the absorbing false element; its atom set is
-    empty by convention.  A store is the subclass ``_Store``.  Equal
-    constraints hash equal, a store and its atoms as written alike: the hash
-    sums the hashes of the atoms, which a store keeps without building them.
+    empty by convention.  The hash sums the hashes of the atoms.  A store is
+    the subclass ``_Store``, which equals a constraint as written only when
+    neither has an atom.
     """
 
     __slots__ = ("atoms", "consistent", "_vars", "_hash")
@@ -436,16 +418,17 @@ class _Store(Constraint):
     ``_b`` maps each bound name to its term as unified, which may mention other
     bound names; ``conj`` adds bindings and never rebuilds one, and readers
     follow chains with ``_walk``.  ``_cmps`` holds the comparisons, each on an
-    unbound name.  ``_sum`` is the sum of the hashes of the solved form's
-    equations, and ``_free`` maps each unbound name the store mentions to the
-    bound names whose ``_shape`` reads it, whose hash changes when it gets
-    bound.  ``atoms`` is the solved form: each bound name with its final term,
-    built on first read.  ``_str`` is the solved form's text, kept once printed.
+    unbound name.  ``_sum`` is the sum of the hashes of the bound names, and
+    ``_free`` the set of unbound names the store mentions.  Two stores are equal
+    when they bind the same names to the same final terms and hold the same
+    comparisons.  ``atoms`` is the solved form: each bound name with its final
+    term, built on first read.  ``_str`` is the solved form's text, kept once
+    printed.
     """
 
     __slots__ = ("_b", "_cmps", "_free", "_sum", "_str")
 
-    def __init__(self, b: dict, cmps: frozenset, free: dict, total: int):
+    def __init__(self, b: dict, cmps: frozenset, free: frozenset, total: int):
         self._b = b
         self._cmps = cmps
         self._free = free
@@ -462,6 +445,22 @@ class _Store(Constraint):
         self.atoms = frozenset([*(TermEq(v, t) for v, t in _final_terms(self._b).items()), *self._cmps])
         return self.atoms
 
+    def __eq__(self, other) -> bool:
+        # binding by binding, through both link maps, never through the solved form
+        if self is other:
+            return True
+        if not isinstance(other, _Store):
+            return isinstance(other, Constraint) and other.consistent and not other.atoms and not (self._b or self._cmps)
+        b, ob = self._b, other._b
+        return (
+            self._hash == other._hash
+            and self._cmps == other._cmps
+            and b.keys() == ob.keys()
+            and all(_same(t, ob[v], b, ob) for v, t in b.items())
+        )
+
+    __hash__ = Constraint.__hash__
+
     def __str__(self) -> str:
         # the solved form's text, read off the links once, without building the solved form
         if self._str is None:
@@ -471,7 +470,7 @@ class _Store(Constraint):
         return self._str
 
 
-TRUE = _Store({}, frozenset(), {}, 0)  # the empty store, and the guard or tell with no atom
+TRUE = _Store({}, frozenset(), frozenset(), 0)  # the empty store, and the guard or tell with no atom
 FALSE = Constraint(frozenset(), consistent=False)
 
 
@@ -548,12 +547,18 @@ def _occurs(name: str, t: Term, subst: dict) -> bool:
     return False
 
 
-def _same(a: Term, b: Term, subst: dict) -> bool:
-    """Whether ``a`` and ``b`` are one term once every bound name in them is replaced."""
+def _same(a: Term, b: Term, sa: dict, sb: dict) -> bool:
+    """Whether ``a`` and ``b`` are one term once every name bound in ``sa`` is
+    replaced in ``a``, and every name bound in ``sb`` in ``b``.
+
+    A list met in both is skipped: with one map it is one term, and when two
+    stores are compared (``_Store.__eq__``) each bound name in it is compared
+    on its own.
+    """
     todo = [(a, b)]
     while todo:
         a, b = todo.pop()
-        a, b = _walk(a, subst), _walk(b, subst)
+        a, b = _walk(a, sa), _walk(b, sb)
         if isinstance(a, Cons) and isinstance(b, Cons):
             if a is not b:
                 todo += ((a.tail, b.tail), (a.head, b.head))
@@ -624,7 +629,7 @@ def conj(c: Constraint, d: Constraint) -> Constraint:
     """The store ``c`` extended by ``d``, a constraint or a store: the one place atoms are solved."""
     if not c.consistent or not d.consistent:
         return FALSE
-    if d is c or d is TRUE:
+    if d is c or not d.atoms:
         return c
     return _conj_solved(c, d)
 
@@ -660,22 +665,9 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
     new = list(itertools.islice(subst, len(c._b), None))  # unification only adds bindings
     if not new and cmps == c._cmps:
         return c
-
-    free = dict(c._free)
-    changed = dict.fromkeys(new)
-    for name in new:
-        changed.update(dict.fromkeys(free.pop(name, ())))  # their shapes read a name now bound
-    total = c._sum
-    for name in changed:
-        shape = _shape(subst[name], subst)
-        total += hash((name, shape)) - (hash((name, _shape(c._b[name], c._b))) if name in c._b else 0)
-        read = shape[1] if isinstance(shape, tuple) else shape
-        if isinstance(read, Var):
-            free[read.name] = free.get(read.name, ()) + (name,)
     mentioned = [v for name in new for v in term_vars(subst[name])] + [cmp_.var for cmp_ in cmps]
-    for v in mentioned:
-        if v not in subst:
-            free.setdefault(v, ())
+    free = c._free.difference(new).union(v for v in mentioned if v not in subst)
+    total = c._sum + sum(map(hash, new))
     return _Store(subst, c._cmps if cmps == c._cmps else frozenset(cmps), free, total)
 
 
@@ -720,7 +712,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
             if unreached(gt.name):
                 theta[gt.name] = sv
                 return True
-            return _same(value(gt.name), sv, sigma)
+            return _same(value(gt.name), sv, sigma, sigma)
         sv = _walk(sv, sigma)
         if isinstance(gt, Cons):
             return isinstance(sv, Cons) and match(sv.head, gt.head) and match(sv.tail, gt.tail)

@@ -147,7 +147,7 @@ def test_conj_solves_a_tell_as_written(store, atoms):
 
 
 def test_a_store_hashes_and_binds_without_its_solved_form(monkeypatch):
-    # and prints without it: the text is read off the links
+    # and prints and compares without it: the text is read off the links
     def built(subst):
         raise AssertionError("solved form built")
 
@@ -158,8 +158,27 @@ def test_a_store_hashes_and_binds_without_its_solved_form(monkeypatch):
     assert entails(closed, parse_constraint("X = [a|_] /\\ Z = []"))
     assert str(store) == "X=[a, b|W] /\\ Y=[b|W] /\\ Z=W"
     assert str(closed) == "W=[] /\\ X=[a, b] /\\ Y=[b] /\\ Z=[]"
+    # the same bindings told in another order, linked otherwise
+    other = conj(c("Z = W /\\ Y = [b|W]"), parse_constraint("X = [a, b|Z]"))
+    assert other == store and store == other and hash(other) == hash(store)
+    # the same names bound to other terms
+    assert c("X = a") != c("X = b")
+    assert c("X = [a|Y]") != c("X = [a|Z]")
+    # a store is not its atoms as written, unless neither has an atom
+    written = parse_constraint("X = [a, b|W] /\\ Y = [b|W] /\\ Z = W")
+    assert store != written and written != store
+    assert TRUE == parse_constraint("true") and parse_constraint("true") == TRUE
+    assert hash(TRUE) == hash(parse_constraint("true"))
     monkeypatch.undo()
+    assert written == Constraint(store.atoms)
+    assert store != Constraint(store.atoms) and Constraint(store.atoms) != store
     assert str(Constraint(closed.atoms)) == str(closed)
+
+
+def test_equations_that_differ_in_a_list_tail_hash_apart():
+    # an equation hashes its whole term, so guards like these do not collide
+    equations = [next(iter(parse_constraint(f"Z = {t}").atoms)) for t in ("[a|X]", "[a|_]", "[a|W]", "[a]", "[a, b]")]
+    assert len(set(map(hash, equations))) == 5
 
 
 # told one at a time, Z walks to Y, then on to X, then to a list whose head gets bound
@@ -171,7 +190,8 @@ CHAIN = [TermEq("Z", Var("Y")), TermEq("Y", Var("X")), TermEq("X", Cons(Var("W")
 @example((CHAIN, CHAIN, [1, 2, 3]))
 def test_equal_stores_hash_and_print_alike(case):
     # stores built from the same atoms in other orders and splits, by tells
-    # as written or by conj of stores, are one store; so is its atoms as written
+    # as written or by conj of stores, are one store; its atoms as written
+    # print alike and name the same variables
     atoms, shuffled, cuts = case
     store = solve(atoms)
     bounds = [0, *sorted(cuts), len(shuffled)]
@@ -182,9 +202,10 @@ def test_equal_stores_hash_and_print_alike(case):
     for piece in reversed(pieces):
         by_stores = conj(solve(piece), by_stores)
     written = Constraint(store.atoms, store.consistent)
+    for other in (by_tells, by_stores):
+        assert other == store and store == other and hash(other) == hash(store)
     for other in (by_tells, by_stores, written):
-        assert other == store and store == other
-        assert hash(other) == hash(store) and str(other) == str(store)
+        assert str(other) == str(store)
         # the names a store mentions, which decide what is a placeholder
         assert other.variables() == written.variables()
 
@@ -325,7 +346,7 @@ def test_entails_placeholder_takes_its_value_only_from_the_store():
 
 def test_split_guard_normalizes_numeric_equations():
     disc, cont = split_guard(c("T = 3600 /\\ X = a"), {"T"})
-    assert disc == c("X = a")
+    assert disc == parse_constraint("X = a")
     assert cont == [LinCmp("T", "=", Fraction(3600))]
 
 

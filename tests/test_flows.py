@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hytccp import flows, semantics, simulator
+from hytccp import constraints, flows, semantics, simulator
 from hytccp.constraints import LinCmp, ModelError
 from hytccp.flows import (
     ALWAYS,
@@ -448,3 +448,16 @@ def test_exponential_run_compares_floats_without_rational_round_trips(monkeypatc
     trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
     assert trace.terminal.kind == "max_time"
     assert steps > 100 and calls <= 4 * steps
+
+
+def test_parallel_steps_that_tell_nothing_solve_nothing():
+    # each parallel step joins both sides' increments into a new Constraint;
+    # without atoms, conj returns the store itself and never reaches the cache
+    def calls():
+        info = constraints._conj_solved.cache_info()
+        return info.hits + info.misses
+
+    before = calls()
+    trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
+    assert trace.terminal.kind == "max_time"
+    assert calls() == before
