@@ -12,13 +12,12 @@ computed once per ``Flow`` (``float_a``, ``float_b``, ``shift``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .constraints import LinCmp, ModelError, compare
-from .syntax import Flow, KEEP, Keep
+from .constraints import LinCmp, ModelError, compare, format_rational
+from .syntax import Flow, KEEP, Keep, Record
 
 Value = Union[Fraction, float]
 
@@ -30,15 +29,24 @@ BISECTION_TOL = 1e-12
 OUT_OF_RANGE = "a value or bound of an exponential flow is beyond the float range"
 
 
-@dataclass(frozen=True)
-class Entry:
-    value: Value
-    flow: Flow
+def value_json(v: Value) -> Union[str, float]:
+    """A value as traces and state keys print it: a rational's text, or a float."""
+    return format_rational(v) if isinstance(v, Fraction) else float(v)
 
 
-@dataclass(frozen=True)
-class ContinuousStore:
-    entries: Tuple[Tuple[str, Entry], ...] = ()
+class Entry(Record):
+    __slots__ = ("value", "flow")
+
+    def __init__(self, value: Value, flow: Flow):
+        self.value = value
+        self.flow = flow
+
+
+class ContinuousStore(Record):
+    __slots__ = ("entries", "_texts")
+
+    def __init__(self, entries: Tuple[Tuple[str, Entry], ...] = ()):
+        self.entries = entries
 
     def as_dict(self) -> Dict[str, Entry]:
         return dict(self.entries)
@@ -48,6 +56,14 @@ class ContinuousStore:
 
     def get(self, name: str) -> Optional[Entry]:
         return next((entry for n, entry in self.entries if n == name), None)
+
+    def texts(self) -> Tuple[Tuple[str, Union[str, float], str], ...]:
+        """Each entry as ``(name, value_json(value), flow text)``, built once and kept."""
+        try:
+            return self._texts
+        except AttributeError:
+            self._texts = tuple((name, value_json(e.value), e.flow.text) for name, e in self.entries)
+            return self._texts
 
 
 EMPTY_STORE = ContinuousStore()
@@ -143,14 +159,16 @@ def _moving_up(v0: Value, f: Flow) -> int:
     return (d > 0) - (d < 0)
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Truth interval of a comparison along one trajectory, within [0, inf)."""
+class Interval(Record):
+    """Truth interval of a comparison along one trajectory, within [0, inf); empty if ``start`` is None."""
 
-    start: Optional[Value]  # None means empty interval
-    start_open: bool = False
-    end: Optional[Value] = UNBOUNDED  # None = unbounded
-    end_open: bool = False
+    __slots__ = ("start", "start_open", "end", "end_open")
+
+    def __init__(self, start: Optional[Value], start_open: bool = False, end: Optional[Value] = UNBOUNDED, end_open: bool = False):
+        self.start = start
+        self.start_open = start_open
+        self.end = end
+        self.end_open = end_open
 
     @property
     def empty(self) -> bool:
@@ -266,10 +284,12 @@ class DelayCause(Enum):
 DELAY_PRIORITY = {DelayCause.GUARD_ENABLES: 0, DelayCause.INVARIANT_EXPIRES: 1, DelayCause.HORIZON: 2}
 
 
-@dataclass(frozen=True)
-class DelayOutcome:
-    tau: Value
-    cause: DelayCause
+class DelayOutcome(Record):
+    __slots__ = ("tau", "cause")
+
+    def __init__(self, tau: Value, cause: DelayCause):
+        self.tau = tau
+        self.cause = cause
 
 
 def max_delay(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -81,11 +80,13 @@ class ParseError(Exception):
         return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-@dataclass
 class Token:
-    kind: str  # "number" | "ident" | "op" | "eof"
-    text: str
-    offset: int
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind  # "number" | "ident" | "op" | "eof"
+        self.text = text
+        self.offset = offset
 
 
 def tokenize(text: str) -> List[Token]:

@@ -14,7 +14,6 @@ renamed, draws substituted: only ``conj`` solves them, into the store.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -55,6 +54,7 @@ from .syntax import (
     Now,
     Parallel,
     Program,
+    Record,
     STOP,
     Stop,
     Tell,
@@ -71,29 +71,39 @@ def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
     raise ModelError("random() needs a seeded generator; explore does not draw random values")
 
 
-@dataclass(frozen=True)
-class Configuration:
-    agent: Agent
-    discrete: Constraint = TRUE
-    continuous: ContinuousStore = EMPTY_STORE
-    clock: Fraction = Fraction(0)
+class Configuration(Record):
+    __slots__ = ("agent", "discrete", "continuous", "clock")
+
+    def __init__(
+        self, agent: Agent, discrete: Constraint = TRUE, continuous: ContinuousStore = EMPTY_STORE, clock: Fraction = Fraction(0)
+    ):
+        self.agent = agent
+        self.discrete = discrete
+        self.continuous = continuous
+        self.clock = clock
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    site: Tuple[str, ...]  # path into the agent tree
-    picked: int
-    alternatives: int
+class ChoiceRecord(Record):
+    __slots__ = ("site", "picked", "alternatives")
+
+    def __init__(self, site: Tuple[str, ...], picked: int, alternatives: int):
+        self.site = site  # path into the agent tree
+        self.picked = picked
+        self.alternatives = alternatives
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Record):
     """One possible discrete step of a sub-agent, as increments."""
 
-    agent: Agent
-    told: Constraint
-    changes: Tuple[Tuple[str, object, object], ...]  # (var, value|KEEP, Flow|KEEP)
-    choices: Tuple[ChoiceRecord, ...] = ()
+    __slots__ = ("agent", "told", "changes", "choices")
+
+    def __init__(
+        self, agent: Agent, told: Constraint, changes: Tuple[tuple, ...], choices: Tuple[ChoiceRecord, ...] = ()
+    ):
+        self.agent = agent
+        self.told = told
+        self.changes = changes  # (var, value|KEEP, Flow|KEEP)
+        self.choices = choices
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +189,7 @@ def start_configuration(program: Program, cfg: Optional[Configuration] = None) -
         cfg = Configuration(program.initial)
     if cfg.continuous.entries:
         raise ValueError("a run starts from an empty continuous store")
-    return replace(cfg, agent=open_scopes(cfg.agent, program.continuous, {}))
+    return Configuration(open_scopes(cfg.agent, program.continuous, {}), cfg.discrete, cfg.continuous, cfg.clock)
 
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:

@@ -10,17 +10,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Set, Tuple, Union
 
 from .constraints import (
     Constraint,
     FRESH_NAME,
-    format_rational,
+    LinCmp,
     reset_fresh_counter,
 )
-from .flows import ContinuousStore
+from .flows import ContinuousStore, value_json
 from .semantics import (
     ChoiceRecord,
     Configuration,
@@ -32,6 +31,7 @@ from .semantics import (
 from .syntax import (
     KEEP,
     Program,
+    Record,
     Stop,
     builtin_random,
     pretty,
@@ -40,14 +40,24 @@ from .syntax import (
 DEFAULT_DIVERGENCE_BUDGET = 10000
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    max_time: Fraction = Fraction(3600)
-    max_discrete_steps: int = 1_000_000
-    horizon: Optional[Fraction] = None  # max single continuous step; None = uncapped
-    policy: str = "first"  # "first" | "random"
-    seed: int = 0
-    divergence_budget: int = DEFAULT_DIVERGENCE_BUDGET
+class RunOptions(Record):
+    __slots__ = ("max_time", "max_discrete_steps", "horizon", "policy", "seed", "divergence_budget")
+
+    def __init__(
+        self,
+        max_time: Fraction = Fraction(3600),
+        max_discrete_steps: int = 1_000_000,
+        horizon: Optional[Fraction] = None,  # max single continuous step; None = uncapped
+        policy: str = "first",  # "first" | "random"
+        seed: int = 0,
+        divergence_budget: int = DEFAULT_DIVERGENCE_BUDGET,
+    ):
+        self.max_time = max_time
+        self.max_discrete_steps = max_discrete_steps
+        self.horizon = horizon
+        self.policy = policy
+        self.seed = seed
+        self.divergence_budget = divergence_budget
 
     def to_json(self) -> dict:
         return {
@@ -60,20 +70,20 @@ class RunOptions:
         }
 
 
-def value_json(v) -> Union[str, float]:
-    return format_rational(v) if isinstance(v, Fraction) else float(v)
-
-
 def vars_json(store: ContinuousStore) -> dict:
-    return {name: {"v": value_json(e.value), "flow": str(e.flow)} for name, e in store.entries}
+    return {name: {"v": value, "flow": flow} for name, value, flow in store.texts()}
 
 
-@dataclass(frozen=True)
-class DiscreteEvent:
-    clock: Fraction
-    told: Tuple[str, ...]
-    changes: Tuple[Tuple[str, str, str], ...]
-    choices: Tuple[ChoiceRecord, ...]
+class DiscreteEvent(Record):
+    __slots__ = ("clock", "told", "changes", "choices")
+
+    def __init__(
+        self, clock: Fraction, told: Tuple[str, ...], changes: Tuple[Tuple[str, str, str], ...], choices: Tuple[ChoiceRecord, ...]
+    ):
+        self.clock = clock
+        self.told = told
+        self.changes = changes
+        self.choices = choices
 
     def to_json(self) -> dict:
         return {
@@ -90,13 +100,15 @@ class DiscreteEvent:
         }
 
 
-@dataclass(frozen=True)
-class ContinuousEvent:
-    clock_start: Fraction
-    tau: Fraction
-    cause: str
-    before: dict
-    after: dict
+class ContinuousEvent(Record):
+    __slots__ = ("clock_start", "tau", "cause", "before", "after")
+
+    def __init__(self, clock_start: Fraction, tau: Fraction, cause: str, before: dict, after: dict):
+        self.clock_start = clock_start
+        self.tau = tau
+        self.cause = cause
+        self.before = before
+        self.after = after
 
     def to_json(self) -> dict:
         return {
@@ -110,10 +122,12 @@ class ContinuousEvent:
         }
 
 
-@dataclass(frozen=True)
-class TerminalEvent:
-    kind: str  # all_stop | suspended | timelock | instant_divergence | max_time | max_steps
-    clock: Fraction
+class TerminalEvent(Record):
+    __slots__ = ("kind", "clock")
+
+    def __init__(self, kind: str, clock: Fraction):
+        self.kind = kind  # all_stop | suspended | timelock | instant_divergence | max_time | max_steps
+        self.clock = clock
 
     def to_json(self) -> dict:
         return {"t": value_json(self.clock), "kind": "terminal", "tau": None, "cause": self.kind, "told": []}
@@ -122,11 +136,13 @@ class TerminalEvent:
 TraceEvent = Union[DiscreteEvent, ContinuousEvent, TerminalEvent]
 
 
-@dataclass
 class Trace:
-    program_hash: str
-    options: RunOptions
-    events: List[TraceEvent] = field(default_factory=list)
+    __slots__ = ("program_hash", "options", "events")
+
+    def __init__(self, program_hash: str, options: RunOptions, events: Optional[List[TraceEvent]] = None):
+        self.program_hash = program_hash
+        self.options = options
+        self.events = [] if events is None else events
 
     @property
     def terminal(self) -> Optional[TerminalEvent]:
@@ -187,6 +203,9 @@ def run(program: Program, options: RunOptions) -> Trace:
     cfg = start_configuration(program)
     steps_total = 0
     steps_at_instant = 0
+    # max_time in the clock's domain (LinCmp.bound_for): a float clock meets its
+    # float when that is exact, so no step converts between floats and rationals
+    end = LinCmp("clock", ">=", options.max_time)
 
     while True:
         successors = discrete_successors(cfg, program, draw)
@@ -213,11 +232,12 @@ def run(program: Program, options: RunOptions) -> Trace:
             continue
 
         # discretely quiescent
-        if cfg.clock >= options.max_time:
+        max_time = end.bound_for(cfg.clock)
+        if cfg.clock >= max_time:
             kind = "all_stop" if isinstance(cfg.agent, Stop) else "max_time"
             trace.events.append(TerminalEvent(kind, cfg.clock))
             return trace
-        remaining = options.max_time - cfg.clock
+        remaining = max_time - cfg.clock
         horizon = remaining if options.horizon is None else min(options.horizon, remaining)
         result = compute_delay(cfg, program, horizon)
         if result.kind != "delay":
@@ -240,29 +260,31 @@ def run(program: Program, options: RunOptions) -> Trace:
 def canonical_key(cfg: Configuration) -> Tuple:
     """Hashable key identifying configurations up to generated-variable renaming.
 
-    The agent and then the store are printed (each agent node's text and each
-    store's is printed once and kept), each constraint's atoms in the order
-    of their text with generated names masked; generated names are then
-    numbered c1, c2, ... in order of first occurrence.  Atoms whose masked
-    texts are equal are still ordered by their numbers.
+    The agent and then the store are printed (each agent node's text, each
+    store's and each continuous store's entries are printed once and kept),
+    each constraint's atoms in the order of their text with generated names
+    masked; generated names are then numbered c1, c2, ... in order of first
+    occurrence.  Atoms whose masked texts are equal are still ordered by
+    their numbers.
     """
     numbers: dict = {}
     number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")
     agent = FRESH_NAME.sub(number, pretty(cfg.agent))
     store = FRESH_NAME.sub(number, str(cfg.discrete))
-    cont = tuple((n, value_json(e.value), str(e.flow)) for n, e in cfg.continuous.entries)
-    return (agent, (), store, cont, value_json(cfg.clock))
+    return (agent, (), store, cfg.continuous.texts(), value_json(cfg.clock))
 
 
 # ---------------------------------------------------------------------------
 # bounded exhaustive exploration
 
 
-@dataclass
 class ReachabilityReport:
-    states: Set[Tuple]
-    depth: int
-    complete: bool
+    __slots__ = ("states", "depth", "complete")
+
+    def __init__(self, states: Set[Tuple], depth: int, complete: bool):
+        self.states = states
+        self.depth = depth
+        self.complete = complete
 
     def to_json(self) -> dict:
         return {

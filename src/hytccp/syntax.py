@@ -2,13 +2,14 @@
 
 The agent grammar covers stop, tell, parallel composition, hiding, guarded
 choice (ask branches plus ask~ invariants), now/then/else, process calls and
-the continuous-variable reset agent ``change``.  ASTs are immutable.
+the continuous-variable reset agent ``change``.  Like the terms, AST nodes
+are slotted, compared by field, and immutable by convention: no code assigns
+a field after construction.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple, Union
@@ -27,6 +28,33 @@ from .constraints import (
 )
 
 
+class Record:
+    """A value compared, hashed and printed by its fields: the names in its class's
+    ``__slots__`` that do not start with ``_`` (a slot that does keeps a value computed
+    from the fields).  Two records are equal when their classes are the same and their
+    fields are equal, so records of two classes with equal fields are never equal."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 class Keep:
     """Marker for the ``_`` argument of change: leave that component untouched."""
 
@@ -37,16 +65,19 @@ class Keep:
 KEEP = Keep()
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(Record):
     """Affine dynamics dx/dt = a + b*x.
 
-    The floats an exponential flow is solved in are computed on first use and
-    kept on the object; they take no part in equality, hashing or printing.
+    The floats an exponential flow is solved in, and the flow's text, are
+    computed on first use and kept on the object; they take no part in
+    equality, hashing or printing.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b", "__dict__")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        self.a = a
+        self.b = b
 
     @cached_property
     def float_a(self) -> float:
@@ -61,19 +92,25 @@ class Flow:
         """a/b in floats, the offset that makes x + a/b a pure exponential (b != 0)."""
         return self.float_a / self.float_b
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
         return f"{format_rational(self.a)}+{format_rational(self.b)}*x"
 
+    def __str__(self) -> str:
+        return self.text
 
-@dataclass(frozen=True)
-class LinExpr:
+
+class LinExpr(Record):
     """Linear expression over discrete variables plus the flowing variable itself.
 
     ``terms`` are (coefficient, variable-or-None) pairs summed together; the
     entry keyed on the flowing variable contributes the ODE's linear part.
     """
 
-    terms: Tuple[Tuple[Fraction, Optional[str]], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Tuple[Tuple[Fraction, Optional[str]], ...]):
+        self.terms = terms
 
     def __str__(self) -> str:
         if not self.terms:
@@ -98,32 +135,32 @@ class LinExpr:
 # --- agents
 
 
-class _Node:
-    """An agent node.  Its text (``pretty``) is printed on first use and kept on
-    the node; like ``Flow``'s floats it takes no part in equality, hash or repr."""
+class _Node(Record):
+    """An agent node.  Its text (``pretty``) is printed once and kept in the slot
+    ``_text``; like ``Flow``'s floats it takes no part in equality, hash or repr."""
 
-    @cached_property
-    def _text(self) -> str:
-        return _pretty(self)
+    __slots__ = ("_text",)
 
 
-@dataclass(frozen=True)
 class Stop(_Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Tell(_Node):
-    constraint: Constraint
+    __slots__ = ("constraint",)
+
+    def __init__(self, constraint: Constraint):
+        self.constraint = constraint
 
 
-@dataclass(frozen=True)
 class Parallel(_Node):
-    left: "Agent"
-    right: "Agent"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Agent", right: "Agent"):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
 class Hide(_Node):
     """Scope agent ``exists vars (body)``.
 
@@ -135,40 +172,53 @@ class Hide(_Node):
     never bind a generated name.
     """
 
-    vars: Tuple[str, ...]
-    body: "Agent"
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars: Tuple[str, ...], body: "Agent"):
+        self.vars = vars
+        self.body = body
 
 
-@dataclass(frozen=True)
-class AskBranch:
-    guard: Constraint
-    body: "Agent"
+class AskBranch(Record):
+    __slots__ = ("guard", "body")
+
+    def __init__(self, guard: Constraint, body: "Agent"):
+        self.guard = guard
+        self.body = body
 
 
-@dataclass(frozen=True)
 class Choice(_Node):
-    ask_branches: Tuple[AskBranch, ...]
-    cont_branches: Tuple[Constraint, ...] = ()  # ask~ invariants
+    __slots__ = ("ask_branches", "cont_branches")
+
+    def __init__(self, ask_branches: Tuple[AskBranch, ...], cont_branches: Tuple[Constraint, ...] = ()):
+        self.ask_branches = ask_branches
+        self.cont_branches = cont_branches  # ask~ invariants
 
 
-@dataclass(frozen=True)
 class Now(_Node):
-    guard: Constraint
-    then: "Agent"
-    orelse: "Agent"
+    __slots__ = ("guard", "then", "orelse")
+
+    def __init__(self, guard: Constraint, then: "Agent", orelse: "Agent"):
+        self.guard = guard
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    name: str
-    args: Tuple[str, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple[str, ...]):
+        self.name = name
+        self.args = args
 
 
-@dataclass(frozen=True)
 class Change(_Node):
-    var: str
-    value: Union[Fraction, str, Keep]  # rational, discrete variable, or KEEP
-    flow: Union[LinExpr, Keep]  # d(var)/dt, unevaluated, or KEEP
+    __slots__ = ("var", "value", "flow")
+
+    def __init__(self, var: str, value: Union[Fraction, str, Keep], flow: Union[LinExpr, Keep]):
+        self.var = var
+        self.value = value  # rational, discrete variable, or KEEP
+        self.flow = flow  # d(var)/dt, unevaluated, or KEEP
 
 
 Agent = Union[Stop, Tell, Parallel, Hide, Choice, Now, Call, Change]
@@ -185,19 +235,23 @@ def par(left: Agent, right: Agent) -> Agent:
     return Parallel(left, right)
 
 
-@dataclass(frozen=True)
-class Declaration:
-    name: str
-    params: Tuple[str, ...]
-    body: Agent
+class Declaration(Record):
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, name: str, params: Tuple[str, ...], body: Agent):
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass(frozen=True)
-class Program:
-    constants: dict
-    declarations: Tuple[Declaration, ...]
-    initial: Agent
-    source: str = ""  # the text parse_program read
+class Program(Record):
+    __slots__ = ("constants", "declarations", "initial", "source", "__dict__")
+
+    def __init__(self, constants: dict, declarations: Tuple[Declaration, ...], initial: Agent, source: str = ""):
+        self.constants = constants
+        self.declarations = declarations
+        self.initial = initial
+        self.source = source  # the text parse_program read
 
     def lookup(self, name: str, arity: int) -> Tuple[Declaration, ...]:
         return tuple(d for d in self.declarations if d.name == name and len(d.params) == arity)
@@ -396,11 +450,11 @@ def pretty(agent: Agent) -> str:
     new, stack = [], [agent]  # the nodes not printed yet, each before its sub-agents
     while stack:
         node = stack.pop()
-        if "_text" not in node.__dict__:
+        if not hasattr(node, "_text"):
             new.append(node)
             stack += children(node)
     for node in reversed(new):  # sub-agents first, so no print recurses
-        node._text
+        node._text = _pretty(node)
     return agent._text
 
 

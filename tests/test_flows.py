@@ -450,6 +450,27 @@ def test_exponential_run_compares_floats_without_rational_round_trips(monkeypatc
     assert steps > 100 and calls <= 4 * steps
 
 
+def test_run_meets_the_horizon_without_rational_round_trips(monkeypatch):
+    # the float clock meets max_time in floats (750 and 1500 are exact floats), so the
+    # Fraction.from_float calls do not grow with the number of steps
+    from_float = Fraction.from_float.__func__
+    calls = 0
+
+    def counting_from_float(cls, f):
+        nonlocal calls
+        calls += 1
+        return from_float(cls, f)
+
+    monkeypatch.setattr(Fraction, "from_float", classmethod(counting_from_float))
+    counts = []
+    for max_time in (750, 1500):
+        before = calls
+        trace = run(thermostats(2), RunOptions(max_time=Fraction(max_time)))
+        assert trace.terminal.kind == "max_time" and trace.terminal.clock == max_time
+        counts.append(calls - before)
+    assert counts[0] == counts[1]
+
+
 def test_parallel_steps_that_tell_nothing_solve_nothing():
     # each parallel step joins both sides' increments into a new Constraint;
     # without atoms, conj returns the store itself and never reaches the cache

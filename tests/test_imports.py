@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module, only the
+"""Importing the package and its CLI loads no ``dataclasses``; every name a
+package module imports is used in that module, only the
 parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone, and
@@ -12,12 +13,25 @@ error path.  ``__init__.py`` is exempt
 from the first: its imports are the public API.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hytccp"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def test_the_package_imports_without_dataclasses():
+    # the stdlib module and what it pulls in cost more start-up than the package
+    # itself; -S keeps site-packages' start-up hooks out of the check
+    code = "import sys, hytccp, hytccp.cli; print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def unused_imports(source: str) -> list:

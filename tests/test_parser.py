@@ -16,6 +16,7 @@ from hytccp.syntax import (
     Now,
     Parallel,
     STOP,
+    Stop,
     Tell,
     free_vars,
     pretty,
@@ -232,13 +233,25 @@ def test_pretty_round_trip_random_agents():
 
 
 def test_kept_text_is_invisible():
-    source = "tell(X = [a|T]) || (ask(X = [a|_]) -> change(C, 0, der(C) = 1) + ask~(C =< 3)) || p(X)"
-    printed, fresh = parse_agent(source), parse_agent(source)
-    text = pretty(printed)
-    assert printed == fresh and fresh == printed
-    assert hash(printed) == hash(fresh)
-    assert repr(printed) == repr(fresh) and text not in repr(printed)
-    assert pretty(fresh) == text
+    sources = [
+        "tell(X = [a|T]) || (ask(X = [a|_]) -> change(C, 0, der(C) = 1) + ask~(C =< 3)) || p(X)",
+        "stop",
+        "tell(X = a)",
+        "exists X (tell(X = a))",
+        "ask(X = a) -> stop + ask~(C =< 3)",
+        "now X = a then stop else p",
+        "p(X, Y)",
+        "change(C, _, der(C) = 2 - C)",
+    ]
+    kinds = {"Stop", "Tell", "Parallel", "Hide", "Choice", "Now", "Call", "Change"}
+    assert {type(parse_agent(source)).__name__ for source in sources} == kinds
+    for source in sources:
+        printed, fresh = parse_agent(source), Stop() if source == "stop" else parse_agent(source)
+        text = pretty(printed)
+        assert printed == fresh and fresh == printed
+        assert hash(printed) == hash(fresh)
+        assert repr(printed) == repr(fresh) and text not in repr(printed)
+        assert pretty(fresh) == text
 
 
 def test_free_vars():

@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hytccp import simulator, syntax
-from hytccp.constraints import FRESH_NAME, Constraint, is_fresh_name, reset_fresh_counter
+from hytccp import constraints, flows, simulator, syntax
+from hytccp.constraints import FRESH_NAME, Constraint, format_rational, is_fresh_name, reset_fresh_counter
 from hytccp.parser import parse_program
-from hytccp.semantics import Configuration
+from hytccp.semantics import Configuration, discrete_successors, start_configuration
 from hytccp.simulator import (
     ContinuousEvent,
     DiscreteEvent,
@@ -247,6 +247,31 @@ def test_explore_prints_each_agent_node_once():
             explore(recursive_program(seed), 8, time_samples=1)
     held = Counter(a for node in keyed.values() for a in own_atoms(node))
     assert printed and all(n <= held[atom] for atom, n in printed.items())
+
+
+def test_a_configuration_keyed_again_formats_only_its_clock(monkeypatch):
+    # a continuous store keeps its entries' texts, a flow its own, and a
+    # discrete step that changes no continuous variable shares its parent's store
+    prog = program("init :- change(C, 1/2, der(C) = 3/4) || change(D, 2, der(D) = 1/3 - D) || (ask(C >= 1/2) -> tell(X = a)).")
+    [(call, _)] = discrete_successors(start_configuration(prog), prog)
+    [(cfg, _)] = discrete_successors(call, prog)  # the two changes
+    [(succ, _)] = discrete_successors(cfg, prog)  # the ask
+    assert succ.continuous is cfg.continuous
+    formatted = []
+
+    def probe(q):
+        formatted.append(q)
+        return format_rational(q)
+
+    for module in (constraints, syntax, flows, simulator):
+        if getattr(module, "format_rational", None) is format_rational:
+            monkeypatch.setattr(module, "format_rational", probe)
+    key = canonical_key(cfg)
+    assert len(formatted) > 1
+    formatted.clear()
+    assert canonical_key(cfg) == key and formatted == [cfg.clock]
+    formatted.clear()
+    assert canonical_key(succ)[3] == key[3] and formatted == [succ.clock]
 
 
 # --- exploration

@@ -1,7 +1,99 @@
-"""Agent traversal: pre-order nodes, name uses and their roles; the program's
-continuous parameter positions."""
+"""Value classes: equality and hashing by field.  Agent traversal: pre-order
+nodes, name uses and their roles; the program's continuous parameter positions."""
+from fractions import Fraction
+
+import pytest
+
+from hytccp.flows import ContinuousStore, DelayCause, DelayOutcome, Entry, Interval
 from hytccp.parser import parse_agent, parse_constraint, parse_program
-from hytccp.syntax import GUARD, INVARIANT, KEPT, READ, SET, STOP, TELL, continuous_names, nodes, position_fixpoint, uses
+from hytccp.semantics import ChoiceRecord, Configuration, Outcome
+from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, TerminalEvent
+from hytccp.syntax import (
+    GUARD,
+    INVARIANT,
+    KEEP,
+    KEPT,
+    READ,
+    SET,
+    STOP,
+    TELL,
+    AskBranch,
+    Call,
+    Change,
+    Choice,
+    Declaration,
+    Flow,
+    Hide,
+    LinExpr,
+    Now,
+    Parallel,
+    Program,
+    Stop,
+    Tell,
+    continuous_names,
+    nodes,
+    position_fixpoint,
+    uses,
+)
+
+# each value class, built from fields made anew on every call
+VALUES = {
+    "Flow": lambda: Flow(Fraction(1, 2), Fraction(-3)),
+    "LinExpr": lambda: LinExpr(((Fraction(2), "X"), (Fraction(1), None))),
+    "Stop": lambda: Stop(),
+    "Tell": lambda: Tell(parse_constraint("X = [a|T]")),
+    "Parallel": lambda: Parallel(Tell(parse_constraint("X = a")), Call("p", ("X",))),
+    "Hide": lambda: Hide(("X",), Tell(parse_constraint("X = a"))),
+    "AskBranch": lambda: AskBranch(parse_constraint("X = a"), STOP),
+    "Choice": lambda: Choice((AskBranch(parse_constraint("X = a"), STOP),), (parse_constraint("C =< 3"),)),
+    "Now": lambda: Now(parse_constraint("X = a"), STOP, Call("p", ())),
+    "Call": lambda: Call("p", ("X", "Y")),
+    "Change": lambda: Change("C", KEEP, LinExpr(((Fraction(1), None),))),
+    "Declaration": lambda: Declaration("p", ("X",), Tell(parse_constraint("X = a"))),
+    "Program": lambda: Program({"K": Fraction(2)}, (), STOP, "init :- stop."),
+    "Entry": lambda: Entry(Fraction(1, 3), Flow(Fraction(1), Fraction(0))),
+    "ContinuousStore": lambda: ContinuousStore((("C", Entry(0.5, Flow(Fraction(0), Fraction(-1)))),)),
+    "Interval": lambda: Interval(Fraction(0), end=Fraction(5), end_open=True),
+    "DelayOutcome": lambda: DelayOutcome(Fraction(7), DelayCause.HORIZON),
+    "Configuration": lambda: Configuration(Call("p", ()), parse_constraint("X = a"), ContinuousStore(), Fraction(3)),
+    "ChoiceRecord": lambda: ChoiceRecord(("L", "then"), 1, 2),
+    "Outcome": lambda: Outcome(STOP, parse_constraint("X = a"), (("C", Fraction(0), KEEP),), (ChoiceRecord((), 0, 2),)),
+    "RunOptions": lambda: RunOptions(max_time=Fraction(60), seed=4),
+    "DiscreteEvent": lambda: DiscreteEvent(Fraction(1), ("X=a",), (("C", "0", "_"),), (ChoiceRecord((), 0, 2),)),
+    "ContinuousEvent": lambda: ContinuousEvent(Fraction(0), Fraction(1), "guard", {"C": {"v": "0"}}, {"C": {"v": "1"}}),
+    "TerminalEvent": lambda: TerminalEvent("max_time", Fraction(60)),
+}
+# fields of these hold a dict, so they compare but do not hash, as frozen dataclasses did
+UNHASHABLE = {"Program", "ContinuousEvent"}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equal_fields_make_equal_values(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b and repr(a) == repr(b)
+    if name in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_values_of_two_classes_are_never_equal():
+    x = parse_constraint("X = a")
+    assert Tell(x) != LinExpr(x) and LinExpr(x) != Tell(x)
+    fields = (STOP, x, (), ())
+    assert Outcome(*fields) != Configuration(*fields)
+    assert Configuration(*fields) != Outcome(*fields)
+    assert Change("C", KEEP, KEEP) != Change("C", Fraction(0), KEEP)
+
+
+def test_defaults_are_fields():
+    branches = (AskBranch(parse_constraint("X = a"), STOP),)
+    assert Choice(branches) == Choice(branches, ()) and hash(Choice(branches)) == hash(Choice(branches, ()))
+    assert Configuration(STOP) == Configuration(STOP, parse_constraint("true"), ContinuousStore(), Fraction(0))
+    assert RunOptions(seed=0) == RunOptions()
+
 
 
 def test_nodes_pre_order():
