@@ -4,13 +4,13 @@ One concrete instantiation: term equations (atoms, numbers, open-ended
 streams) and comparisons of a single variable against a rational constant.
 A tell or a guard keeps its atoms as written.  A store, made by ``conj``,
 keeps each bound name's term as unified, which may mention other bound names
-(triangular bindings, followed on read).  A store is known by its bindings: it
-hashes its bound names, compares with another store link by link, and prints
-its solved form off the links; it builds that form only when its atoms are
-read.  Conjunction and entailment are the lattice operations; inconsistency
-is a value (FALSE), never an exception.  Hiding
-lives in the engine: a scope's bound names become generated ones, which its
-body tells in the one shared store and which ``entails`` matches as placeholders.
+(triangular bindings, followed on read).  A store is its bindings: it hashes
+its bound names, compares with another store link by link, and prints each
+bound name's final term off the links.  Conjunction and entailment are the
+lattice operations; inconsistency is a value (FALSE), never an exception.
+Hiding lives in the engine: a scope's bound names become generated ones,
+which its body tells in the one shared store and which ``entails`` matches as
+placeholders.
 
 Terms and atomic constraints are immutable; they cache their hash (and their
 variable sets) at construction because stores grow monotonically and the same
@@ -114,14 +114,7 @@ class Cons:
         return f"Cons({self.head!r}, {self.tail!r})"
 
     def __str__(self) -> str:
-        items = []
-        node: Term = self
-        while isinstance(node, Cons):
-            items.append(str(node.head))
-            node = node.tail
-        if node == NIL:
-            return "[" + ", ".join(items) + "]"
-        return "[" + ", ".join(items) + "|" + str(node) + "]"
+        return _text(self, {})
 
 
 class Wildcard:
@@ -237,7 +230,7 @@ OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
 
 
 class TermEq:
-    """Equation: a variable equals a term (in a store's atoms, its final term)."""
+    """Equation: a variable equals a term."""
 
     __slots__ = ("var", "term", "_hash", "_vars")
 
@@ -421,9 +414,10 @@ class _Store(Constraint):
     unbound name.  ``_sum`` is the sum of the hashes of the bound names, and
     ``_free`` the set of unbound names the store mentions.  Two stores are equal
     when they bind the same names to the same final terms and hold the same
-    comparisons.  ``atoms`` is the solved form: each bound name with its final
-    term, built on first read.  ``_str`` is the solved form's text, kept once
-    printed.
+    comparisons.  A store has two forms, its links and ``_str``, their text
+    with each bound name's final term, kept once printed.  ``atoms``, made on
+    first read, is the links as equations plus the comparisons: the same
+    constraint, unsolved.
     """
 
     __slots__ = ("_b", "_cmps", "_free", "_sum", "_str")
@@ -439,14 +433,14 @@ class _Store(Constraint):
         self._hash = hash((total + sum(map(_HASH, cmps)), True))
 
     def __getattr__(self, name: str):
-        # called only while the ``atoms`` slot is empty: build the solved form into it
+        # called only while the ``atoms`` slot is empty: fill it with the links
         if name != "atoms":
             raise AttributeError(name)
-        self.atoms = frozenset([*(TermEq(v, t) for v, t in _final_terms(self._b).items()), *self._cmps])
+        self.atoms = frozenset([*map(TermEq, self._b, self._b.values()), *self._cmps])
         return self.atoms
 
     def __eq__(self, other) -> bool:
-        # binding by binding, through both link maps, never through the solved form
+        # binding by binding, through both link maps
         if self is other:
             return True
         if not isinstance(other, _Store):
@@ -462,7 +456,7 @@ class _Store(Constraint):
     __hash__ = Constraint.__hash__
 
     def __str__(self) -> str:
-        # the solved form's text, read off the links once, without building the solved form
+        # each bound name with its final term, read off the links once and kept
         if self._str is None:
             b = self._b
             texts = [*(f"{v}={_text(t, b)}" for v, t in b.items()), *map(str, self._cmps)]
@@ -472,10 +466,6 @@ class _Store(Constraint):
 
 TRUE = _Store({}, frozenset(), frozenset(), 0)  # the empty store, and the guard or tell with no atom
 FALSE = Constraint(frozenset(), consistent=False)
-
-
-def constraint(*atoms: AtomicConstraint) -> Constraint:
-    return solve(atoms)
 
 
 class ModelError(Exception):
@@ -493,7 +483,7 @@ def _walk(t: Term, subst: dict) -> Term:
 
 
 def _text(t: Term, subst: dict) -> str:
-    """``str`` of ``t`` with every bound name in it replaced."""
+    """The text of ``t`` with every name bound in ``subst`` replaced by its term."""
     t = _walk(t, subst)
     if not isinstance(t, Cons):
         return str(t)
@@ -504,36 +494,6 @@ def _text(t: Term, subst: dict) -> str:
     if t == NIL:
         return "[" + ", ".join(items) + "]"
     return "[" + ", ".join(items) + "|" + str(t) + "]"
-
-
-def _final_terms(subst: dict) -> dict:
-    """Each bound name's term with every bound name in it replaced, each built once and shared."""
-    built: dict = {}
-
-    def rebuilt(t: Term, waiting: list) -> Term:
-        if isinstance(t, Var):
-            if t.name in subst and t.name not in built:
-                waiting.append(t.name)
-            return built.get(t.name, t)
-        if isinstance(t, Cons):
-            head, tail = rebuilt(t.head, waiting), rebuilt(t.tail, waiting)
-            return t if head is t.head and tail is t.tail else Cons(head, tail)
-        return t
-
-    for root in subst:
-        todo = [root]
-        while todo:
-            name = todo[-1]
-            if name in built:
-                todo.pop()
-                continue
-            waiting: list = []
-            term = rebuilt(subst[name], waiting)
-            if waiting:
-                todo += waiting  # build those first; no cycle, as unification checks occurs
-            else:
-                built[todo.pop()] = term
-    return built
 
 
 def _occurs(name: str, t: Term, subst: dict) -> bool:

@@ -54,9 +54,6 @@ class ContinuousStore(Record):
     def snapshot(self) -> Dict[str, Value]:
         return {name: entry.value for name, entry in self.entries}
 
-    def get(self, name: str) -> Optional[Entry]:
-        return next((entry for n, entry in self.entries if n == name), None)
-
     def texts(self) -> Tuple[Tuple[str, Union[str, float], str], ...]:
         """Each entry as ``(name, value_json(value), flow text)``, built once and kept."""
         try:

@@ -106,7 +106,7 @@ def test_solve_flow_rejects_negative_duration():
 def test_apply_change_and_keep():
     store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
     store = apply_change(store, "T", KEEP, Flow(Fraction(2), Fraction(0)))
-    entry = store.get("T")
+    entry = store.as_dict()["T"]
     assert entry.value == 0 and entry.flow.a == 2
 
 
@@ -127,9 +127,9 @@ def test_evolve_moves_every_entry_by_one_shared_duration():
     store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
     store = apply_change(store, "V", Fraction(100), Flow(Fraction(-2), Fraction(0)))
     out = evolve(store, Fraction(5))
-    assert out.get("T").value == 5
-    assert out.get("V").value == 90
-    assert out.get("T").flow == store.get("T").flow  # flows unchanged
+    assert out.as_dict()["T"].value == 5
+    assert out.as_dict()["V"].value == 90
+    assert out.as_dict()["T"].flow == store.as_dict()["T"].flow  # flows unchanged
 
 
 # --- crossing times and truth intervals

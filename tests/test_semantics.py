@@ -100,7 +100,7 @@ def test_parallel_is_maximal():
     )
     (nxt, _), = succs(cfg)
     assert entails(nxt.discrete, parse_constraint("G = [open|H]"))
-    assert nxt.continuous.get("Vol").flow == Flow(Fraction(-5), Fraction(0))
+    assert nxt.continuous.as_dict()["Vol"].flow == Flow(Fraction(-5), Fraction(0))
     assert nxt.agent == STOP
 
 
@@ -177,7 +177,7 @@ def test_change_value_from_discrete_store():
     cfg = cfg_of("change(T, N, der(T) = 1)", "N = 42")
     cfg.continuous  # T not yet present: plain initialization
     (nxt, _), = succs(cfg)
-    assert nxt.continuous.get("T").value == 42
+    assert nxt.continuous.as_dict()["T"].value == 42
 
 
 def test_change_unbound_value_is_an_error():
@@ -292,8 +292,8 @@ def test_continuous_step_shape():
     nxt = continuous_step(cfg, Fraction(25))
     assert nxt.agent is cfg.agent
     assert nxt.discrete is cfg.discrete
-    assert nxt.continuous.get("T").value == 25
-    assert nxt.continuous.get("T").flow == cfg.continuous.get("T").flow
+    assert nxt.continuous.as_dict()["T"].value == 25
+    assert nxt.continuous.as_dict()["T"].flow == cfg.continuous.as_dict()["T"].flow
     assert nxt.clock == 25
     with pytest.raises(ValueError):
         continuous_step(cfg, Fraction(0))
@@ -306,7 +306,7 @@ def test_shared_tau_across_parallel_invariants():
     res = compute_delay(cfg, EMPTY_PROGRAM, Fraction(1000))
     assert res.kind == "delay" and res.outcome.tau == 60
     nxt = continuous_step(cfg, res.outcome.tau)
-    assert nxt.continuous.get("T").value == 60
+    assert nxt.continuous.as_dict()["T"].value == 60
 
 
 def test_guard_enabling_delay_is_exact():

@@ -162,7 +162,7 @@ def generated_names(cfg):
 
 
 def masked_texts_differ(c):
-    masked = [FRESH_NAME.sub("#", str(a)) for a in c.atoms]
+    masked = [FRESH_NAME.sub("#", a) for a in str(c).split(" /\\ ")]
     return len(set(masked)) == len(masked)
 
 
@@ -272,6 +272,33 @@ def test_a_configuration_keyed_again_formats_only_its_clock(monkeypatch):
     assert canonical_key(cfg) == key and formatted == [cfg.clock]
     formatted.clear()
     assert canonical_key(succ)[3] == key[3] and formatted == [succ.clock]
+
+
+def test_the_engine_reads_no_stores_atoms(monkeypatch):
+    # a store is read through its links; its atoms, one equation per bound
+    # name, would cost the whole store each step (8631 names at hour 960 of the dam)
+    built = []
+
+    def atoms(store, name):
+        if name == "atoms" and (store._b or store._cmps):
+            built.append(str(store))
+        return getattr_(store, name)
+
+    getattr_ = constraints._Store.__getattr__
+    constraints._conj_solved.cache_clear()
+    constraints.entails.cache_clear()
+    monkeypatch.setattr(constraints._Store, "__getattr__", atoms)
+    thermostat = program(
+        "heat(X, L) :- ask~(X =< 22) + ask(X >= 22) -> exists L2 (tell(L = [off|L2]) || change(X, _, der(X) = 0 - X/146) || cool(X, L2)).\n"
+        "cool(X, L) :- ask~(X >= 18) + ask(X =< 18) -> exists L2 (tell(L = [on|L2]) || change(X, _, der(X) = 100/146 - X/146) || heat(X, L2)).\n"
+        "init :- exists X, L (change(X, 20, der(X) = 100/146 - X/146) || heat(X, L))."
+    )
+    for prog, seconds in ((load("dam.hyt"), 6 * 3600), (thermostat, 1500)):
+        trace = run(prog, RunOptions(max_time=Fraction(seconds)))
+        assert sum(len(ev.to_json().get("told", ())) for ev in trace.events) >= 4  # the store grows
+    for seed in range(4):
+        explore(recursive_program(seed), 8, time_samples=1)
+    assert built == []
 
 
 # --- exploration
