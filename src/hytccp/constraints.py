@@ -25,11 +25,41 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
+
+class Record:
+    """A value compared, hashed and printed by its fields: the names in its class's
+    ``__slots__`` that do not start with ``_`` (a slot that does keeps a value computed
+    from the fields).  Two records are equal when their classes are the same and their
+    fields are equal, so records of two classes with equal fields are never equal.
+    The terms and atoms below keep their own ``==`` and hash, for speed: most read a
+    hash cached at construction."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # terms
 
 
-class Var:
+class Var(Record):
     __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
@@ -42,14 +72,11 @@ class Var:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"Var({self.name!r})"
-
     def __str__(self) -> str:
         return self.name
 
 
-class Atom:
+class Atom(Record):
     __slots__ = ("symbol", "_hash")
 
     def __init__(self, symbol: str):
@@ -62,14 +89,11 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"Atom({self.symbol!r})"
-
     def __str__(self) -> str:
         return self.symbol
 
 
-class Num:
+class Num(Record):
     __slots__ = ("value", "_hash")
 
     def __init__(self, value: Fraction):
@@ -82,14 +106,11 @@ class Num:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"Num({self.value!r})"
-
     def __str__(self) -> str:
         return format_rational(self.value)
 
 
-class Cons:
+class Cons(Record):
     __slots__ = ("head", "tail", "_hash")
 
     def __init__(self, head: "Term", tail: "Term"):
@@ -110,14 +131,11 @@ class Cons:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"Cons({self.head!r}, {self.tail!r})"
-
     def __str__(self) -> str:
         return _text(self, {})
 
 
-class Wildcard:
+class Wildcard(Record):
     __slots__ = ()
 
     def __eq__(self, other) -> bool:
@@ -126,14 +144,11 @@ class Wildcard:
     def __hash__(self) -> int:
         return hash("Wildcard")
 
-    def __repr__(self) -> str:
-        return "WILDCARD"
-
     def __str__(self) -> str:
         return "_"
 
 
-class RandomTerm:
+class RandomTerm(Record):
     """Placeholder for a uniform integer draw; resolved when the tell executes."""
 
     __slots__ = ("lo", "hi", "_hash")
@@ -148,9 +163,6 @@ class RandomTerm:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"RandomTerm({self.lo!r}, {self.hi!r})"
 
     def __str__(self) -> str:
         return f"random({format_rational(self.lo)}, {format_rational(self.hi)})"
@@ -225,11 +237,12 @@ def reset_fresh_counter() -> None:
 # ---------------------------------------------------------------------------
 # atomic constraints
 
-# comparison operator -> its spelling in .hyt source
+# comparison operator -> its spelling in .hyt source, and its test
 OP_TEXT = {"=": "=", "!=": "!=", "<": "<", "<=": "=<", ">": ">", ">=": ">="}
+OP_TEST = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-class TermEq:
+class TermEq(Record):
     """Equation: a variable equals a term."""
 
     __slots__ = ("var", "term", "_hash", "_vars")
@@ -246,8 +259,6 @@ class TermEq:
         return self._vars
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         return (
             isinstance(other, TermEq)
             and self._hash == other._hash
@@ -258,14 +269,11 @@ class TermEq:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"TermEq({self.var!r}, {self.term!r})"
-
     def __str__(self) -> str:
         return f"{self.var}={self.term}"
 
 
-class LinCmp:
+class LinCmp(Record):
     """Comparison of one variable against a rational constant.
 
     A float value (an exponential flow's) is compared against the bound's
@@ -311,9 +319,6 @@ class LinCmp:
     def __hash__(self) -> int:
         return self._hash
 
-    def __repr__(self) -> str:
-        return f"LinCmp({self.var!r}, {self.op!r}, {self.bound!r})"
-
     def __str__(self) -> str:
         return f"{self.var}{OP_TEXT[self.op]}{format_rational(self.bound)}"
 
@@ -331,19 +336,7 @@ def _exact_float(bound) -> Optional[float]:
 
 
 def compare(value, op: str, bound) -> bool:
-    if op == "=":
-        return value == bound
-    if op == "!=":
-        return value != bound
-    if op == "<":
-        return value < bound
-    if op == "<=":
-        return value <= bound
-    if op == ">":
-        return value > bound
-    if op == ">=":
-        return value >= bound
-    raise ValueError(f"unknown comparison operator {op!r}")
+    return OP_TEST[op](value, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +381,6 @@ class Constraint:
         if not self.atoms:
             return "true"
         return " /\\ ".join(sorted(map(str, self.atoms), key=atom_text_order))
-
-    def bindings(self) -> dict:
-        return {a.var: a.term for a in self.atoms if isinstance(a, TermEq)}
 
     def variables(self) -> set:
         if self._vars is None:
@@ -552,8 +542,6 @@ def _unify(a: Term, b: Term, subst: dict) -> bool:
         return a.symbol == b.symbol
     if isinstance(a, Num) and isinstance(b, Num):
         return a.value == b.value
-    if isinstance(a, RandomTerm) or isinstance(b, RandomTerm):
-        return a == b
     if isinstance(a, Cons) and isinstance(b, Cons):
         return _unify(a.head, b.head, subst) and _unify(a.tail, b.tail, subst)
     return False

@@ -16,8 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .constraints import LinCmp, ModelError, compare, format_rational
-from .syntax import Flow, KEEP, Keep, Record
+from .constraints import LinCmp, ModelError, Record, compare, format_rational
+from .syntax import Flow, KEEP, Keep
 
 Value = Union[Fraction, float]
 
@@ -104,13 +104,12 @@ def evolve(store: ContinuousStore, t: Value) -> ContinuousStore:
 def _hit_time(v0: Value, f: Flow, level: Value) -> Optional[Value]:
     """First t >= 0 with x(t) == level, or None.  Exact for b = 0 flows.
 
-    ``level`` is a bound in the domain of ``v0`` (``LinCmp.bound_for``).
+    ``level`` is a bound in the domain of ``v0`` (``LinCmp.bound_for``), and the
+    trajectory is not constant: ``truth_interval`` answers a constant one itself.
     """
     if v0 == level:
         return Fraction(0) if isinstance(v0, Fraction) else 0.0
     if f.b == 0:
-        if f.a == 0:
-            return None
         t = (Fraction(level) - Fraction(v0)) / f.a if isinstance(v0, Fraction) else (float(level) - v0) / f.float_a
         return t if t >= 0 else None
     shift = f.shift

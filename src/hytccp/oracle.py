@@ -17,7 +17,9 @@ from .semantics import (
     eval_change_value,
     eval_flow,
     guard_holds,
+    no_draw,
     open_scopes,
+    resolve_random_terms,
     start_configuration,
 )
 from .simulator import canonical_key
@@ -53,7 +55,7 @@ def _step(
     if isinstance(agent, Stop):
         return []
     if isinstance(agent, Tell):
-        return [(STOP, conj(store, agent.constraint), cont)]
+        return [(STOP, conj(store, resolve_random_terms(agent.constraint, no_draw)), cont)]
     if isinstance(agent, Change):
         value = eval_change_value(agent.value, store)
         flow = agent.flow if agent.flow is KEEP else eval_flow(agent.var, agent.flow, store)

@@ -156,8 +156,8 @@ class Parser:
         decls: List[Declaration] = []
         initial: Optional[Agent] = None
         while self.peek().kind != "eof":
-            if self.looks_like_declaration():
-                decls.append(self.parse_declaration())
+            if (decl := self.parse_declaration()) is not None:
+                decls.append(decl)
             else:
                 initial = self.parse_agent()
                 self.accept(".")
@@ -172,22 +172,6 @@ class Parser:
             if (name, arity) not in declared:
                 self.error(f"call to undeclared process {name}/{arity}", offset)
         return Program(dict(self.constants), tuple(decls), initial, self.text)
-
-    def looks_like_declaration(self) -> bool:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS or _is_variable(tok.text):
-            return False
-        i = 1
-        if self.peek(i).text == "(":
-            depth = 1
-            i += 1
-            while depth and self.peek(i).kind != "eof":
-                if self.peek(i).text == "(":
-                    depth += 1
-                elif self.peek(i).text == ")":
-                    depth -= 1
-                i += 1
-        return self.peek(i).text == ":-"
 
     def parse_const(self) -> None:
         self.expect("const")
@@ -205,9 +189,17 @@ class Parser:
             self.error(f"expected {what}")
         return self.next().text
 
-    def parse_declaration(self) -> Declaration:
-        name = self.ident("process name")
+    def parse_declaration(self) -> Optional[Declaration]:
+        """``name(Params) :- Agent.``, or None, with nothing read, if no ``:-`` follows the head."""
+        start = self.pos
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text in KEYWORDS or _is_variable(tok.text):
+            return None
+        name = self.next().text
         params = self.parenthesized_names()
+        if not self.at(":-"):
+            self.pos = start
+            return None
         if len(set(params)) != len(params):
             self.error(f"duplicate parameter in declaration of {name}")
         self.expect(":-")

@@ -28,6 +28,7 @@ from .constraints import (
     TermEq,
     LinCmp,
     ModelError,
+    Record,
     bound_number,
     conj,
     entails,
@@ -54,7 +55,6 @@ from .syntax import (
     Now,
     Parallel,
     Program,
-    Record,
     STOP,
     Stop,
     Tell,

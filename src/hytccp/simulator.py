@@ -17,6 +17,7 @@ from .constraints import (
     Constraint,
     FRESH_NAME,
     LinCmp,
+    Record,
     reset_fresh_counter,
 )
 from .flows import ContinuousStore, value_json
@@ -31,7 +32,6 @@ from .semantics import (
 from .syntax import (
     KEEP,
     Program,
-    Record,
     Stop,
     builtin_random,
     pretty,

@@ -23,43 +23,16 @@ from .constraints import (
     Num,
     Var,
     Cons,
+    Record,
     atom_text_order,
     format_rational,
 )
 
 
-class Record:
-    """A value compared, hashed and printed by its fields: the names in its class's
-    ``__slots__`` that do not start with ``_`` (a slot that does keeps a value computed
-    from the fields).  Two records are equal when their classes are the same and their
-    fields are equal, so records of two classes with equal fields are never equal."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class Keep:
+class Keep(Record):
     """Marker for the ``_`` argument of change: leave that component untouched."""
 
-    def __repr__(self) -> str:
-        return "KEEP"
+    __slots__ = ()
 
 
 KEEP = Keep()

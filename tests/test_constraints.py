@@ -186,7 +186,7 @@ def substituted(store):
 
     atoms, step = None, store.atoms
     while step != atoms:
-        atoms, b = step, Constraint(step).bindings()
+        atoms, b = step, {a.var: a.term for a in step if isinstance(a, TermEq)}
         step = frozenset(TermEq(a.var, sub(a.term, b)) if isinstance(a, TermEq) else a for a in atoms)
     return Constraint(atoms, store.consistent)
 

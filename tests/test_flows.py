@@ -193,6 +193,18 @@ def test_truth_interval_shapes():
     assert truth_interval(Fraction(5), still, LinCmp("T", ">", Fraction(10))).empty
 
 
+def test_a_level_beyond_the_equilibrium_is_never_hit():
+    # dx/dt = 8 - x from 5 rises toward 8 and never reaches 10
+    f = Flow(Fraction(8), Fraction(-1))
+    assert truth_interval(Fraction(5), f, LinCmp("X", "<=", Fraction(10))) == ALWAYS
+    assert truth_interval(Fraction(5), f, LinCmp("X", ">=", Fraction(10))).empty
+    assert crossing_time(Fraction(5), f, LinCmp("X", "<=", Fraction(10))) is None
+
+
+def test_crossing_time_of_a_comparison_true_now_is_where_it_ends():
+    assert crossing_time(Fraction(0), Flow(Fraction(1), Fraction(0)), LinCmp("T", "<=", Fraction(10))) == 10
+
+
 def test_intersect():
     a = Interval(Fraction(0), end=Fraction(10))
     b = Interval(Fraction(4), end=Fraction(20))
@@ -201,6 +213,15 @@ def test_intersect():
     assert intersect(ALWAYS, b) is b
     assert intersect(a, Interval(Fraction(10), start_open=True)).empty
     assert not intersect(a, Interval(Fraction(10))).empty
+
+
+def test_intersect_starts_at_the_later_start_open_on_a_tie():
+    closed, opened = Interval(Fraction(0), end=Fraction(9)), Interval(Fraction(0), True, Fraction(9))
+    later_closed = Interval(Fraction(4), end=Fraction(9))
+    cases = [(closed, opened, (0, True)), (later_closed, opened, (4, False))]
+    for a, b, start in cases:
+        for got in (intersect(a, b), intersect(b, a)):
+            assert (got.start, got.start_open) == start
 
 
 def _store(**entries):

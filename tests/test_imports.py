@@ -2,9 +2,10 @@
 package module imports is used in that module, only the
 parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
-``bindings``), the CLI reads names through ``syntax.uses`` alone, and
+``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
-which ``cli.main`` catches once.
+which ``cli.main`` catches once, and only ``Record`` and ``Constraint``
+write a ``__repr__``.
 
 No linter ships with the project, so these are the checks that keep dead
 imports out, scopes out of the engine, the solved form private to the
@@ -163,3 +164,24 @@ def test_main_handles_model_faults_in_one_except_model_error():
     main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
     handled = [ast.unparse(handler.type) for node in ast.walk(main) if isinstance(node, ast.Try) for handler in node.handlers]
     assert handled == ["SystemExit", "FileNotFoundError", "ParseError", "ModelError"]
+
+
+def repr_classes(source: str) -> list:
+    """Names of the classes ``source`` defines that write their own ``__repr__``."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "__repr__" for item in node.body)
+    ]
+
+
+def test_detector_finds_a_repr():
+    source = "class A:\n    def __repr__(self):\n        return 'a'\nclass B(A):\n    def __str__(self):\n        return 'b'\n"
+    assert repr_classes(source) == ["A"]
+
+
+def test_every_value_prints_its_repr_through_record():
+    # one repr for every value: its fields, by ``Record``; a constraint prints its atoms
+    found = sorted(name for path in SRC.glob("*.py") for name in repr_classes(path.read_text()))
+    assert found == ["Constraint", "Record"]

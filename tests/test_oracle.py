@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hytccp.constraints import TRUE, reset_fresh_counter
+from hytccp.constraints import TRUE, ModelError, reset_fresh_counter
 from hytccp.flows import apply_change, EMPTY_STORE
 from hytccp.oracle import (
     OracleSizeError,
@@ -59,6 +59,24 @@ def test_oracle_continuous_requires_a_true_invariant():
     assert oracle_continuous(cfg, EMPTY_PROGRAM, Fraction(60)) is not None
     assert oracle_continuous(cfg, EMPTY_PROGRAM, Fraction(61)) is None
     assert oracle_continuous(cfg, EMPTY_PROGRAM, Fraction(0)) is None
+
+
+def test_oracle_continuous_skips_invariants_that_do_not_hold_now():
+    # the first invariant's discrete part is not entailed, the second holds only from T = 5
+    store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
+    cfg = Configuration(parse_agent("ask~(X = a /\\ T =< 60) + ask~(T >= 5) + ask~(T =< 10)"), TRUE, store)
+    assert oracle_continuous(cfg, EMPTY_PROGRAM, Fraction(10)) is not None
+    assert oracle_continuous(cfg, EMPTY_PROGRAM, Fraction(11)) is None
+
+
+def test_oracle_rejects_random_as_explore_does():
+    prog = parse_program("init :- tell(X = random(0, 3)).")
+    cfg = Configuration(parse_agent("tell(X = random(0, 3))"))
+    with pytest.raises(ModelError) as engine:
+        explore(prog, 2)
+    with pytest.raises(ModelError) as oracle:
+        oracle_successors(cfg, EMPTY_PROGRAM)
+    assert str(oracle.value) == str(engine.value)
 
 
 def test_oracle_continuous_structural_idling():

@@ -1,11 +1,13 @@
 """Concrete syntax: tokenizer, parser, pretty-printer round trips."""
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hytccp.constraints import TRUE, Atom, Cons, LinCmp, NIL, Num, RandomTerm, TermEq, Var, WILDCARD, conj
-from hytccp.parser import ParseError, parse_agent, parse_constraint, parse_program
+from hytccp.parser import KEYWORDS, ParseError, parse_agent, parse_constraint, parse_program
 from hytccp.syntax import (
     Call,
     Change,
@@ -30,13 +32,13 @@ from generators import random_agent
 
 def test_parse_list_sugar():
     got = parse_constraint("X = [a, b|T]")
-    assert got.bindings()["X"] == Cons(Atom("a"), Cons(Atom("b"), Var("T")))
-    assert parse_constraint("X = []").bindings()["X"] == NIL
+    assert got.atoms == {TermEq("X", Cons(Atom("a"), Cons(Atom("b"), Var("T"))))}
+    assert parse_constraint("X = []").atoms == {TermEq("X", NIL)}
 
 
 def test_parse_numbers_and_rationals():
-    assert parse_constraint("X = 3/4").bindings()["X"] == Num(Fraction(3, 4))
-    assert parse_constraint("X = -2").bindings()["X"] == Num(Fraction(-2))
+    assert parse_constraint("X = 3/4").atoms == {TermEq("X", Num(Fraction(3, 4)))}
+    assert parse_constraint("X = -2").atoms == {TermEq("X", Num(Fraction(-2)))}
 
 
 def test_parse_comparisons():
@@ -159,6 +161,39 @@ def test_parse_errors_have_positions():
         assert str(exc.value) == f"{line}:{col}: {message}"
 
 
+def test_a_declaration_head_is_read_once():
+    # the head is read as a declaration's, then as a call's if no ':-' follows: the same errors
+    cases = [
+        ("p(X Y) :- stop.", 1, 5, "expected ')', found 'Y'"),
+        ("init :- p(X Y).", 1, 13, "expected ')', found 'Y'"),
+        ("init :- p(X", 1, 12, "expected ')', found end of input"),
+        ("p(a) :- stop.", 1, 3, "expected a variable (capitalized identifier)"),
+        ("p(X, X).\np(A, B) :- stop.", 2, 1, "trailing input after the initial agent"),
+    ]
+    for text, line, col, message in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
+    prog = parse_program("p(X) :- stop.\np(Y)")
+    assert [d.params for d in prog.declarations] == [("X",)] and prog.initial == Call("p", ("Y",))
+
+
+def test_a_cancelled_expression_folds_to_zero():
+    agent = parse_agent("change(X, Y - Y, der(X) = X - X)")
+    assert agent == Change("X", Fraction(0), LinExpr(()))
+    assert pretty(agent) == "change(X, 0, der(X) = 0)"
+
+
+def test_pretty_prints_a_false_guard():
+    assert pretty(parse_agent("ask(false) -> stop")) == "ask(false) -> stop"
+
+
+def test_the_grammar_lists_the_parsers_keywords():
+    grammar = (Path(__file__).resolve().parent.parent / "docs" / "grammar.ebnf").read_text()
+    listed = re.search(r"\(\* keywords[^:]*:(.*?)\*\)", grammar, re.S).group(1).split()
+    assert sorted(listed) == sorted(KEYWORDS)
+
+
 # --- programs
 
 
@@ -173,7 +208,7 @@ def test_parse_program_constants_and_init():
     assert prog.constants["LIMIT"] == Fraction(10)
     assert prog.initial == Call("init", ())
     body = prog.lookup("p", 1)[0].body
-    assert body.constraint.bindings()["X"] == Num(Fraction(10))
+    assert body.constraint.atoms == {TermEq("X", Num(Fraction(10)))}
 
 
 def test_program_without_initial_agent_needs_init():

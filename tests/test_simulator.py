@@ -17,6 +17,7 @@ from hytccp.simulator import (
     DiscreteEvent,
     RunOptions,
     TerminalEvent,
+    Trace,
     canonical_key,
     explore,
     run,
@@ -67,6 +68,17 @@ def test_max_time_reached():
     assert trace.terminal.kind == "max_time" and trace.terminal.clock == 150
 
 
+def test_max_steps_reached():
+    # the timer takes two discrete steps per period (the reset, then the recursive call)
+    trace = run(load("timer.hyt"), RunOptions(max_discrete_steps=3))
+    steps = [ev for ev in trace.events if isinstance(ev, DiscreteEvent)]
+    assert (len(steps), trace.terminal.kind, trace.terminal.clock) == (3, "max_steps", 60)
+
+
+def test_a_trace_without_events_has_no_terminal():
+    assert Trace("", RunOptions()).terminal is None
+
+
 # --- traces
 
 
@@ -114,6 +126,19 @@ def test_scheduler_choice_is_recorded():
     trace = run(prog, RunOptions())
     picks = [c for ev in trace.events if isinstance(ev, DiscreteEvent) for c in ev.choices]
     assert any(c.site == ("scheduler",) and c.alternatives == 2 for c in picks)
+
+
+def test_told_false_is_logged_as_false():
+    trace = run(program("init :- tell(false)."), RunOptions())
+    assert [ev.told for ev in trace.events if isinstance(ev, DiscreteEvent)] == [(), ("false",)]
+
+
+def test_each_policy_takes_its_own_successor():
+    # two branches race on one guard: ``first`` takes the first, seed 0 draws the second
+    prog = program("init :- tell(Go = go) || (ask(Go = go) -> tell(Y = a) + ask(Go = go) -> tell(Y = b)).")
+    for options, told in ((RunOptions(), "Y=a"), (RunOptions(policy="random", seed=0), "Y=b")):
+        events = [ev for ev in run(prog, options).events if isinstance(ev, DiscreteEvent)]
+        assert events[-1].told == (told,)
 
 
 def test_random_policy_is_seeded():
