@@ -8,7 +8,8 @@ identifiers, atoms are lowercase, ``_`` is the wildcard/KEEP marker.
 One pass over the tokens builds the AST: constant expressions fold as they
 are read, and each process call is checked against the declarations once
 the whole program is read.  Every ``ParseError`` carries the ``line:col`` of
-the token it is about; tokens keep only their offset.
+the token it is about.  A token is its text: ``tokenize`` is one ``findall``,
+and only an error re-scans the text for its offset.
 """
 from __future__ import annotations
 
@@ -54,17 +55,15 @@ _CMP_OPS = {text: op for op, text in OP_TEXT.items() if op != "="}
 
 KEYWORDS = {"stop", "tell", "ask", "now", "then", "else", "exists", "change", "der", "const", "true", "false", "random"}
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>/\\|\|\||->|:-|=<|>=|!=|[()\[\]|,;+\-*/=<>.~])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# number | identifier | operator | comment; whitespace separates tokens, and
+# ``\S`` takes any other character, which no rule allows (group 1 when scanning)
+_TOKENS = r"[0-9]+(?:\.[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|/\\|\|\||->|:-|=<|>=|!=|[()\[\]|,;+\-*/=<>.~]|%[^\n]*"
+_TOKEN_RE = re.compile(_TOKENS + r"|\S")
+_SCAN_RE = re.compile(_TOKENS + r"|(\S)")
+# a token's kind is read from its first character; the eof token "" has none
+_DIGITS = frozenset("0123456789")
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE = Fraction(1)
 
 
 class ParseError(Exception):
@@ -80,25 +79,21 @@ class ParseError(Exception):
         return cls(message, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-class Token:
-    __slots__ = ("kind", "text", "offset")
+def tokenize(text: str) -> List[str]:
+    """The tokens of ``text``, comments dropped, ending in the eof token ``""``.
 
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind  # "number" | "ident" | "op" | "eof"
-        self.text = text
-        self.offset = offset
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError.at(text, m.start(), f"unexpected character {m.group()!r}")
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
+    A character no rule allows is a token of its own; ``Parser.error``
+    reports it.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    if "%" in text:
+        tokens = [tok for tok in tokens if tok[0] != "%"]
+    tokens.append("")
     return tokens
+
+
+def _number(text: str) -> Fraction:
+    return Fraction(text) if "." in text else Fraction(int(text))
 
 
 def _is_variable(name: str) -> bool:
@@ -108,8 +103,9 @@ def _is_variable(name: str) -> bool:
 class Parser:
     """Recursive descent over the token list.
 
-    Only the eof token has empty text, and no rule consumes it, so ``peek``
-    never runs past the end of the list and ``at`` needs no kind check.
+    Only the eof token is empty, and no rule consumes it, so ``peek`` never
+    runs past the end of the list.  No rule consumes a character no rule
+    allows either, so every input holding one ends in ``error``.
     """
 
     def __init__(self, text: str):
@@ -117,36 +113,46 @@ class Parser:
         self.tokens = tokenize(text)
         self.pos = 0
         self.constants: dict = {}
-        self.calls: List[Tuple[str, int, int]] = []  # (name, arity, offset) of each process call
+        self.calls: List[Tuple[str, int, int]] = []  # (name, arity, token index) of each process call
 
     # -- token helpers
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     def accept(self, text: str) -> bool:
         """Consume the next token if it reads ``text``."""
-        if self.tokens[self.pos].text != text:
+        if self.tokens[self.pos] != text:
             return False
         self.pos += 1
         return True
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> str:
         tok = self.peek()
-        if tok.text != text:
-            self.error(f"expected {text!r}, found {tok.text!r}" if tok.kind != "eof" else f"expected {text!r}, found end of input")
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok!r}" if tok else f"expected {text!r}, found end of input")
         return self.next()
 
-    def error(self, message: str, offset: Optional[int] = None):
-        raise ParseError.at(self.text, self.peek().offset if offset is None else offset, message)
+    def error(self, message: str, index: Optional[int] = None):
+        """Raise ``message`` at token ``index`` (the next token by default),
+        or at the first character no rule allows, if the text holds one."""
+        index = self.pos if index is None else index
+        offset = len(self.text)  # the eof token's
+        matches = (m for m in _SCAN_RE.finditer(self.text) if m.group()[0] != "%")
+        for i, m in enumerate(matches):
+            if m.group(1):
+                raise ParseError.at(self.text, m.start(), f"unexpected character {m.group()!r}")
+            if i == index:
+                offset = m.start()
+        raise ParseError.at(self.text, offset, message)
 
     # -- program
 
@@ -155,22 +161,22 @@ class Parser:
             self.parse_const()
         decls: List[Declaration] = []
         initial: Optional[Agent] = None
-        while self.peek().kind != "eof":
+        while self.peek():
             if (decl := self.parse_declaration()) is not None:
                 decls.append(decl)
             else:
                 initial = self.parse_agent()
                 self.accept(".")
-                if self.peek().kind != "eof":
+                if self.peek():
                     self.error("trailing input after the initial agent")
         declared = {(d.name, len(d.params)) for d in decls}
         if initial is None:
             if ("init", 0) not in declared:
                 self.error("program has no initial agent and no init/0 declaration")
             initial = Call("init", ())
-        for name, arity, offset in self.calls:
+        for name, arity, index in self.calls:
             if (name, arity) not in declared:
-                self.error(f"call to undeclared process {name}/{arity}", offset)
+                self.error(f"call to undeclared process {name}/{arity}", index)
         return Program(dict(self.constants), tuple(decls), initial, self.text)
 
     def parse_const(self) -> None:
@@ -184,18 +190,17 @@ class Parser:
         self.constants[name] = value
 
     def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+        if self.peek()[:1] not in _IDENT_START:
             self.error(f"expected {what}")
-        return self.next().text
+        return self.next()
 
     def parse_declaration(self) -> Optional[Declaration]:
         """``name(Params) :- Agent.``, or None, with nothing read, if no ``:-`` follows the head."""
         start = self.pos
         tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS or _is_variable(tok.text):
+        if tok[:1] not in _IDENT_START or tok in KEYWORDS or _is_variable(tok):
             return None
-        name = self.next().text
+        name = self.next()
         params = self.parenthesized_names()
         if not self.at(":-"):
             self.pos = start
@@ -209,11 +214,11 @@ class Parser:
 
     def variable_name(self) -> str:
         tok = self.peek()
-        if tok.kind != "ident" or not _is_variable(tok.text):
+        if tok[:1] not in _IDENT_START or not _is_variable(tok):
             self.error("expected a variable (capitalized identifier)")
-        if tok.text in self.constants:
-            self.error(f"{tok.text} is a constant, not a variable")
-        return self.next().text
+        if tok in self.constants:
+            self.error(f"{tok} is a constant, not a variable")
+        return self.next()
 
     def variable_names(self) -> Tuple[str, ...]:
         names = [self.variable_name()]
@@ -290,12 +295,13 @@ class Parser:
             orelse = self.parse_unit()
             return Now(guard, then, orelse)
         tok = self.peek()
-        if tok.kind == "ident" and not _is_variable(tok.text) and tok.text not in KEYWORDS:
-            name = self.next().text
+        if tok[:1] in _IDENT_START and not _is_variable(tok) and tok not in KEYWORDS:
+            start = self.pos
+            self.pos += 1
             args = self.parenthesized_names()
-            self.calls.append((name, len(args), tok.offset))
-            return Call(name, args)
-        self.error(f"expected an agent, found {tok.text!r}")
+            self.calls.append((tok, len(args), start))
+            return Call(tok, args)
+        self.error(f"expected an agent, found {tok!r}")
 
     def parse_change(self) -> Agent:
         self.expect("change")
@@ -349,24 +355,24 @@ class Parser:
     def parse_atomic(self, guard: bool):
         var = self.variable_name()
         tok = self.peek()
-        if tok.text == "=" and tok.kind == "op":
-            self.next()
-            term = self.parse_term(guard)
-            return TermEq(var, term)
-        if tok.text in _CMP_OPS:
-            self.next()
-            return LinCmp(var, _CMP_OPS[tok.text], self.const_expr())
+        if tok == "=":
+            self.pos += 1
+            return TermEq(var, self.parse_term(guard))
+        if tok in _CMP_OPS:
+            self.pos += 1
+            return LinCmp(var, _CMP_OPS[tok], self.const_expr())
         self.error("expected a comparison operator")
 
     def parse_term(self, guard: bool) -> Term:
         tok = self.peek()
-        if self.at("_") and not guard:
+        start = self.pos
+        if tok == "_" and not guard:
             self.error("wildcard '_' is only allowed inside ask/now guards")
-        if self.at("random") and guard:
+        if tok == "random" and guard:
             self.error("random() is only allowed inside tell")
         if self.accept("_"):
             return WILDCARD
-        if self.at("["):
+        if tok == "[":
             return self.parse_list(guard)
         if self.accept("random"):
             self.expect("(")
@@ -375,21 +381,20 @@ class Parser:
             hi = self.const_expr()
             self.expect(")")
             if lo > hi:
-                self.error(f"random bounds out of order: {lo} > {hi}", tok.offset)
+                self.error(f"random bounds out of order: {lo} > {hi}", start)
             if math.ceil(lo) > math.floor(hi):
-                self.error(f"no integer in random range [{lo}, {hi}]", tok.offset)
+                self.error(f"no integer in random range [{lo}, {hi}]", start)
             return RandomTerm(lo, hi)
-        if tok.kind == "number" or tok.text == "-":
-            value = self.parse_number()
-            return Num(value)
-        if tok.kind == "ident":
-            name = self.next().text
-            if name in self.constants:
-                return Num(self.constants[name])
-            if _is_variable(name):
-                return Var(name)
-            return Atom(name)
-        self.error(f"expected a term, found {tok.text!r}")
+        if tok[:1] in _DIGITS or tok == "-":
+            return Num(self.parse_number())
+        if tok[:1] in _IDENT_START:
+            self.pos += 1
+            if tok in self.constants:
+                return Num(self.constants[tok])
+            if _is_variable(tok):
+                return Var(tok)
+            return Atom(tok)
+        self.error(f"expected a term, found {tok!r}")
 
     def parse_list(self, guard: bool) -> Term:
         self.expect("[")
@@ -407,21 +412,21 @@ class Parser:
         return tail
 
     def parse_number(self) -> Fraction:
-        sign = Fraction(1)
+        negative = False
         while self.accept("-"):
-            sign = -sign
+            negative = not negative
         tok = self.peek()
-        if tok.kind != "number":
+        if tok[:1] not in _DIGITS:
             self.error("expected a number")
-        self.next()
-        value = Fraction(tok.text)
-        if self.at("/") and self.peek(1).kind == "number":
-            self.next()
-            denom = Fraction(self.next().text)
+        self.pos += 1
+        value = _number(tok)
+        if self.at("/") and self.peek(1)[:1] in _DIGITS:
+            self.pos += 1
+            denom = _number(self.next())
             if denom == 0:
                 self.error("division by zero")
             value /= denom
-        return sign * value
+        return -value if negative else value
 
     # -- linear / constant expressions
 
@@ -439,57 +444,58 @@ class Parser:
         if the input had one and it is non-zero or nothing else is left.
         """
         sums: dict = {}  # variable (None: the constant) -> summed coefficient
-        sign = 1
+        negative = False
         while True:
-            coef, var = self.parse_linterm()
-            sums[var] = sums.get(var, 0) + sign * coef
+            coef, var = self.parse_linterm(negative)
+            sums[var] = sums[var] + coef if var in sums else coef
             if not (self.at("+") or self.at("-")):
                 break
-            sign = -1 if self.next().text == "-" else 1
+            negative = self.next() == "-"
         const = sums.pop(None, None)
         folded = [(coef, var) for var, coef in sums.items() if coef != 0]
         if const is not None and (const != 0 or not folded):
             folded.append((const, None))
         return LinExpr(tuple(folded))
 
-    def parse_linterm(self) -> Tuple[Fraction, Optional[str]]:
-        sign = Fraction(1)
+    def parse_linterm(self, negative: bool = False) -> Tuple[Fraction, Optional[str]]:
+        """A product of factors, negated if ``negative`` (the sign read before it)."""
         while self.accept("-"):
-            sign = -sign
-        coef = Fraction(1)
+            negative = not negative
+        coef = _ONE
         var: Optional[str] = None
         divide = False
         while True:
             tok = self.peek()
             factor: Optional[Fraction] = None
-            if tok.kind == "number":
+            if tok[:1] in _DIGITS:
                 factor = self.parse_number()
             elif self.accept("("):
                 factor = _constant(self.parse_linexpr())
                 self.expect(")")
                 if factor is None:
                     self.error("nested expressions must be constant")
-            elif tok.kind == "ident" and tok.text in self.constants:
-                factor = self.constants[self.next().text]
-            elif tok.kind == "ident" and _is_variable(tok.text):
+            elif tok[:1] in _IDENT_START and tok in self.constants:
+                factor = self.constants[self.next()]
+            elif tok[:1] in _IDENT_START and _is_variable(tok):
                 if divide:
                     self.error("cannot divide by a variable")
                 if var is not None:
                     self.error("flow expressions must be linear (no variable products)")
-                var = self.next().text
+                var = self.next()
             else:
                 self.error("expected a number, constant or variable")
             if factor is not None:
                 if divide and factor == 0:
                     self.error("division by zero")
-                coef = coef / factor if divide else coef * factor
+                # a coefficient of one takes the factor as it is
+                coef = coef / factor if divide else factor if coef is _ONE else coef * factor
             if self.accept("*"):
                 divide = False
             elif self.accept("/"):
                 divide = True
             else:
                 break
-        return sign * coef, var
+        return (-coef if negative else coef), var
 
 
 def _constant(expr: LinExpr) -> Optional[Fraction]:
@@ -509,7 +515,7 @@ def _parse_whole(text: str, constants: Optional[dict], rule, what: str):
     parser = Parser(text)
     parser.constants.update(constants or {})
     result = rule(parser)
-    if parser.peek().kind != "eof":
+    if parser.peek():
         parser.error(f"trailing input after {what}")
     return result
 

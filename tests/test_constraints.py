@@ -14,6 +14,7 @@ from hytccp.constraints import (
     ModelError,
     NIL,
     Num,
+    RandomTerm,
     TRUE,
     TermEq,
     Var,
@@ -170,6 +171,14 @@ def test_equations_that_differ_in_a_list_tail_hash_apart():
     equations = [next(iter(parse_constraint(f"Z = {t}").atoms)) for t in ("[a|X]", "[a|_]", "[a|W]", "[a]", "[a, b]")]
     assert len(set(map(hash, equations))) == 5
 
+
+
+def test_random_terms_differing_in_one_bound_are_unequal():
+    # compared directly: a Tell holding them would be told apart by its hash first
+    draw = RandomTerm(Fraction(1), Fraction(3))
+    assert draw == RandomTerm(Fraction(1), Fraction(3))
+    assert draw != RandomTerm(Fraction(2), Fraction(3))
+    assert draw != RandomTerm(Fraction(1), Fraction(5))
 
 # told one at a time, Z walks to Y, then on to X, then to a list whose head gets bound
 CHAIN = [TermEq("Z", Var("Y")), TermEq("Y", Var("X")), TermEq("X", Cons(Var("W"), NIL)), TermEq("W", Atom("a"))]

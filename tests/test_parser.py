@@ -1,4 +1,5 @@
 """Concrete syntax: tokenizer, parser, pretty-printer round trips."""
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -153,12 +154,43 @@ def test_parse_errors_have_positions():
         (parse_agent, "tell(X = random(5, 1))", 1, 10, "random bounds out of order: 5 > 1"),
         (parse_agent, "tell(X = random(1/3, 2/3))", 1, 10, "no integer in random range [1/3, 2/3]"),
         (parse_agent, "ask(X = [random(0, 3)]) -> stop", 1, 10, "random() is only allowed inside tell"),
+        # located by a re-scan that skips comments as the tokenizer does
+        (parse_program, "% p(X) # :\ninit :- tell(X = ).\n", 2, 18, "expected a term, found ')'"),
+        (parse_program, "init :- p(X % trailing\n", 2, 1, "expected ')', found end of input"),
+        # a character no rule allows is reported wherever it lies, even past the parse's error
+        (parse_program, "init : stop.", 1, 6, "unexpected character ':'"),
+        (parse_agent, "tell(X ! 1)", 1, 8, "unexpected character '!'"),
+        (parse_agent, "tell(X = ) #", 1, 12, "unexpected character '#'"),
+        # numbers are ASCII digits, as identifiers are ASCII
+        (parse_program, "init :- tell(X = \u0663).", 1, 18, "unexpected character '\u0663'"),
     ]
     for parse, text, line, col, message in cases:
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.col, exc.value.message) == (line, col, message)
         assert str(exc.value) == f"{line}:{col}: {message}"
+    # inside a comment, '#', ':' and '!' are no error
+    assert parse_program("% # : !\ninit :- stop. % # : !").initial == Call("init", ())
+
+
+# SHA-256 of the outcome ("ok" or the ParseError's text) of parsing every
+# prefix of each model, one line each: 3275 of the prefixes are errors.
+PREFIX_ERRORS_DIGEST = "c65c7df0b7cee78046fedd658e35125505e2d0a0d73af9774b835ac994080405"
+
+
+def test_every_prefix_of_the_models_fails_where_it_did():
+    models = Path(__file__).resolve().parent.parent / "models"
+    outcomes = []
+    for name in ("dam.hyt", "timer.hyt", "stop.hyt"):
+        text = (models / name).read_text()
+        for i in range(len(text) + 1):
+            try:
+                parse_program(text[:i])
+                outcomes.append("ok")
+            except ParseError as exc:
+                outcomes.append(str(exc))
+    assert len(outcomes) - outcomes.count("ok") == 3275
+    assert hashlib.sha256("".join(f"{o}\n" for o in outcomes).encode()).hexdigest() == PREFIX_ERRORS_DIGEST
 
 
 def test_a_declaration_head_is_read_once():
