@@ -112,18 +112,26 @@ def _hit_time(v0: Value, f: Flow, level: Value) -> Optional[Value]:
     if f.b == 0:
         t = (Fraction(level) - Fraction(v0)) / f.a if isinstance(v0, Fraction) else (float(level) - v0) / f.float_a
         return t if t >= 0 else None
+    # an invariant and a guard often share a level (X =< 22 until X >= 22): the flow
+    # keeps its last answer, so one delay solves their crossing once
+    last = getattr(f, "last_hit", None)
+    if last is None or last[0] != v0 or last[1] != level:
+        last = f.last_hit = (v0, level, _exponential_hit(v0, f, float(level)))
+    return last[2]
+
+
+def _exponential_hit(v0: Value, f: Flow, level: float) -> Optional[float]:
     shift = f.shift
     c0 = float(v0) + shift
     if c0 == 0.0:
         return None  # sitting on the equilibrium
-    ratio = (float(level) + shift) / c0
+    ratio = (level + shift) / c0
     if ratio <= 0.0:
         return None
     t = math.log(ratio) / f.float_b
     if t < -BISECTION_TOL:
         return None
-    t = max(t, 0.0)
-    return _refine_hit(v0, f, float(level), t)
+    return _refine_hit(v0, f, level, max(t, 0.0))
 
 
 def _refine_hit(v0: Value, f: Flow, level: float, t: float) -> float:

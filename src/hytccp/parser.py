@@ -506,15 +506,25 @@ def _constant(expr: LinExpr) -> Optional[Fraction]:
     return coef if var is None else None
 
 
+def _nested(parser: Parser, rule):
+    """``rule(parser)``.  The parser recurses once per nesting level, so text
+    nested deeper than Python's recursion limit is an error at the token reached."""
+    try:
+        return rule(parser)
+    except RecursionError:
+        pass
+    parser.error("nesting too deep")
+
+
 def parse_program(text: str) -> Program:
-    return Parser(text).parse_program()
+    return _nested(Parser(text), Parser.parse_program)
 
 
 def _parse_whole(text: str, constants: Optional[dict], rule, what: str):
     """``rule`` applied to all of ``text``, with ``constants`` in scope."""
     parser = Parser(text)
     parser.constants.update(constants or {})
-    result = rule(parser)
+    result = _nested(parser, rule)
     if parser.peek():
         parser.error(f"trailing input after {what}")
     return result

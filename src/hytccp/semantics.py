@@ -7,10 +7,13 @@ and leave the agent and the discrete store untouched.  Time may pass only
 when no discrete step is enabled anywhere.  Hiding is renaming to generated
 names: ``open_scopes``, one walk, opens every scope of the starting agent
 (``start_configuration``) and, as it renames parameters, of each unfolded
-call body, so the step rules never meet a scope.  Agents the engine makes obey
-``A || stop == A`` (``syntax.par``), so stopped components do not pile up
-as a run goes on.  A step's increment is the atoms of its tells as written,
-renamed, draws substituted: only ``conj`` solves them, into the store.
+call body, so the step rules never meet a scope.  A body that opens no scope
+draws no generated name, so a call reuses the instance an earlier call with
+the same arguments built (``Declaration._instances``), unless an argument is
+a generated name.  Agents the engine makes obey ``A || stop == A``
+(``syntax.par``), so stopped components do not pile up as a run goes on.  A
+step's increment is the atoms of its tells as written, renamed, draws
+substituted: only ``conj`` solves them, into the store.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ from .constraints import (
     conj,
     entails,
     fresh_var,
+    is_fresh_name,
     split_guard,
 )
 from .flows import (
@@ -253,11 +257,19 @@ def step_agent(
         return []
 
     if isinstance(agent, Call):
+        # a body that opens no scope is built once per argument tuple and kept on its
+        # declaration; arguments that hold a generated name keep nothing, since such
+        # names are new at each turn of a recursion and the table would grow with time
         decls = program.lookup(agent.name, len(agent.args))
         outs = []
         for i, decl in enumerate(decls):
-            mapping = {p: a for p, a in zip(decl.params, agent.args) if p != a}
-            body = open_scopes(decl.body, program.continuous, mapping)
+            instances = decl._instances
+            body = None if instances is None else instances.get(agent.args)
+            if body is None:
+                mapping = {p: a for p, a in zip(decl.params, agent.args) if p != a}
+                body = open_scopes(decl.body, program.continuous, mapping)
+                if instances is not None and not any(map(is_fresh_name, agent.args)):
+                    instances[agent.args] = body
             record = (ChoiceRecord(path + ("call:" + agent.name,), i, len(decls)),) if len(decls) > 1 else ()
             outs.append(Outcome(body, TRUE, (), record))
         return outs

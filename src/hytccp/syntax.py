@@ -42,7 +42,8 @@ class Flow(Record):
     """Affine dynamics dx/dt = a + b*x.
 
     The floats an exponential flow is solved in, and the flow's text, are
-    computed on first use and kept on the object; they take no part in
+    computed on first use and kept on the object, as is the last level
+    crossing solved on it (``flows._hit_time``); they take no part in
     equality, hashing or printing.
     """
 
@@ -209,12 +210,22 @@ def par(left: Agent, right: Agent) -> Agent:
 
 
 class Declaration(Record):
-    __slots__ = ("name", "params", "body")
+    """A process declaration ``name(params) :- body``.
+
+    A body that opens no scope draws no generated name when a call unfolds
+    it, so its instance for given arguments is always the same agent.
+    ``_instances`` keeps those instances, keyed by argument tuple
+    (``semantics.step_agent``), and is None for a body that opens a scope;
+    like ``_Node._text`` it takes no part in equality, hash or repr.
+    """
+
+    __slots__ = ("name", "params", "body", "_instances")
 
     def __init__(self, name: str, params: Tuple[str, ...], body: Agent):
         self.name = name
         self.params = params
         self.body = body
+        self._instances = None if any(isinstance(node, Hide) for node in nodes(body)) else {}
 
 
 class Program(Record):

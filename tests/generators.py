@@ -14,8 +14,10 @@ streams).
 """
 from __future__ import annotations
 
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from hytccp.constraints import (
     Atom,
@@ -177,3 +179,12 @@ def recursive_program(seed: int) -> Program:
     lines.append(f"init :- exists {', '.join(names)} ({' || '.join(parts)}).")
     text = "\n".join(lines)
     return parse_program(text)
+
+
+def thermostat_source(seed: int) -> str:
+    """The benchmark's thermostats model, ``bench/workloads.thermostat_source(seed)``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.thermostat_source(seed)

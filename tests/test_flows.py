@@ -35,6 +35,8 @@ from hytccp.parser import parse_program
 from hytccp.simulator import RunOptions, run
 from hytccp.syntax import Flow, KEEP
 
+from generators import thermostat_source
+
 
 def rk4(v0: float, f: Flow, t: float, step: float = 1e-4) -> float:
     """Fixed-step RK4 for dx/dt = a + b*x."""
@@ -171,6 +173,15 @@ def test_crossing_time_random_exponentials_match_logarithm():
         t = crossing_time(v0, f, LinCmp("X", op, Fraction(target)))
         assert t is not None
         assert math.isclose(t, analytic, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_a_flow_keeps_its_last_crossing_for_its_start_and_level_only():
+    # the flow keeps one answer; a new start or a new level must not read it
+    f = Flow(Fraction(100, 150), Fraction(-1, 150))
+    for v0, level in [(19.0, 22), (19.0, 22), (19.0, 20), (19.5, 20), (Fraction(19), 22), (19.0, 22)]:
+        cmp = LinCmp("X", ">=", Fraction(level))
+        assert crossing_time(v0, f, cmp) == crossing_time(v0, Flow(f.a, f.b), cmp)
+        assert f.last_hit[:2] == (v0, cmp.bound_for(v0))
 
 
 def test_no_crossing_away_from_level():
@@ -443,6 +454,54 @@ def test_truth_intervals_per_delay_are_components_plus_watched_guards(n, monkeyp
     trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
     assert trace.terminal.kind == "max_time"
     assert len(per_delay) > n and per_delay == [2 * n] * len(per_delay)
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_a_level_shared_by_invariant_and_guard_is_solved_once_per_delay(n, monkeypatch):
+    # heat waits on X =< 22 until X >= 22, cool on X >= 18 until X =< 18: each
+    # thermostat's one exponential crossing serves its invariant and its guard
+    solves = 0
+
+    def counting_refine_hit(*args):
+        nonlocal solves
+        solves += 1
+        return refine_hit(*args)
+
+    per_delay = []
+
+    def counting_compute_delay(cfg, program, horizon):
+        before = solves
+        result = compute_delay(cfg, program, horizon)
+        per_delay.append(solves - before)
+        return result
+
+    refine_hit, compute_delay = flows._refine_hit, semantics.compute_delay
+    monkeypatch.setattr(flows, "_refine_hit", counting_refine_hit)
+    monkeypatch.setattr(simulator, "compute_delay", counting_compute_delay)
+    trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
+    assert trace.terminal.kind == "max_time"
+    assert len(per_delay) > n and per_delay == [n] * len(per_delay)
+
+
+def test_exact_float_calls_do_not_grow_with_the_horizon(monkeypatch):
+    # a call reuses its body's instance, so each LinCmp keeps its float for the
+    # whole run; fresh parses, since a declaration keeps its instances
+    calls = 0
+
+    def counting_exact_float(bound):
+        nonlocal calls
+        calls += 1
+        return exact_float(bound)
+
+    exact_float = constraints._exact_float
+    monkeypatch.setattr(constraints, "_exact_float", counting_exact_float)
+    counts = []
+    for max_time in (750, 1500):
+        before = calls
+        trace = run(parse_program(thermostat_source(1)), RunOptions(max_time=Fraction(max_time), seed=1))
+        assert trace.terminal.kind == "max_time"
+        counts.append(calls - before)
+    assert 0 < counts[0] == counts[1]
 
 
 def test_exponential_run_compares_floats_without_rational_round_trips(monkeypatch):

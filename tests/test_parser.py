@@ -1,7 +1,10 @@
 """Concrete syntax: tokenizer, parser, pretty-printer round trips."""
 import hashlib
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -191,6 +194,36 @@ def test_every_prefix_of_the_models_fails_where_it_did():
                 outcomes.append(str(exc))
     assert len(outcomes) - outcomes.count("ok") == 3275
     assert hashlib.sha256("".join(f"{o}\n" for o in outcomes).encode()).hexdigest() == PREFIX_ERRORS_DIGEST
+
+
+def nested(levels: int) -> str:
+    return "init :- " + "(" * levels + "stop" + ")" * levels + "."
+
+
+@pytest.mark.parametrize("parse", [parse_program, lambda text: parse_agent(text[len("init :- ") : -1])])
+def test_nesting_past_the_recursion_limit_is_a_located_error(parse):
+    # the parser recurses three frames per parenthesis; Python's limit allows about 330
+    with pytest.raises(ParseError) as info:
+        parse(nested(400))
+    err = info.value
+    assert err.message == "nesting too deep" and err.line == 1
+    assert nested(400)[err.col - 1] == "("  # the parenthesis the parser had reached
+    assert err.col > len("init :- ") + 100
+
+
+def test_check_parses_320_levels_and_locates_400(tmp_path):
+    # a fresh process, as a user runs it: the test runner's own frames would lower the limit
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    outcomes = []
+    for levels in (320, 400):
+        path = tmp_path / f"nested{levels}.hyt"
+        path.write_text(nested(levels))
+        argv = [sys.executable, "-m", "hytccp.cli", "check", str(path)]
+        outcomes.append(subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60))
+    assert outcomes[0].returncode == 0, outcomes[0].stderr
+    assert outcomes[1].returncode == 1
+    assert re.fullmatch(rf"error: {re.escape(str(path))}:1:[0-9]+: nesting too deep\n", outcomes[1].stderr)
 
 
 def test_a_declaration_head_is_read_once():

@@ -1,10 +1,12 @@
 """Transition engine: discrete step rules, hiding, continuous steps, delays."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hytccp import semantics
 from hytccp.constraints import (
     TRUE,
     LinCmp,
@@ -150,6 +152,67 @@ def test_call_unfolds_with_parameter_substitution():
     (atom,) = cfg.discrete.atoms
     assert isinstance(atom, TermEq) and is_fresh_name(atom.var)
     assert atom.term == Atom("done")
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def unfold(call: Call, program: Program):
+    (out,) = step_agent(call, TRUE, {}, program)
+    return out.agent
+
+
+def test_a_scope_free_body_is_built_once_per_argument_tuple():
+    prog = parse_program("p(A) :- tell(A = done) || q(A).  q(B) :- stop.  init :- p(X).")
+    first = unfold(Call("p", ("X",)), prog)
+    assert first == parse_agent("tell(X = done) || q(X)")
+    assert unfold(Call("p", ("X",)), prog) is first
+    assert unfold(Call("p", ("Y",)), prog) == parse_agent("tell(Y = done) || q(Y)")
+    assert prog.lookup("p", 1)[0]._instances.keys() == {("X",), ("Y",)}
+
+
+def test_one_declaration_serving_two_variables_keeps_both_instances(monkeypatch):
+    # models/thermostat.hyt runs rooms A and B on one heat(X)/cool(X) pair: with
+    # an instance per argument tuple, no call after the first of each is built
+    # again, so a longer run opens no more nodes
+    text = (MODELS / "thermostat.hyt").read_text()
+    visits = 0
+
+    def counting_open_scopes(agent, continuous, mapping):
+        nonlocal visits
+        visits += 1
+        return open_scopes(agent, continuous, mapping)
+
+    open_scopes = semantics.open_scopes
+    monkeypatch.setattr(semantics, "open_scopes", counting_open_scopes)
+    counts = []
+    for max_time in (300, 600):
+        prog = parse_program(text)
+        before = visits
+        assert run(prog, RunOptions(max_time=Fraction(max_time))).terminal.kind == "max_time"
+        counts.append(visits - before)
+        for name in ("heat", "cool"):
+            assert prog.lookup(name, 1)[0]._instances.keys() == {("A",), ("B",)}
+    assert counts[0] == counts[1]
+
+
+def test_a_body_with_a_scope_draws_new_names_at_every_unfolding():
+    prog = parse_program("p(A) :- exists Y (tell(A = [a|Y])).  init :- p(X).")
+    first, second = unfold(Call("p", ("X",)), prog), unfold(Call("p", ("X",)), prog)
+    assert prog.lookup("p", 1)[0]._instances is None
+    (one,), (two,) = first.constraint.atoms, second.constraint.atoms
+    assert one.term.tail != two.term.tail and is_fresh_name(one.term.tail.name) and is_fresh_name(two.term.tail.name)
+
+
+def test_a_call_with_a_generated_argument_keeps_no_instance():
+    prog = parse_program("p(A) :- tell(A = done).  init :- exists V (p(V)).")
+    trace = run(prog, RunOptions(max_time=Fraction(1)))
+    assert trace.terminal.kind == "all_stop"
+    assert prog.lookup("p", 1)[0]._instances == {}  # p(V#1) unfolded, and kept nothing
+    # every dam body opens a scope, and its calls pass generated names
+    dam = parse_program((MODELS / "dam.hyt").read_text())
+    assert run(dam, RunOptions(max_time=Fraction(48 * 3600))).terminal.kind == "max_time"
+    assert not any(decl._instances for decl in dam.declarations)
 
 
 @given(agents)

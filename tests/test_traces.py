@@ -5,16 +5,14 @@ A change that means to keep behaviour keeps every value here.  A change that
 means to alter one says so in CHANGES.md, with the reason.
 """
 import hashlib
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from hytccp.cli import main
 from hytccp.simulator import explore
 
-from generators import random_program, recursive_program
+from generators import random_program, recursive_program, thermostat_source
 
 GOLDEN = {
     ("run", "models/dam.hyt", "--max-time", "86400"):
@@ -77,17 +75,9 @@ def test_recursive_program_state_counts():
     assert counts == RECURSIVE_COUNTS
 
 
-def _thermostat_source(seed: int) -> str:
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.thermostat_source(seed)
-
-
 def test_thermostat_run_digest(tmp_path):
     model = tmp_path / "thermostats.hyt"
-    model.write_text(_thermostat_source(1))
+    model.write_text(thermostat_source(1))
     out = tmp_path / "out"
     assert main(["run", str(model), "--max-time", "1500", "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THERMOSTAT_DIGEST
