@@ -141,6 +141,25 @@ def test_each_policy_takes_its_own_successor():
         assert events[-1].told == (told,)
 
 
+def test_the_walk_model_gives_the_scheduler_a_pick_each_period():
+    # both branches of walk are enabled at every multiple of PERIOD: ``first``
+    # always heads up, and seeds 1 and 2 draw different picks
+    prog = load("walk.hyt")
+
+    def picks(options):
+        trace = run(prog, options)
+        assert trace.terminal.kind == "max_time"
+        return [
+            c.picked for ev in trace.events if isinstance(ev, DiscreteEvent) for c in ev.choices if c.site == ("scheduler",)
+        ]
+
+    first = picks(RunOptions(max_time=Fraction(100)))
+    assert first == [0] * 10
+    one, two = (picks(RunOptions(max_time=Fraction(100), policy="random", seed=s)) for s in (1, 2))
+    assert len(one) == len(two) == 10 and 1 in one and 1 in two and one != two
+    assert explore(prog, 8).complete
+
+
 def test_random_policy_is_seeded():
     prog = program("init :- ask(X = a) -> tell(Y = 1) + ask(X = a) -> tell(Y = 2) || tell(X = a).")
     a = run(prog, RunOptions(policy="random", seed=5)).to_jsonl()

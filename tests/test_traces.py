@@ -28,6 +28,13 @@ GOLDEN = {
     # exponential flows, evaluated in floats: this digest depends on the platform's libm
     ("run", "models/thermostat.hyt", "--max-time", "600"):
         "1c03cb3c77e8f136eae444c118aa86c035fe0084a9dd8359c2c08a8e31773da0",
+    # two branches enabled at one instant: the scheduler picks, and these two seeds pick differently
+    ("run", "models/walk.hyt", "--max-time", "100"):
+        "8c02ae09a475882dd33908853c27f07ea6c7dfacf3e796487d640c7aedd67438",
+    ("run", "models/walk.hyt", "--max-time", "100", "--policy", "random", "--seed", "1"):
+        "a2aa6d3f3369c372a73994a8734944e5448ffd5b94767904996e30429f9c3195",
+    ("run", "models/walk.hyt", "--max-time", "100", "--policy", "random", "--seed", "2"):
+        "b315257643e09f43ff4a04bdb5dc647b2860963163948f37f786f3284d1a9253",
     ("parse", "models/dam.hyt"): "030a25e06cf8b94b4c9ef03bfec8f18f332983d4f74d9484ed239fb742952bcb",
     ("parse", "models/timer.hyt"): "95f7fdf130405207ea1eb803bdb6a5f9f0764e30180dc64c554e4c0b7100bc9b",
     ("parse", "models/stop.hyt"): "36a609bd609420fbcc3b1fb730273ca3dffbd34231f2d3db96adb0610f05e29d",
