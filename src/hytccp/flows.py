@@ -1,8 +1,8 @@
 """Continuous store: values and affine flows, evolution over time, event times.
 
-Constant flows (b = 0) are solved in exact rational arithmetic so timer events
-fire at exact instants; exponential flows (b != 0) use floating point with a
-guarded bisection refinement for crossing times.
+Constant flows (b = 0, ``Flow.constant_rate``) are solved in exact rational
+arithmetic so timer events fire at exact instants; exponential flows (b != 0)
+use floating point with a guarded bisection refinement for crossing times.
 
 Comparisons stay exact across the two domains.  A float value meets a
 rational bound as a float when the bound's float equals it
@@ -80,7 +80,7 @@ def solve_flow(v0: Value, f: Flow, t: Value) -> Value:
     """Closed-form solution of dx/dt = a + b*x with x(0) = v0, at time t."""
     if t < 0:
         raise ValueError("negative duration")
-    if f.b == 0:
+    if f.constant_rate:
         return v0 + f.a * t
     return (float(v0) + f.shift) * math.exp(f.float_b * float(t)) - f.shift
 
@@ -109,7 +109,7 @@ def _hit_time(v0: Value, f: Flow, level: Value) -> Optional[Value]:
     """
     if v0 == level:
         return Fraction(0) if isinstance(v0, Fraction) else 0.0
-    if f.b == 0:
+    if f.constant_rate:
         t = (Fraction(level) - Fraction(v0)) / f.a if isinstance(v0, Fraction) else (float(level) - v0) / f.float_a
         return t if t >= 0 else None
     # an invariant and a guard often share a level (X =< 22 until X >= 22): the flow
@@ -148,12 +148,13 @@ def _refine_hit(v0: Value, f: Flow, level: float, t: float) -> float:
         return t
     while hi - lo > BISECTION_TOL:
         mid = (lo + hi) / 2
-        if g(mid) == 0.0:
+        gmid = g(mid)
+        if gmid == 0.0:
             return mid
-        if g(lo) * g(mid) <= 0:
+        if glo * gmid <= 0:
             hi = mid
         else:
-            lo = mid
+            lo, glo = mid, gmid
     return (lo + hi) / 2
 
 
@@ -300,80 +301,49 @@ def max_delay(
     components: Sequence[Sequence[Sequence[LinCmp]]],
     guards: Sequence[Tuple[LinCmp, ...]],
     store: ContinuousStore,
-    horizon: Optional[Value],
+    horizon: Value,
 ) -> Optional[DelayOutcome]:
-    """Pick the earliest-event delay witness of one quiescent configuration, or None.
+    """The earliest-event delay of one quiescent configuration, or None for a timelock.
 
     ``components`` holds one entry per ask~ component: its invariants, each a
-    sequence of continuous comparisons.  ``guards`` are the currently-false
-    guards worth waiting for, shared by every component.  The truth interval
-    of each guard is computed once.
-
-    Each component resolves its own bound.  At least one of its invariants
-    must hold now, otherwise time cannot pass (a timelock); it then keeps
-    holding up to the latest expiry over its true invariants (no bound if one
-    never expires).  The component's tau is the minimum of that expiry, the
-    earliest instant a guard becomes true, and the horizon; with none of the
-    three it is a timelock.  Ties prefer a closed bound over an open one, then
-    GuardEnables over InvariantExpires over Horizon.
-
-    Open-start witness: when the first bound is a guard that becomes true
-    only strictly after t, time lands inside its open interval, halfway from
-    t to a ceiling: the nearest later instant among the component's other
-    bounds and the guard's own end, or t + 1 when there is none.  After the
-    fold below, the ceiling is the nearest later bound over all components or
-    the guard's own end, except that a component with neither caps it at
-    t + 1.  This rule is not yet checked against the source paper's text.
-
-    The components fold into one outcome: any timelock makes the result
-    None, otherwise the smallest tau wins and a tie goes to the cause
-    with the lower ``DELAY_PRIORITY``.
+    sequence of continuous comparisons.  ``guards`` are the currently false
+    guards worth waiting for.  Time passes up to the first of these bounds:
+    the horizon, the earliest instant a guard becomes true, and each
+    component's expiry, the latest end over its true invariants (none if one
+    never ends).  A component with no true invariant is a timelock.  At one
+    instant a closed bound comes first, then the cause with the lower
+    ``DELAY_PRIORITY``.  A guard true only strictly after its start lands
+    halfway to the nearest later bound or the guard's own end; the horizon
+    is always later.  A delay of 0 or less is a timelock.
     """
     try:
         entries = store.as_dict()
-        # the earliest currently-false guard to become true: (start, open, end)
+        bounds: List[Tuple[Value, bool, DelayCause]] = [(horizon, False, DelayCause.HORIZON)]  # (time, open, cause)
         first_guard = None
         for atoms in guards:
             iv = atoms_truth_interval(atoms, entries)
             if iv.empty or (iv.start == 0 and not iv.start_open):
                 continue  # never true, or already true: nothing to wait for
-            if first_guard is None or (iv.start, iv.start_open) < first_guard[:2]:
-                first_guard = (iv.start, iv.start_open, iv.end)
-
-        best: Optional[DelayOutcome] = None
+            if first_guard is None or (iv.start, iv.start_open) < (first_guard.start, first_guard.start_open):
+                first_guard = iv
+        if first_guard is not None:
+            bounds.append((first_guard.start, first_guard.start_open, DelayCause.GUARD_ENABLES))
         for invariants in components:
-            # expiry: max over the currently-true invariants (None = never expires)
             ends = []
             for atoms in invariants:
                 iv = atoms_truth_interval(atoms, entries)
-                if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
-                    continue  # not true now
-                ends.append(iv.end)
+                if not (iv.empty or iv.start > 0 or iv.start_open):  # true now
+                    ends.append(iv.end)
             if not ends:
                 return None
-            bounds: List[Tuple[Value, bool, DelayCause]] = []  # (time, open, cause)
-            if first_guard is not None:
-                bounds.append((first_guard[0], first_guard[1], DelayCause.GUARD_ENABLES))
             if UNBOUNDED not in ends:
                 bounds.append((max(ends), False, DelayCause.INVARIANT_EXPIRES))
-            if horizon is not None:
-                bounds.append((horizon, False, DelayCause.HORIZON))
-            if not bounds:
-                return None
-            # at one instant a closed bound comes first: a guard true only strictly
-            # after t must not carry time past an invariant that ends at t
-            bounds.sort(key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
-            tau, is_open, cause = bounds[0]
-            if is_open:
-                later = [b[0] for b in bounds[1:] if b[0] > tau]
-                if first_guard[2] is not UNBOUNDED and first_guard[2] > tau:
-                    later.append(first_guard[2])
-                ceiling = min(later) if later else tau + 1
-                tau = tau + (ceiling - tau) / 2
-            if tau <= 0:
-                return None
-            if best is None or (tau, DELAY_PRIORITY[cause]) < (best.tau, DELAY_PRIORITY[best.cause]):
-                best = DelayOutcome(tau, cause)
-        return best
+        tau, is_open, cause = min(bounds, key=lambda b: (b[0], b[1], DELAY_PRIORITY[b[2]]))
+        if is_open:
+            ceiling = min(b[0] for b in bounds if b[0] > tau)
+            if first_guard.end is not UNBOUNDED and first_guard.end < ceiling:
+                ceiling = first_guard.end
+            tau = tau + (ceiling - tau) / 2
+        return DelayOutcome(tau, cause) if tau > 0 else None
     except OverflowError:
         raise ModelError(OUT_OF_RANGE) from None

@@ -6,7 +6,6 @@ simulator's engine must agree with this module on every small program.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Set, Tuple
 
 from .constraints import Constraint, conj, entails, split_guard
@@ -22,7 +21,7 @@ from .semantics import (
     resolve_random_terms,
     start_configuration,
 )
-from .simulator import canonical_key
+from .simulator import EXPLORE_HORIZON, canonical_key
 from .syntax import (
     Agent,
     Call,
@@ -149,7 +148,7 @@ def oracle_reachable(
     if taus_for is None:
 
         def taus_for(cfg):
-            result = compute_delay(cfg, program, Fraction(10**6))
+            result = compute_delay(cfg, program, EXPLORE_HORIZON)
             return [result.outcome.tau] if result.kind == "delay" else []
 
     cfg0 = start_configuration(program, cfg0)

@@ -356,6 +356,9 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
     A stopped agent is ``STOP`` (``syntax.par``).  With no ask~ component
     nothing drives time: watched guards can never fire (timelock), and
     without them the agent waits on the discrete store (suspended).
+    Otherwise ``flows.max_delay`` picks the delay; ``horizon`` is a number
+    that always bounds it (a run's remaining time, capped by its
+    ``horizon`` option, or ``simulator.EXPLORE_HORIZON``).
     """
     if isinstance(cfg.agent, Stop):
         return DelayResult(None, "all_stop")

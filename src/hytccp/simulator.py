@@ -38,6 +38,8 @@ from .syntax import (
 )
 
 DEFAULT_DIVERGENCE_BUDGET = 10000
+# the horizon of every continuous step explore takes
+EXPLORE_HORIZON = Fraction(10**6)
 
 
 class RunOptions(Record):
@@ -47,7 +49,7 @@ class RunOptions(Record):
         self,
         max_time: Fraction = Fraction(3600),
         max_discrete_steps: int = 1_000_000,
-        horizon: Optional[Fraction] = None,  # max single continuous step; None = uncapped
+        horizon: Optional[Fraction] = None,  # max single continuous step; None = the remaining max_time
         policy: str = "first",  # "first" | "random"
         seed: int = 0,
         divergence_budget: int = DEFAULT_DIVERGENCE_BUDGET,
@@ -305,7 +307,7 @@ def explore(
     """Breadth-first reachable set up to ``depth`` combined steps.
 
     The search starts from the initial agent with its scopes opened.
-    Continuous steps use the earliest-event delay, up to a horizon of 10**6,
+    Continuous steps use the earliest-event delay, up to ``EXPLORE_HORIZON``,
     plus ``time_samples`` extra durations sampled inside (0, tau).
     """
     reset_fresh_counter()
@@ -334,7 +336,7 @@ def _explore_successors(cfg: Configuration, program: Program, time_samples: int)
     succs = [c for c, _ in discrete_successors(cfg, program)]
     if succs:
         return succs
-    result = compute_delay(cfg, program, Fraction(10**6))
+    result = compute_delay(cfg, program, EXPLORE_HORIZON)
     if result.kind != "delay":
         return []
     tau = result.outcome.tau

@@ -41,10 +41,10 @@ KEEP = Keep()
 class Flow(Record):
     """Affine dynamics dx/dt = a + b*x.
 
-    The floats an exponential flow is solved in, and the flow's text, are
-    computed on first use and kept on the object, as is the last level
-    crossing solved on it (``flows._hit_time``); they take no part in
-    equality, hashing or printing.
+    Whether the rate is constant (b = 0), the floats an exponential flow is
+    solved in, and the flow's text are computed on first use and kept on the
+    object, as is the last level crossing solved on it (``flows._hit_time``);
+    they take no part in equality, hashing or printing.
     """
 
     __slots__ = ("a", "b", "__dict__")
@@ -52,6 +52,10 @@ class Flow(Record):
     def __init__(self, a: Fraction, b: Fraction):
         self.a = a
         self.b = b
+
+    @cached_property
+    def constant_rate(self) -> bool:
+        return self.b == 0
 
     @cached_property
     def float_a(self) -> float:

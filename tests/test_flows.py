@@ -97,6 +97,40 @@ def test_flow_floats_take_no_part_in_equality_hashing_or_printing():
     assert before[:3] == (True, True, hash(twin))
 
 
+def test_a_warm_exponential_flow_solves_without_rational_comparisons(monkeypatch):
+    # whether the rate is constant is decided once per flow, not once per solve
+    flow = Flow(Fraction(100, 150), Fraction(-1, 150))
+    solve_flow(19.0, flow, 3.0)
+    calls = 0
+    fraction_eq = Fraction.__eq__
+
+    def counting_eq(self, other):
+        nonlocal calls
+        calls += 1
+        return fraction_eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    solve_flow(19.0, flow, 5.0)
+    assert calls == 0
+
+
+def test_a_bisection_evaluates_each_point_once(monkeypatch):
+    # an analytic time 1e-7 off the hit makes _refine_hit bisect: two solves
+    # bracket the hit in a window 2e-6 wide, then one per halving down to 1e-12
+    flow = Flow(Fraction(100, 150), Fraction(-1, 150))
+    t = math.log((22.0 + flow.shift) / (19.0 + flow.shift)) / flow.float_b
+    points = []
+
+    def recording_solve_flow(v0, f, s):
+        points.append(s)
+        return solve_flow(v0, f, s)
+
+    monkeypatch.setattr(flows, "solve_flow", recording_solve_flow)
+    hit = flows._refine_hit(19.0, flow, 22.0, t + 1e-7)
+    assert abs(hit - t) < 1e-9
+    assert len(points) == 2 + 21 and len(set(points)) == len(points)
+
+
 def test_solve_flow_rejects_negative_duration():
     with pytest.raises(ValueError):
         solve_flow(Fraction(0), Flow(Fraction(1), Fraction(0)), Fraction(-1))
@@ -122,7 +156,7 @@ def test_an_exponential_flow_beyond_the_float_range_is_a_model_error():
     with pytest.raises(ModelError, match="beyond the float range"):
         evolve(store, Fraction(3600))
     with pytest.raises(ModelError, match="beyond the float range"):
-        max_delay([[[LinCmp("X", "<=", Fraction(10) ** 400)]]], [], store, None)
+        max_delay([[[LinCmp("X", "<=", Fraction(10) ** 400)]]], [], store, Fraction(3600))
 
 
 def test_evolve_moves_every_entry_by_one_shared_duration():
@@ -247,13 +281,13 @@ def _store(**entries):
 
 def test_max_delay_guard_beats_invariant_on_tie():
     store = _store(T=(0, 1))
-    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [(LinCmp("T", "=", Fraction(60)),)], store, None)
+    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [(LinCmp("T", "=", Fraction(60)),)], store, Fraction(100))
     assert out.tau == 60 and out.cause is DelayCause.GUARD_ENABLES
 
 
 def test_max_delay_invariant_expiry():
     store = _store(T=(0, 1))
-    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None)
+    out = max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, Fraction(100))
     assert out.tau == 60 and out.cause is DelayCause.INVARIANT_EXPIRES
 
 
@@ -265,7 +299,7 @@ def test_max_delay_horizon():
 
 def test_max_delay_timelock_when_no_invariant_holds():
     store = _store(T=(100, 1))
-    assert max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, None) is None
+    assert max_delay([[[LinCmp("T", "<=", Fraction(60))]]], [], store, Fraction(100)) is None
 
 
 def test_max_delay_open_guard_lands_inside_the_interval():
@@ -290,16 +324,19 @@ def test_max_delay_open_start_witness_takes_the_nearest_ceiling_over_components(
     guard = [(LinCmp("T", ">", Fraction(10)),)]
     far, near = [[LinCmp("T", "<=", Fraction(40))]], [[LinCmp("T", "<=", Fraction(20))]]
     for components in ([far, near], [near, far]):
-        out = max_delay(components, guard, store, None)
+        out = max_delay(components, guard, store, Fraction(100))
         assert (out.tau, out.cause) == (15, DelayCause.GUARD_ENABLES)
     # the guard's own end is a ceiling too: 10 < T < 14 lands at 12; of two
     # guards that open at one instant, the first listed gives the end
     bounded = (LinCmp("T", ">", Fraction(10)), LinCmp("T", "<", Fraction(14)))
-    assert max_delay([far, near], [bounded, guard[0]], store, None).tau == 12
-    assert max_delay([far, near], [guard[0], bounded], store, None).tau == 15
-    # a component with no later bound of its own caps the witness at t + 1
-    out = max_delay([far, [[]]], guard, store, None)
-    assert (out.tau, out.cause) == (Fraction(21, 2), DelayCause.GUARD_ENABLES)
+    assert max_delay([far, near], [bounded, guard[0]], store, Fraction(100)).tau == 12
+    assert max_delay([far, near], [guard[0], bounded], store, Fraction(100)).tau == 15
+    # a component with no later bound of its own leaves the ceiling to the
+    # others, and the horizon is always one: 10 + (40 - 10) / 2, 10 + (30 - 10) / 2
+    out = max_delay([far, [[]]], guard, store, Fraction(100))
+    assert (out.tau, out.cause) == (25, DelayCause.GUARD_ENABLES)
+    out = max_delay([[[]]], guard, store, Fraction(30))
+    assert (out.tau, out.cause) == (20, DelayCause.GUARD_ENABLES)
 
 
 def test_max_delay_guard_already_true_is_not_watched():
@@ -382,7 +419,8 @@ def delay_problems(draw):
 
     Levels sit a few units from the current values and rates are -1, 0, 1/2
     or 1, so bounds often fall at one instant; invariant levels lie on the
-    side that makes most invariants true now.
+    side that makes most invariants true now.  A horizon of 1000 lies beyond
+    every level, so in some draws nothing else bounds time.
     """
     values = {name: Fraction(draw(st.integers(0, 4))) for name in "XY"}
     store = EMPTY_STORE
@@ -403,7 +441,7 @@ def delay_problems(draw):
 
     components = [[atoms(True) for _ in range(draw(st.integers(1, 3)))] for _ in range(draw(st.integers(1, 4)))]
     guards = [atoms(False) for _ in range(draw(st.integers(0, 4)))]
-    horizon = draw(st.sampled_from([Fraction(3), Fraction(5), None, Fraction(1)]))
+    horizon = draw(st.sampled_from([Fraction(3), Fraction(5), Fraction(1000), Fraction(1)]))
     return components, guards, store, horizon
 
 
