@@ -34,7 +34,6 @@ from .syntax import (
     Stop,
     Tell,
     builtin_random,
-    free_vars,
     pretty,
 )
 from .parser import ParseError, parse_agent, parse_constraint, parse_program
@@ -44,7 +43,6 @@ from .flows import (
     DelayOutcome,
     EMPTY_STORE,
     apply_change,
-    crossing_time,
     evolve,
     max_delay,
     solve_flow,

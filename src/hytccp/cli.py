@@ -4,15 +4,17 @@
 (``syntax.uses``) through parameters, and spells names as the model wrote them.
 
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
-1 tool, input or model error (missing file, parse error, a bad flag or
-HYTCCP_DIVERGENCE_BUDGET, a ``ModelError``), 2 model pathology (timelock,
-instantaneous divergence).
+1 tool, input or model error (a model or --out path that is missing,
+unreadable or a directory, a model that is not UTF-8 text, a parse error,
+a bad flag or HYTCCP_DIVERGENCE_BUDGET, a ``ModelError``), 2 model
+pathology (timelock, instantaneous divergence).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -40,6 +42,7 @@ def _number(parse, ok, what: str):
 
 
 _count = _number(int, lambda n: n >= 0, "a non-negative integer")
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -75,8 +78,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def _read_model(path: str) -> Program:
     if not os.path.exists(path):
         raise FileNotFoundError(f"model file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, and is the error's location
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
+    if bad := _UNDECODED.search(text):
+        raise ParseError.at(text, bad.start(), "not UTF-8 text")
     return parse_program(text)
 
 
@@ -212,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"run": cmd_run, "explore": cmd_explore, "check": cmd_check, "parse": cmd_parse}
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

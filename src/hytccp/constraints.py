@@ -559,22 +559,12 @@ def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
     return False  # comparing a non-numeric term against a number
 
 
-def _as_store(c: Constraint) -> Constraint:
-    """``c`` itself if it is a store or FALSE, else the store of its atoms (or FALSE)."""
-    return c if isinstance(c, _Store) or not c.consistent else _merge(TRUE, c.atoms)
-
-
-def solve(atoms: Iterable[AtomicConstraint]) -> Constraint:
-    """The store of a set of atomic constraints (or FALSE)."""
-    return _merge(TRUE, atoms)
-
-
 # ---------------------------------------------------------------------------
 # operations
 
 
 def conj(c: Constraint, d: Constraint) -> Constraint:
-    """The store ``c`` extended by ``d``, a constraint or a store: the one place atoms are solved."""
+    """The store ``c`` (or FALSE) extended by ``d``, a constraint or a store: the one place atoms are solved."""
     if not c.consistent or not d.consistent:
         return FALSE
     if d is c or not d.atoms:
@@ -585,7 +575,7 @@ def conj(c: Constraint, d: Constraint) -> Constraint:
 @lru_cache(maxsize=16384)
 def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
     """The store ``c`` extended by the atoms of ``d``."""
-    return _merge(_as_store(c), d.atoms)
+    return _merge(c, d.atoms)
 
 
 def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
@@ -598,8 +588,6 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
     told_cmps = []
     for a in atoms:
         if isinstance(a, TermEq):
-            if subst.get(a.var) is a.term:
-                continue  # the same binding, no work
             if not _unify(Var(a.var), a.term, subst):
                 return FALSE
         elif isinstance(a, LinCmp):
@@ -620,15 +608,14 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
 
 
 def bound_number(store: Constraint, name: str) -> Optional[Fraction]:
-    """The number the store binds ``name`` to, or None."""
-    store = _as_store(store)
+    """The number the store (or FALSE) binds ``name`` to, or None."""
     term = _walk(Var(name), store._b) if store.consistent else None
     return term.value if isinstance(term, Num) else None
 
 
 @lru_cache(maxsize=65536)
 def entails(store: Constraint, guard: Constraint) -> bool:
-    """Sound, incomplete entailment check of ``guard``, its atoms as written, by ``store``.
+    """Sound, incomplete entailment check of ``guard``, its atoms as written, by ``store`` (or FALSE).
 
     A placeholder, a generated name the store does not mention, takes its
     value only from the store, at its first match; any other name reads its
@@ -639,7 +626,6 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     variable the store does not ground is entailed only by the identical store
     atom.  Stores are not guards: compare two stores with ``conj(c, d) == c``.
     """
-    store = _as_store(store)
     if not store.consistent:
         return True
     if not guard.consistent:

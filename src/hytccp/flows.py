@@ -224,19 +224,6 @@ def truth_interval(v0: Value, f: Flow, cmp: LinCmp) -> Interval:
     return Interval(hit, start_open=not closed)
 
 
-def crossing_time(v0: Value, f: Flow, cmp: LinCmp) -> Optional[Value]:
-    """Earliest t >= 0 at which the truth value of cmp changes, or None."""
-    now = cmp.holds(v0)
-    iv = truth_interval(v0, f, cmp)
-    if now:
-        if iv.end is UNBOUNDED:
-            return None
-        return iv.end
-    if iv.empty:
-        return None
-    return iv.start
-
-
 def intersect(a: Interval, b: Interval) -> Interval:
     if a is ALWAYS:
         return b

@@ -19,7 +19,6 @@ from .semantics import (
     no_draw,
     open_scopes,
     resolve_random_terms,
-    start_configuration,
 )
 from .simulator import EXPLORE_HORIZON, canonical_key
 from .syntax import (
@@ -37,6 +36,10 @@ from .syntax import (
     nodes,
     par,
 )
+
+
+# the most agent nodes a configuration the oracle steps may hold
+SIZE_CAP = 200
 
 
 class OracleSizeError(Exception):
@@ -91,10 +94,10 @@ def _step(
     raise TypeError(f"not an agent: {agent!r}")
 
 
-def oracle_successors(cfg: Configuration, program: Program, size_cap: int = 200) -> List[Configuration]:
+def oracle_successors(cfg: Configuration, program: Program) -> List[Configuration]:
     """All one-step discrete successors, computed naively from the rules."""
-    if sum(1 for _ in nodes(cfg.agent)) > size_cap:
-        raise OracleSizeError(f"agent size exceeds the oracle cap ({size_cap})")
+    if sum(1 for _ in nodes(cfg.agent)) > SIZE_CAP:
+        raise OracleSizeError(f"agent size exceeds the oracle cap ({SIZE_CAP})")
     snapshot = cfg.continuous.snapshot()
     steps = _step(cfg.agent, cfg.discrete, cfg.continuous, snapshot, program)
     return [Configuration(a, d, c, cfg.clock) for a, d, c in steps]
@@ -132,18 +135,14 @@ def oracle_continuous(cfg: Configuration, program: Program, tau) -> Optional[Con
     return None
 
 
-def oracle_reachable(
-    cfg0: Configuration,
-    program: Program,
-    depth: int,
-    taus_for=None,
-    size_cap: int = 200,
-) -> Set[Tuple]:
+def oracle_reachable(cfg0: Configuration, program: Program, depth: int, taus_for=None) -> Set[Tuple]:
     """Reachable canonical states up to ``depth`` steps, discrete before continuous.
 
-    The scopes of ``cfg0`` are opened first, as ``explore`` opens them.
-    ``taus_for`` maps a configuration to the candidate continuous durations;
-    by default the engine's earliest-event delay supplies the witness.
+    The scopes of ``cfg0`` are opened first, as ``explore`` opens them.  Its
+    continuous store must be empty: a bound name that holds a continuous
+    value already would be renamed.  ``taus_for`` maps a configuration to the
+    candidate continuous durations; by default the engine's earliest-event
+    delay supplies the witness.
     """
     if taus_for is None:
 
@@ -151,13 +150,15 @@ def oracle_reachable(
             result = compute_delay(cfg, program, EXPLORE_HORIZON)
             return [result.outcome.tau] if result.kind == "delay" else []
 
-    cfg0 = start_configuration(program, cfg0)
+    if cfg0.continuous.entries:
+        raise ValueError("a run starts from an empty continuous store")
+    cfg0 = Configuration(open_scopes(cfg0.agent, program.continuous, {}), cfg0.discrete, cfg0.continuous, cfg0.clock)
     seen = {canonical_key(cfg0)}
     frontier = [cfg0]
     for _ in range(depth):
         nxt = []
         for cfg in frontier:
-            succs = oracle_successors(cfg, program, size_cap)
+            succs = oracle_successors(cfg, program)
             if not succs:
                 for tau in taus_for(cfg):
                     adv = oracle_continuous(cfg, program, tau)

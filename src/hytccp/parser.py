@@ -520,19 +520,18 @@ def parse_program(text: str) -> Program:
     return _nested(Parser(text), Parser.parse_program)
 
 
-def _parse_whole(text: str, constants: Optional[dict], rule, what: str):
-    """``rule`` applied to all of ``text``, with ``constants`` in scope."""
+def _parse_whole(text: str, rule, what: str):
+    """``rule`` applied to all of ``text``."""
     parser = Parser(text)
-    parser.constants.update(constants or {})
     result = _nested(parser, rule)
     if parser.peek():
         parser.error(f"trailing input after {what}")
     return result
 
 
-def parse_agent(text: str, constants: Optional[dict] = None) -> Agent:
-    return _parse_whole(text, constants, Parser.parse_agent, "agent")
+def parse_agent(text: str) -> Agent:
+    return _parse_whole(text, Parser.parse_agent, "agent")
 
 
-def parse_constraint(text: str, constants: Optional[dict] = None) -> Constraint:
-    return _parse_whole(text, constants, Parser.parse_constraint, "constraint")
+def parse_constraint(text: str) -> Constraint:
+    return _parse_whole(text, Parser.parse_constraint, "constraint")

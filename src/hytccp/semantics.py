@@ -182,18 +182,10 @@ def open_scopes(agent: Agent, continuous, mapping: dict) -> Agent:
     return rebuild(agent, tuple(open_scopes(kid, continuous, mapping) for kid in children(agent)), mapping)
 
 
-def start_configuration(program: Program, cfg: Optional[Configuration] = None) -> Configuration:
-    """The configuration a run or an exploration starts from, with every scope opened.
-
-    ``cfg`` defaults to the program's initial agent in empty stores.  Its
-    continuous store must be empty: a bound name that holds a continuous
-    value already would be renamed.
-    """
-    if cfg is None:
-        cfg = Configuration(program.initial)
-    if cfg.continuous.entries:
-        raise ValueError("a run starts from an empty continuous store")
-    return Configuration(open_scopes(cfg.agent, program.continuous, {}), cfg.discrete, cfg.continuous, cfg.clock)
+def start_configuration(program: Program) -> Configuration:
+    """The configuration a run or an exploration starts from: the program's
+    initial agent with every scope opened, in empty stores."""
+    return Configuration(open_scopes(program.initial, program.continuous, {}))
 
 
 def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:

@@ -40,6 +40,8 @@ from .syntax import (
 DEFAULT_DIVERGENCE_BUDGET = 10000
 # the horizon of every continuous step explore takes
 EXPLORE_HORIZON = Fraction(10**6)
+# the most states explore keeps; a search that meets more reports itself incomplete
+STATE_CAP = 100_000
 
 
 class RunOptions(Record):
@@ -141,10 +143,10 @@ TraceEvent = Union[DiscreteEvent, ContinuousEvent, TerminalEvent]
 class Trace:
     __slots__ = ("program_hash", "options", "events")
 
-    def __init__(self, program_hash: str, options: RunOptions, events: Optional[List[TraceEvent]] = None):
+    def __init__(self, program_hash: str, options: RunOptions):
         self.program_hash = program_hash
         self.options = options
-        self.events = [] if events is None else events
+        self.events: List[TraceEvent] = []
 
     @property
     def terminal(self) -> Optional[TerminalEvent]:
@@ -298,13 +300,8 @@ class ReachabilityReport:
         }
 
 
-def explore(
-    program: Program,
-    depth: int,
-    time_samples: int = 0,
-    state_cap: int = 100_000,
-) -> ReachabilityReport:
-    """Breadth-first reachable set up to ``depth`` combined steps.
+def explore(program: Program, depth: int, time_samples: int = 0) -> ReachabilityReport:
+    """Breadth-first reachable set up to ``depth`` combined steps, at most ``STATE_CAP`` states.
 
     The search starts from the initial agent with its scopes opened.
     Continuous steps use the earliest-event delay, up to ``EXPLORE_HORIZON``,
@@ -321,7 +318,7 @@ def explore(
             for succ in _explore_successors(cfg, program, time_samples):
                 key = canonical_key(succ)
                 if key not in seen:
-                    if len(seen) >= state_cap:
+                    if len(seen) >= STATE_CAP:
                         complete = False
                         continue
                     seen.add(key)

@@ -334,11 +334,6 @@ def uses(agent: Agent) -> list:
     return out
 
 
-def free_vars(agent: Agent) -> set:
-    """The free names of ``agent``."""
-    return set().union(*({item} if isinstance(item, str) else item.variables() for item, _ in uses(agent)))
-
-
 def children(agent: Agent) -> Tuple[Agent, ...]:
     """The sub-agents of ``agent``, left to right."""
     if isinstance(agent, Parallel):

@@ -11,6 +11,9 @@ variable before it exists.
 stream pipelines shaped like ``models/dam.hyt``, the regime the first family
 never reaches (process calls, scopes nesting one deeper per element, growing
 streams).
+
+``free_vars`` and ``crossing_time`` are readings of the engine's public
+functions that several test modules check against.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from hytccp.constraints import (
     Var,
     WILDCARD,
 )
+from hytccp.flows import truth_interval
 from hytccp.parser import parse_program
 from hytccp.syntax import (
     AskBranch,
@@ -43,6 +47,7 @@ from hytccp.syntax import (
     Program,
     STOP,
     Tell,
+    uses,
 )
 
 DISCRETE_VARS = ["X", "Y", "Z", "W"]
@@ -188,3 +193,14 @@ def thermostat_source(seed: int) -> str:
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.thermostat_source(seed)
+
+
+def free_vars(agent) -> set:
+    """The free names of ``agent``, read off ``syntax.uses``."""
+    return set().union(*({item} if isinstance(item, str) else item.variables() for item, _ in uses(agent)))
+
+
+def crossing_time(v0, f, cmp):
+    """Earliest t >= 0 at which the truth value of ``cmp`` changes along (v0, f), or None."""
+    iv = truth_interval(v0, f, cmp)
+    return iv.end if cmp.holds(v0) else iv.start  # None for an unbounded end or an empty interval

@@ -35,7 +35,7 @@ from hytccp.semantics import (
 from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, explore, run
 from hytccp.syntax import Flow
 
-from generators import random_program
+from generators import crossing_time, random_program
 
 
 def verdict(n, label, ok, detail=""):
@@ -202,7 +202,6 @@ def test_criterion_6_flow_solver_accuracy():
         ok = ok and isinstance(got, Fraction) and got == v0 + a * t
     # exponential crossings against the analytic logarithm
     from hytccp.constraints import LinCmp
-    from hytccp.flows import crossing_time
 
     for _ in range(60):
         b = Fraction(rng.choice([1, 2, 3]))

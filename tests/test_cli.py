@@ -36,6 +36,20 @@ def test_run_parse_error(tmp_path, capsys):
     assert "bad.hyt" in err and "1:" in err
 
 
+@pytest.mark.parametrize("argv", [["check", "{dir}"], ["run", "models/stop.hyt", "--out", "{dir}"]], ids=["model", "out"])
+def test_a_directory_path_is_one_error_line(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+def test_a_model_that_is_not_utf8_is_located_at_its_first_bad_byte(tmp_path, capsys):
+    path = tmp_path / "latin1.hyt"
+    path.write_bytes("init :- stop.\n% café\ninit2 :- tell(X = é).\n".encode("latin-1"))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}:2:6: not UTF-8 text\n"
+
+
 def test_check_locates_an_undeclared_call(tmp_path, capsys):
     path = write(tmp_path, "call.hyt", "init :- stop ||\n   missing(X).")
     assert main(["check", path]) == 1

@@ -24,7 +24,6 @@ from hytccp.flows import (
     UNBOUNDED,
     apply_change,
     atoms_truth_interval,
-    crossing_time,
     evolve,
     intersect,
     max_delay,
@@ -35,7 +34,7 @@ from hytccp.parser import parse_program
 from hytccp.simulator import RunOptions, run
 from hytccp.syntax import Flow, KEEP
 
-from generators import thermostat_source
+from generators import crossing_time, thermostat_source
 
 
 def rk4(v0: float, f: Flow, t: float, step: float = 1e-4) -> float:

@@ -4,14 +4,15 @@ parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
-which ``cli.main`` catches once, and only ``Record`` and ``Constraint``
-write a ``__repr__``.
+which ``cli.main`` catches once, only ``Record`` and ``Constraint``
+write a ``__repr__``, and every function the package defines is named by
+the package, outside its own body, or by the benchmark.
 
 No linter ships with the project, so these are the checks that keep dead
-imports out, scopes out of the engine, the solved form private to the
-store, ``check`` on the one name-use walk and every model fault on one
-error path.  ``__init__.py`` is exempt
-from the first: its imports are the public API.
+imports and functions only tests call out, scopes out of the engine, the
+solved form private to the store, ``check`` on the one name-use walk and
+every model fault on one error path.  ``__init__.py`` is exempt from the
+first: its imports are the public API.
 """
 import ast
 import os
@@ -138,6 +139,53 @@ def test_check_reads_names_only_through_uses():
     assert mentions((SRC / "cli.py").read_text(), WALKERS) == []
 
 
+def unnamed_definitions(sources: dict, others: list) -> list:
+    """``(file, name)`` of each function or method that a source in ``sources``
+    (file name -> text) defines, dunders aside, and that no source names, as a
+    ``Name`` or an ``Attribute``, outside the definition's own body, nor any text
+    in ``others`` anywhere."""
+    named_elsewhere = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for text in others
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    namings = [  # (name, node) of each naming in the sources
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    found = []
+    for file, tree in trees.items():
+        for definition in ast.walk(tree):
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = definition.name
+            if name.startswith("__") and name.endswith("__") or name in named_elsewhere:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(named == name and id(node) not in inside for named, node in namings):
+                found.append((file, name))
+    return sorted(found)
+
+
+def test_detector_finds_a_definition_nothing_names():
+    sources = {
+        "a.py": "def f():\n    return f()\ndef g():\n    return 1\nclass C:\n    def m(self):\n        pass\n    def __eq__(self, o):\n        pass\n    def h(self):\n        pass\nx = g\n",
+        "b.py": "def k():\n    def inner():\n        pass\n    return C().m\n",
+    }
+    assert unnamed_definitions(sources, ["k()\n", "obj.h\n"]) == [("a.py", "f"), ("b.py", "inner")]
+
+
+def test_every_definition_is_named_by_the_package_or_the_benchmark():
+    # a function only tests call is code the program does not need
+    defining = {path.name: path.read_text() for path in MODULES}
+    bench = [path.read_text() for path in sorted((SRC.parent.parent / "bench").glob("*.py"))]
+    assert unnamed_definitions(defining, [(SRC / "__init__.py").read_text(), *bench]) == []
+
+
 def exception_classes(source: str) -> list:
     """Names of the classes ``source`` defines on a base named ``Exception`` or ``...Error``,
     or on a class found before them."""
@@ -163,7 +211,7 @@ def test_main_handles_model_faults_in_one_except_model_error():
     tree = ast.parse((SRC / "cli.py").read_text())
     main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
     handled = [ast.unparse(handler.type) for node in ast.walk(main) if isinstance(node, ast.Try) for handler in node.handlers]
-    assert handled == ["SystemExit", "FileNotFoundError", "ParseError", "ModelError"]
+    assert handled == ["SystemExit", "OSError", "ParseError", "ModelError"]
 
 
 def repr_classes(source: str) -> list:

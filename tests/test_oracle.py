@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hytccp.constraints import TRUE, ModelError, reset_fresh_counter
+from hytccp.constraints import TRUE, ModelError, conj, reset_fresh_counter
 from hytccp.flows import apply_change, EMPTY_STORE
 from hytccp.oracle import (
     OracleSizeError,
@@ -32,7 +32,7 @@ def test_stop_has_no_oracle_successor():
 
 
 def test_oracle_matches_engine_on_a_tell():
-    cfg = Configuration(parse_agent("tell(X = a)"), parse_constraint("Y = b"))
+    cfg = Configuration(parse_agent("tell(X = a)"), conj(TRUE, parse_constraint("Y = b")))
     engine = keys(c for c, _ in discrete_successors(cfg, EMPTY_PROGRAM))
     assert keys(oracle_successors(cfg, EMPTY_PROGRAM)) == engine
 
@@ -95,6 +95,13 @@ def test_size_cap():
     agent = parse_agent(" || ".join(["stop"] * 300))
     with pytest.raises(OracleSizeError):
         oracle_successors(Configuration(agent), EMPTY_PROGRAM)
+
+
+def test_oracle_reachable_starts_from_an_empty_continuous_store():
+    # opening the scopes renames bound names, so none may hold a continuous value yet
+    store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
+    with pytest.raises(ValueError, match="empty continuous store"):
+        oracle_reachable(Configuration(parse_agent("exists T (ask~(T =< 1))"), TRUE, store), EMPTY_PROGRAM, 1)
 
 
 def test_reachable_sets_agree_with_explore():

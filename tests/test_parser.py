@@ -24,11 +24,10 @@ from hytccp.syntax import (
     STOP,
     Stop,
     Tell,
-    free_vars,
     pretty,
 )
 
-from generators import random_agent
+from generators import free_vars, random_agent
 
 
 # --- terms and constraints
@@ -321,7 +320,7 @@ def test_pretty_round_trip_dam():
     with open("models/dam.hyt") as fh:
         prog = parse_program(fh.read())
     for decl in prog.declarations:
-        assert parse_agent(pretty(decl.body), prog.constants) == decl.body
+        assert parse_agent(pretty(decl.body)) == decl.body
 
 
 def test_pretty_round_trip_random_agents():

@@ -39,13 +39,12 @@ from hytccp.syntax import (
     STOP,
     Stop,
     Tell,
-    free_vars,
     nodes,
     par,
     pretty,
 )
 
-from generators import CONT_VARS, DISCRETE_VARS, random_agent
+from generators import CONT_VARS, DISCRETE_VARS, free_vars, random_agent
 
 EMPTY_PROGRAM = Program({}, (), STOP)
 
@@ -57,13 +56,13 @@ agents = st.builds(
 
 
 def cfg_of(agent_text, store_text="true", cont=EMPTY_STORE):
-    return Configuration(parse_agent(agent_text), parse_constraint(store_text), cont)
+    return Configuration(parse_agent(agent_text), conj(TRUE, parse_constraint(store_text)), cont)
 
 
 def opened(agent_text, store_text="true"):
     """A configuration over ``agent_text`` with its scopes opened, as a run starts."""
-    agent = parse_agent(agent_text)
-    return start_configuration(Program({}, (), agent), Configuration(agent, parse_constraint(store_text)))
+    agent = start_configuration(Program({}, (), parse_agent(agent_text))).agent
+    return Configuration(agent, conj(TRUE, parse_constraint(store_text)))
 
 
 def succs(cfg, program=EMPTY_PROGRAM):

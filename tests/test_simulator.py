@@ -369,9 +369,10 @@ def test_explore_takes_continuous_steps():
     assert report.complete
 
 
-def test_explore_respects_state_cap():
+def test_explore_respects_state_cap(monkeypatch):
+    monkeypatch.setattr(simulator, "STATE_CAP", 20)
     prog = program("loop(X) :- exists Y (tell(X = [a|Y]) || loop(Y)). init :- exists X (loop(X)).")
-    report = explore(prog, depth=50, state_cap=20)
+    report = explore(prog, depth=50)
     assert not report.complete
     assert len(report.states) == 20
 
