@@ -42,7 +42,6 @@ def _number(parse, ok, what: str):
 
 
 _count = _number(int, lambda n: n >= 0, "a non-negative integer")
-_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -81,7 +80,7 @@ def _read_model(path: str) -> Program:
     # a byte that is not UTF-8 reads as a lone surrogate, and is the error's location
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         text = fh.read()
-    if bad := _UNDECODED.search(text):
+    if bad := re.search("[\udc80-\udcff]", text):
         raise ParseError.at(text, bad.start(), "not UTF-8 text")
     return parse_program(text)
 
