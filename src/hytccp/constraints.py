@@ -564,7 +564,10 @@ def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
 
 
 def conj(c: Constraint, d: Constraint) -> Constraint:
-    """The store ``c`` (or FALSE) extended by ``d``, a constraint or a store: the one place atoms are solved."""
+    """The store ``c`` (or FALSE) extended by ``d``, a constraint or a store: the one place atoms are solved.
+
+    ``c``, like the store of ``entails`` and ``bound_number``, is built with ``conj(TRUE, ...)``.
+    """
     if not c.consistent or not d.consistent:
         return FALSE
     if d is c or not d.atoms:

@@ -76,6 +76,8 @@ def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 class Configuration(Record):
+    """An agent, its discrete store (built with ``conj(TRUE, ...)``, or FALSE), continuous store and clock."""
+
     __slots__ = ("agent", "discrete", "continuous", "clock")
 
     def __init__(

@@ -5,8 +5,8 @@ only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
 which ``cli.main`` catches once, only ``Record`` and ``Constraint``
-write a ``__repr__``, and every function the package defines is named by
-the package, outside its own body, or by the benchmark.
+write a ``__repr__``, and every function name the package defines is named
+by the package, outside its own body, or by the benchmark.
 
 No linter ships with the project, so these are the checks that keep dead
 imports and functions only tests call out, scopes out of the engine, the
@@ -143,7 +143,12 @@ def unnamed_definitions(sources: dict, others: list) -> list:
     """``(file, name)`` of each function or method that a source in ``sources``
     (file name -> text) defines, dunders aside, and that no source names, as a
     ``Name`` or an ``Attribute``, outside the definition's own body, nor any text
-    in ``others`` anywhere."""
+    in ``others`` anywhere.
+
+    It matches names only, so a method and a module function of one name mask
+    each other: ``parser.parse_agent`` and ``parser.parse_constraint``, public
+    API that only tests call, pass because ``Parser``'s methods of those names
+    are called."""
     named_elsewhere = {
         node.id if isinstance(node, ast.Name) else node.attr
         for text in others
