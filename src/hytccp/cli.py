@@ -155,12 +155,11 @@ def static_diagnostics(program: Program) -> List[str]:
     return sorted(issues)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, program: Program) -> int:
     budget = os.environ.get("HYTCCP_DIVERGENCE_BUDGET", str(DEFAULT_DIVERGENCE_BUDGET))
     if not budget.isdigit():
         print(f"error: HYTCCP_DIVERGENCE_BUDGET is not a non-negative integer: {budget!r}", file=sys.stderr)
         return 1
-    program = _read_model(args.input)
     options = RunOptions(
         max_time=args.max_time,
         max_discrete_steps=args.max_steps,
@@ -177,16 +176,14 @@ def cmd_run(args) -> int:
     return 2 if terminal.kind in ("timelock", "instant_divergence") else 0
 
 
-def cmd_explore(args) -> int:
-    program = _read_model(args.input)
+def cmd_explore(args, program: Program) -> int:
     report = explore(program, args.depth, args.time_samples)
     _write(json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n", args.out)
     print(f"hytccp explore: {len(report.states)} states at depth {args.depth}, complete={report.complete}", file=sys.stderr)
     return 0
 
 
-def cmd_check(args) -> int:
-    program = _read_model(args.input)
+def cmd_check(args, program: Program) -> int:
     issues = static_diagnostics(program)
     for issue in issues:
         print(f"error: {issue}", file=sys.stderr)
@@ -196,8 +193,7 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_parse(args) -> int:
-    program = _read_model(args.input)
+def cmd_parse(args, program: Program) -> int:
     lines = []
     for name, value in program.constants.items():
         lines.append(f"const {name} = {format_rational(value)};")
@@ -216,7 +212,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1 if exc.code else 0
     handlers = {"run": cmd_run, "explore": cmd_explore, "check": cmd_check, "parse": cmd_parse}
     try:
-        return handlers[args.command](args)
+        program = _read_model(args.input)
+        if vars(args).get("out"):  # a bad --out fails before the work; "a" leaves the file as it was
+            open(args.out, "a", encoding="utf-8").close()
+        return handlers[args.command](args, program)
     except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,4 @@
-"""Continuous store: values and affine flows, evolution over time, event times.
+"""Continuous store, one map of names to values and affine flows: evolution, event times.
 
 Constant flows (b = 0, ``Flow.constant_rate``) are solved in exact rational
 arithmetic so timer events fire at exact instants; exponential flows (b != 0)
@@ -43,37 +43,38 @@ class Entry(Record):
 
 
 class ContinuousStore(Record):
+    """``entries`` maps each name, in sorted order, to its ``Entry``: the store's one form,
+    which steps, guards and delays read in place.  ``==`` and the hash ignore the order."""
+
     __slots__ = ("entries", "_texts")
 
-    def __init__(self, entries: Tuple[Tuple[str, Entry], ...] = ()):
+    def __init__(self, entries: Dict[str, Entry]):
         self.entries = entries
 
-    def as_dict(self) -> Dict[str, Entry]:
-        return dict(self.entries)
-
-    def snapshot(self) -> Dict[str, Value]:
-        return {name: entry.value for name, entry in self.entries}
+    def __hash__(self) -> int:
+        return hash(frozenset(self.entries.items()))
 
     def texts(self) -> Tuple[Tuple[str, Union[str, float], str], ...]:
         """Each entry as ``(name, value_json(value), flow text)``, built once and kept."""
         try:
             return self._texts
         except AttributeError:
-            self._texts = tuple((name, value_json(e.value), e.flow.text) for name, e in self.entries)
+            self._texts = tuple((name, value_json(e.value), e.flow.text) for name, e in self.entries.items())
             return self._texts
 
 
-EMPTY_STORE = ContinuousStore()
+EMPTY_STORE = ContinuousStore({})
 
 
 def apply_change(store: ContinuousStore, x: str, v: Union[Value, Keep], f: Union[Flow, Keep]) -> ContinuousStore:
-    """Componentwise update of one variable's (value, flow) entry."""
-    entries = store.as_dict()
-    current = entries.get(x)
+    """Componentwise update of one variable's (value, flow) entry, in a new store."""
+    current = store.entries.get(x)
     if current is None and (v is KEEP or f is KEEP):
         raise ModelError(f"change keeps a component of continuous variable {x}, which has no value yet")
+    entries = dict(store.entries)
     entries[x] = Entry(current.value if v is KEEP else v, current.flow if f is KEEP else f)
-    return ContinuousStore(tuple(sorted(entries.items())))
+    # a new name takes its place in name order
+    return ContinuousStore(entries if current is not None else dict(sorted(entries.items())))
 
 
 def solve_flow(v0: Value, f: Flow, t: Value) -> Value:
@@ -91,7 +92,7 @@ def evolve(store: ContinuousStore, t: Value) -> ContinuousStore:
         return store
     try:
         return ContinuousStore(
-            tuple((name, Entry(solve_flow(e.value, e.flow, t), e.flow)) for name, e in store.entries)
+            {name: Entry(solve_flow(e.value, e.flow, t), e.flow) for name, e in store.entries.items()}
         )
     except OverflowError:
         raise ModelError(OUT_OF_RANGE) from None
@@ -250,8 +251,8 @@ def intersect(a: Interval, b: Interval) -> Interval:
 def atoms_truth_interval(atoms: Sequence[LinCmp], entries: Dict[str, Entry]) -> Interval:
     """Intersection of the truth intervals of several continuous comparisons.
 
-    ``entries`` is the name -> entry map of the continuous store (``as_dict``),
-    which holds every name of ``atoms``: callers split each guard by that store.
+    ``entries`` is the continuous store's map (``ContinuousStore.entries``),
+    which holds every name of ``atoms``: callers split each guard by that map.
     """
     iv = ALWAYS
     for atom in atoms:
@@ -304,11 +305,10 @@ def max_delay(
     is always later.  A delay of 0 or less is a timelock.
     """
     try:
-        entries = store.as_dict()
         bounds: List[Tuple[Value, bool, DelayCause]] = [(horizon, False, DelayCause.HORIZON)]  # (time, open, cause)
         first_guard = None
         for atoms in guards:
-            iv = atoms_truth_interval(atoms, entries)
+            iv = atoms_truth_interval(atoms, store.entries)
             if iv.empty or (iv.start == 0 and not iv.start_open):
                 continue  # never true, or already true: nothing to wait for
             if first_guard is None or (iv.start, iv.start_open) < (first_guard.start, first_guard.start_open):
@@ -318,7 +318,7 @@ def max_delay(
         for invariants in components:
             ends = []
             for atoms in invariants:
-                iv = atoms_truth_interval(atoms, entries)
+                iv = atoms_truth_interval(atoms, store.entries)
                 if not (iv.empty or iv.start > 0 or iv.start_open):  # true now
                     ends.append(iv.end)
             if not ends:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from .constraints import Constraint, conj, entails, split_guard
-from .flows import ContinuousStore, UNBOUNDED, atoms_truth_interval, apply_change, evolve
+from .flows import ContinuousStore, Entry, UNBOUNDED, atoms_truth_interval, apply_change, evolve
 from .semantics import (
     Configuration,
     compute_delay,
@@ -50,10 +50,10 @@ def _step(
     agent: Agent,
     store: Constraint,
     cont: ContinuousStore,
-    snapshot: Dict[str, object],
+    entries: Dict[str, Entry],
     program: Program,
 ) -> List[Tuple[Agent, Constraint, ContinuousStore]]:
-    """All single discrete transitions of one agent in the given stores."""
+    """All single discrete transitions of one agent; guards read ``entries``, the step-start map."""
     if isinstance(agent, Stop):
         return []
     if isinstance(agent, Tell):
@@ -65,25 +65,25 @@ def _step(
     if isinstance(agent, Choice):
         results = []
         for branch in agent.ask_branches:
-            if guard_holds(branch.guard, store, snapshot):
+            if guard_holds(branch.guard, store, entries):
                 results.append((branch.body, store, cont))
         return results
     if isinstance(agent, Now):
-        chosen = agent.then if guard_holds(agent.guard, store, snapshot) else agent.orelse
-        return _step(chosen, store, cont, snapshot, program) or [(chosen, store, cont)]
+        chosen = agent.then if guard_holds(agent.guard, store, entries) else agent.orelse
+        return _step(chosen, store, cont, entries, program) or [(chosen, store, cont)]
     if isinstance(agent, Parallel):
-        lefts = _step(agent.left, store, cont, snapshot, program)
+        lefts = _step(agent.left, store, cont, entries, program)
         results = []
         if lefts:
             for la, ld, lc in lefts:
-                rights = _step(agent.right, store, lc, snapshot, program)
+                rights = _step(agent.right, store, lc, entries, program)
                 if rights:
                     for ra, rd, rc in rights:
                         results.append((par(la, ra), conj(ld, rd), rc))
                 else:
                     results.append((par(la, agent.right), ld, lc))
             return results
-        rights = _step(agent.right, store, cont, snapshot, program)
+        rights = _step(agent.right, store, cont, entries, program)
         return [(par(agent.left, ra), rd, rc) for ra, rd, rc in rights]
     if isinstance(agent, Call):
         results = []
@@ -98,14 +98,12 @@ def oracle_successors(cfg: Configuration, program: Program) -> List[Configuratio
     """All one-step discrete successors, computed naively from the rules."""
     if sum(1 for _ in nodes(cfg.agent)) > SIZE_CAP:
         raise OracleSizeError(f"agent size exceeds the oracle cap ({SIZE_CAP})")
-    snapshot = cfg.continuous.snapshot()
-    steps = _step(cfg.agent, cfg.discrete, cfg.continuous, snapshot, program)
+    steps = _step(cfg.agent, cfg.discrete, cfg.continuous, cfg.continuous.entries, program)
     return [Configuration(a, d, c, cfg.clock) for a, d, c in steps]
 
 
 def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) -> bool:
     """Whether one component admits a continuous transition of duration tau."""
-    snapshot = cont.snapshot()
     if isinstance(agent, Stop):
         return True  # structural idling
     if isinstance(agent, Parallel):
@@ -114,10 +112,10 @@ def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) ->
         if not agent.cont_branches:
             return True  # suspended pure-ask choice idles
         for inv in agent.cont_branches:
-            disc, cmp_atoms = split_guard(inv, snapshot.keys())
+            disc, cmp_atoms = split_guard(inv, cont.entries.keys())
             if not entails(store, disc):
                 continue
-            iv = atoms_truth_interval(tuple(cmp_atoms), cont.as_dict())
+            iv = atoms_truth_interval(tuple(cmp_atoms), cont.entries)
             if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):
                 continue
             if iv.end is UNBOUNDED or iv.end >= tau:

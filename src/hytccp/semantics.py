@@ -43,6 +43,7 @@ from .flows import (
     ContinuousStore,
     DelayOutcome,
     EMPTY_STORE,
+    Entry,
     apply_change,
     evolve,
     max_delay,
@@ -190,15 +191,16 @@ def start_configuration(program: Program) -> Configuration:
     return Configuration(open_scopes(program.initial, program.continuous, {}))
 
 
-def guard_holds(guard: Constraint, store: Constraint, snapshot) -> bool:
-    disc, cont = split_guard(guard, snapshot.keys())
-    return entails(store, disc) and all(a.holds(snapshot[a.var]) for a in cont)
+def guard_holds(guard: Constraint, store: Constraint, entries: Dict[str, Entry]) -> bool:
+    """Whether ``store`` entails the guard's discrete part and ``entries`` its comparisons."""
+    disc, cont = split_guard(guard, entries.keys())
+    return entails(store, disc) and all(a.holds(entries[a.var].value) for a in cont)
 
 
 def step_agent(
     agent: Agent,
     store: Constraint,
-    snapshot: Dict[str, object],
+    entries: Dict[str, Entry],
     program: Program,
     draw: DrawFn = no_draw,
     path: Tuple[str, ...] = (),
@@ -219,19 +221,19 @@ def step_agent(
         outs: List[Outcome] = []
         total = len(agent.ask_branches)
         for i, branch in enumerate(agent.ask_branches):
-            if guard_holds(branch.guard, store, snapshot):
+            if guard_holds(branch.guard, store, entries):
                 outs.append(Outcome(branch.body, TRUE, (), (ChoiceRecord(path, i, total),)))
         return outs
 
     if isinstance(agent, Now):
-        cond = guard_holds(agent.guard, store, snapshot)
+        cond = guard_holds(agent.guard, store, entries)
         chosen = agent.then if cond else agent.orelse
         side = "then" if cond else "else"
-        return step_agent(chosen, store, snapshot, program, draw, path + (side,)) or [Outcome(chosen, TRUE, ())]
+        return step_agent(chosen, store, entries, program, draw, path + (side,)) or [Outcome(chosen, TRUE, ())]
 
     if isinstance(agent, Parallel):
-        left = step_agent(agent.left, store, snapshot, program, draw, path + ("L",))
-        right = step_agent(agent.right, store, snapshot, program, draw, path + ("R",))
+        left = step_agent(agent.left, store, entries, program, draw, path + ("L",))
+        right = step_agent(agent.right, store, entries, program, draw, path + ("R",))
         if left and right:
             return [
                 Outcome(
@@ -275,8 +277,7 @@ def discrete_successors(
     cfg: Configuration, program: Program, draw: DrawFn = no_draw
 ) -> List[Tuple[Configuration, Outcome]]:
     """All configurations reachable in one discrete step, with their increments."""
-    snapshot = cfg.continuous.snapshot()
-    outcomes = step_agent(cfg.agent, cfg.discrete, snapshot, program, draw)
+    outcomes = step_agent(cfg.agent, cfg.discrete, cfg.continuous.entries, program, draw)
     result = []
     for o in outcomes:
         store = conj(cfg.discrete, o.told)
@@ -301,18 +302,18 @@ def continuous_step(cfg: Configuration, tau) -> Configuration:
 def analyze_waiting(
     agent: Agent,
     store: Constraint,
-    snapshot: Dict[str, object],
+    entries: Dict[str, Entry],
 ) -> Optional[Tuple[list, list]]:
     """What time waits for in a quiescent agent: ``(components, watches)``, or None.
 
     Must only be called when ``agent`` has no discrete successor, so its
     active positions are stop and suspended choices, and no ask guard holds
     now.  ``components`` holds one entry per ask~ component: the continuous
-    parts of its invariants whose discrete part the store entails.
-    ``watches`` holds the continuous parts of the ask guards whose discrete
-    part the store entails; a purely discrete guard is left out, as time
-    passing cannot enable it.  None means a component that can neither step
-    nor let time pass.
+    parts (atoms on names of ``entries``) of its invariants whose discrete
+    part the store entails.  ``watches`` holds those of the ask guards whose
+    discrete part the store entails; a purely discrete guard is left out, as
+    time passing cannot enable it.  None means a component that can neither
+    step nor let time pass.
     """
     components: List[List[List[LinCmp]]] = []
     watches: List[Tuple[LinCmp, ...]] = []
@@ -324,13 +325,13 @@ def analyze_waiting(
             todo.append(node.left)
         elif isinstance(node, Choice):
             for branch in node.ask_branches:
-                disc, cont = split_guard(branch.guard, snapshot.keys())
+                disc, cont = split_guard(branch.guard, entries.keys())
                 if cont and entails(store, disc):
                     watches.append(tuple(cont))
             if node.cont_branches:
                 group = []
                 for inv in node.cont_branches:
-                    disc, cont = split_guard(inv, snapshot.keys())
+                    disc, cont = split_guard(inv, entries.keys())
                     if entails(store, disc):  # else this invariant cannot hold
                         group.append(cont)
                 components.append(group)
@@ -356,7 +357,7 @@ def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:
     """
     if isinstance(cfg.agent, Stop):
         return DelayResult(None, "all_stop")
-    waiting = analyze_waiting(cfg.agent, cfg.discrete, cfg.continuous.snapshot())
+    waiting = analyze_waiting(cfg.agent, cfg.discrete, cfg.continuous.entries)
     if waiting is None:
         return DelayResult(None, "timelock")
     components, watches = waiting

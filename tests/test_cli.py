@@ -6,6 +6,7 @@ import os
 import pytest
 
 from generators import random_program, recursive_program
+from hytccp import cli
 from hytccp.cli import main, static_diagnostics
 from hytccp.parser import parse_program
 
@@ -41,6 +42,30 @@ def test_a_directory_path_is_one_error_line(tmp_path, capsys, argv):
     assert main([arg.format(dir=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command, work", [("run", "run"), ("explore", "explore"), ("parse", "pretty")])
+def test_a_bad_out_path_fails_before_the_work(tmp_path, monkeypatch, capsys, command, work):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{work} called with an --out that cannot be written")
+
+    monkeypatch.setattr(cli, work, fail)
+    assert main([command, "models/dam.hyt", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["init :- change(C, Y, der(C) = 1).", "init :- tell(X = )."],
+    ids=["model_error", "parse_error"],
+)
+def test_a_command_that_stops_on_an_error_leaves_its_out_file_as_it_was(tmp_path, capsys, source):
+    out = tmp_path / "trace.jsonl"
+    out.write_bytes(b"an earlier trace\n")
+    assert main(["run", write(tmp_path, "model.hyt", source), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"an earlier trace\n"
 
 
 def test_a_model_that_is_not_utf8_is_located_at_its_first_bad_byte(tmp_path, capsys):

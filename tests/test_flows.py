@@ -3,6 +3,7 @@
 The reference integrator here is a plain RK4 with a fixed small step; the
 production code never integrates numerically.
 """
+import functools
 import math
 import random
 from fractions import Fraction
@@ -141,7 +142,7 @@ def test_solve_flow_rejects_negative_duration():
 def test_apply_change_and_keep():
     store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
     store = apply_change(store, "T", KEEP, Flow(Fraction(2), Fraction(0)))
-    entry = store.as_dict()["T"]
+    entry = store.entries["T"]
     assert entry.value == 0 and entry.flow.a == 2
 
 
@@ -162,9 +163,40 @@ def test_evolve_moves_every_entry_by_one_shared_duration():
     store = apply_change(EMPTY_STORE, "T", Fraction(0), Flow(Fraction(1), Fraction(0)))
     store = apply_change(store, "V", Fraction(100), Flow(Fraction(-2), Fraction(0)))
     out = evolve(store, Fraction(5))
-    assert out.as_dict()["T"].value == 5
-    assert out.as_dict()["V"].value == 90
-    assert out.as_dict()["T"].flow == store.as_dict()["T"].flow  # flows unchanged
+    assert out.entries["T"].value == 5
+    assert out.entries["V"].value == 90
+    assert out.entries["T"].flow == store.entries["T"].flow  # flows unchanged
+
+
+CHANGES = st.lists(
+    st.tuples(st.sampled_from("ABCDE"), st.one_of(st.none(), st.integers(-5, 5)), st.integers(-3, 3)), min_size=1, max_size=10
+)
+
+
+@given(CHANGES, st.randoms())
+def test_a_store_is_known_by_its_entries_whatever_order_names_arrive_in(changes, rnd):
+    # the same changes, each name's in their order, with the names first set in
+    # two orders: equal stores, equal hashes, and both printed in name order
+    steps = []
+    for name, value, rate in changes:
+        keep = value is None and any(step[0] == name for step in steps)  # a name's first change sets its value
+        steps.append((name, KEEP if keep else Fraction(value or 0), Flow(Fraction(rate), Fraction(0))))
+    names = sorted({name for name, _, _ in changes})
+    order = rnd.sample(names, len(names))
+    grouped = sorted(steps, key=lambda step: order.index(step[0]))  # stable: a name's changes keep their order
+    first, second = (functools.reduce(lambda store, step: apply_change(store, *step), seq, EMPTY_STORE) for seq in (steps, grouped))
+    assert first == second and hash(first) == hash(second)
+    assert first.texts() == second.texts()
+    assert [name for name, _, _ in first.texts()] == list(first.entries) == names
+    later = evolve(second, Fraction(3))
+    assert list(later.entries) == names and later == evolve(first, Fraction(3))
+
+
+def test_a_store_built_in_another_order_is_equal_and_hashes_equal():
+    t, v = Entry(Fraction(1), Flow(Fraction(1), Fraction(0))), Entry(Fraction(2), Flow(Fraction(0), Fraction(0)))
+    a, b = ContinuousStore({"T": t, "V": v}), ContinuousStore({"V": v, "T": t})
+    assert a == b and hash(a) == hash(b)
+    assert a != ContinuousStore({"T": t}) and a != ContinuousStore({"T": v, "V": t})
 
 
 # --- crossing times and truth intervals
@@ -346,7 +378,7 @@ def test_max_delay_guard_already_true_is_not_watched():
 
 def test_atoms_truth_interval_missing_variable():
     with pytest.raises(KeyError):
-        atoms_truth_interval((LinCmp("Nope", "<", Fraction(1)),), EMPTY_STORE.as_dict())
+        atoms_truth_interval((LinCmp("Nope", "<", Fraction(1)),), EMPTY_STORE.entries)
 
 
 # --- the all-component max_delay against the per-component fold it replaced
@@ -354,7 +386,7 @@ def test_atoms_truth_interval_missing_variable():
 
 def reference_component_delay(invariants, guards, store, horizon):
     """One ask~ component resolved on its own: max_delay before components were folded in."""
-    entries = store.as_dict()
+    entries = store.entries
     inv_bound, inv_unbounded, any_true = None, False, False
     for atoms in invariants:
         iv = atoms_truth_interval(tuple(atoms), entries)

@@ -16,7 +16,7 @@ from hytccp.constraints import (
     is_fresh_name,
     reset_fresh_counter,
 )
-from hytccp.flows import DelayCause, EMPTY_STORE, apply_change
+from hytccp.flows import DelayCause, EMPTY_STORE, Entry, apply_change
 from hytccp.parser import parse_agent, parse_constraint, parse_program
 from hytccp.semantics import (
     Configuration,
@@ -101,7 +101,7 @@ def test_parallel_is_maximal():
     )
     (nxt, _), = succs(cfg)
     assert entails(nxt.discrete, parse_constraint("G = [open|H]"))
-    assert nxt.continuous.as_dict()["Vol"].flow == Flow(Fraction(-5), Fraction(0))
+    assert nxt.continuous.entries["Vol"].flow == Flow(Fraction(-5), Fraction(0))
     assert nxt.agent == STOP
 
 
@@ -239,7 +239,7 @@ def test_change_value_from_discrete_store():
     cfg = cfg_of("change(T, N, der(T) = 1)", "N = 42")
     cfg.continuous  # T not yet present: plain initialization
     (nxt, _), = succs(cfg)
-    assert nxt.continuous.as_dict()["T"].value == 42
+    assert nxt.continuous.entries["T"].value == 42
 
 
 def test_change_unbound_value_is_an_error():
@@ -302,7 +302,7 @@ def test_hide_publications_are_stable_across_steps():
     (nxt, _), = succs(cfg)
     (x,) = nxt.discrete.variables() - {"R"}
     assert is_fresh_name(x) and x.startswith("X#")
-    assert "C" in nxt.continuous.snapshot()
+    assert "C" in nxt.continuous.entries
     # the ask commits, then its tell publishes the same local fact again: it adds nothing
     (nxt2, _), = succs(nxt)
     (nxt3, outcome), = succs(nxt2)
@@ -354,8 +354,8 @@ def test_continuous_step_shape():
     nxt = continuous_step(cfg, Fraction(25))
     assert nxt.agent is cfg.agent
     assert nxt.discrete is cfg.discrete
-    assert nxt.continuous.as_dict()["T"].value == 25
-    assert nxt.continuous.as_dict()["T"].flow == cfg.continuous.as_dict()["T"].flow
+    assert nxt.continuous.entries["T"].value == 25
+    assert nxt.continuous.entries["T"].flow == cfg.continuous.entries["T"].flow
     assert nxt.clock == 25
     with pytest.raises(ValueError):
         continuous_step(cfg, Fraction(0))
@@ -368,7 +368,7 @@ def test_shared_tau_across_parallel_invariants():
     res = compute_delay(cfg, EMPTY_PROGRAM, Fraction(1000))
     assert res.kind == "delay" and res.outcome.tau == 60
     nxt = continuous_step(cfg, res.outcome.tau)
-    assert nxt.continuous.as_dict()["T"].value == 60
+    assert nxt.continuous.entries["T"].value == 60
 
 
 def test_guard_enabling_delay_is_exact():
@@ -410,7 +410,8 @@ def test_a_stopped_agent_is_stop():
 
 def test_guard_holds_compares_continuous_atoms():
     guard = parse_constraint("T =< 10 /\\ V > 2")
-    assert guard_holds(guard, TRUE, {"T": Fraction(10), "V": Fraction(3)})
-    assert not guard_holds(guard, TRUE, {"T": Fraction(11), "V": Fraction(3)})
-    # a name missing from the snapshot is a discrete atom, which TRUE does not entail
-    assert not guard_holds(guard, TRUE, {"T": Fraction(1)})
+    at = lambda value: Entry(Fraction(value), Flow(Fraction(1), Fraction(0)))
+    assert guard_holds(guard, TRUE, {"T": at(10), "V": at(3)})
+    assert not guard_holds(guard, TRUE, {"T": at(11), "V": at(3)})
+    # a name missing from the continuous store's map is a discrete atom, which TRUE does not entail
+    assert not guard_holds(guard, TRUE, {"T": at(1)})

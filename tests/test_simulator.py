@@ -202,7 +202,7 @@ def constraints_of(cfg):
 def generated_names(cfg):
     names = {n for c in constraints_of(cfg) for n in c.variables()}
     names |= {item for item, _ in uses(cfg.agent) if isinstance(item, str)}
-    return sorted(n for n in names if is_fresh_name(n) and n not in cfg.continuous.as_dict())
+    return sorted(n for n in names if is_fresh_name(n) and n not in cfg.continuous.entries)
 
 
 def masked_texts_differ(c):
@@ -375,6 +375,38 @@ def test_explore_respects_state_cap(monkeypatch):
     report = explore(prog, depth=50)
     assert not report.complete
     assert len(report.states) == 20
+
+
+RUN_DEPTH = 6
+
+
+def test_every_configuration_a_run_steps_from_is_explored(monkeypatch):
+    # run ⊆ explore: a run with explore's horizon takes one of explore's successors
+    # at each discrete step or delay, so the configurations it steps from within
+    # RUN_DEPTH steps are among the states explore(RUN_DEPTH) keys
+    programs = [random_program(seed) for seed in range(400)] + [recursive_program(seed) for seed in range(12)]
+    runs = checked = 0
+    for seed, prog in enumerate(programs):
+        states = explore(prog, RUN_DEPTH, 0).states
+        for policy in ("first", "random"):
+            stepped = []
+
+            def probe(cfg, *args):
+                if len(stepped) <= RUN_DEPTH:
+                    stepped.append(cfg)
+                return discrete_successors(cfg, *args)
+
+            options = RunOptions(
+                max_time=Fraction(10**7), horizon=simulator.EXPLORE_HORIZON, max_discrete_steps=RUN_DEPTH, policy=policy, seed=seed
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(simulator, "discrete_successors", probe)
+                run(prog, options)
+            missed = [canonical_key(cfg) for cfg in stepped if canonical_key(cfg) not in states]
+            assert not missed, (prog.source, policy, missed)
+            runs += 1
+            checked += len(stepped)
+    assert runs == 824 and checked > 3000
 
 
 def test_report_json_round_trips():

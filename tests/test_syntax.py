@@ -52,10 +52,10 @@ VALUES = {
     "Declaration": lambda: Declaration("p", ("X",), Tell(parse_constraint("X = a"))),
     "Program": lambda: Program({"K": Fraction(2)}, (), STOP, "init :- stop."),
     "Entry": lambda: Entry(Fraction(1, 3), Flow(Fraction(1), Fraction(0))),
-    "ContinuousStore": lambda: ContinuousStore((("C", Entry(0.5, Flow(Fraction(0), Fraction(-1)))),)),
+    "ContinuousStore": lambda: ContinuousStore({"C": Entry(0.5, Flow(Fraction(0), Fraction(-1)))}),
     "Interval": lambda: Interval(Fraction(0), end=Fraction(5), end_open=True),
     "DelayOutcome": lambda: DelayOutcome(Fraction(7), DelayCause.HORIZON),
-    "Configuration": lambda: Configuration(Call("p", ()), parse_constraint("X = a"), ContinuousStore(), Fraction(3)),
+    "Configuration": lambda: Configuration(Call("p", ()), parse_constraint("X = a"), ContinuousStore({}), Fraction(3)),
     "ChoiceRecord": lambda: ChoiceRecord(("L", "then"), 1, 2),
     "Outcome": lambda: Outcome(STOP, parse_constraint("X = a"), (("C", Fraction(0), KEEP),), (ChoiceRecord((), 0, 2),)),
     "RunOptions": lambda: RunOptions(max_time=Fraction(60), seed=4),
@@ -91,7 +91,7 @@ def test_values_of_two_classes_are_never_equal():
 def test_defaults_are_fields():
     branches = (AskBranch(parse_constraint("X = a"), STOP),)
     assert Choice(branches) == Choice(branches, ()) and hash(Choice(branches)) == hash(Choice(branches, ()))
-    assert Configuration(STOP) == Configuration(STOP, parse_constraint("true"), ContinuousStore(), Fraction(0))
+    assert Configuration(STOP) == Configuration(STOP, parse_constraint("true"), ContinuousStore({}), Fraction(0))
     assert RunOptions(seed=0) == RunOptions()
 
 
