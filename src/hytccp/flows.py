@@ -43,8 +43,9 @@ class Entry(Record):
 
 
 class ContinuousStore(Record):
-    """``entries`` maps each name, in sorted order, to its ``Entry``: the store's one form,
-    which steps, guards and delays read in place.  ``==`` and the hash ignore the order."""
+    """``entries`` maps each name to its ``Entry``: the store's one form, which steps,
+    guards and delays read in place.  The constructor takes that map with its names in
+    sorted order, as ``texts`` prints them; ``==`` and the hash ignore the order."""
 
     __slots__ = ("entries", "_texts")
 
