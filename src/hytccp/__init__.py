@@ -2,7 +2,6 @@
 with continuous variables evolving under affine flows."""
 
 from .constraints import (
-    Constraint,
     TRUE,
     FALSE,
     ModelError,

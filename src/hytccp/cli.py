@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, List, Optional
 
-from .constraints import Constraint, ModelError, Num, TermEq, as_written, format_rational, fresh_var, split_guard
+from .constraints import ModelError, Num, TermEq, as_written, constraint_vars, format_rational, fresh_var, split_guard
 from .parser import ParseError, parse_program
 from .semantics import open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
@@ -103,9 +103,9 @@ def _roles(body) -> Iterator[tuple]:
         if isinstance(item, str):
             yield item, role
             continue
-        yield from ((x, role) for x in item.variables())
+        yield from ((x, role) for x in constraint_vars(item))
         if role is GUARD:
-            for atom in item.atoms:
+            for atom in item:
                 if isinstance(atom, TermEq) and not isinstance(atom.term, Num):
                     yield from ((x, partial(_guard_fault, atom, x)) for x in atom.variables())
 
@@ -113,7 +113,7 @@ def _roles(body) -> Iterator[tuple]:
 def _guard_fault(atom: TermEq, name: str, x: str) -> str:
     """``run``'s error for a guard ``atom`` on continuous ``x``, passed in place of ``name``."""
     try:
-        split_guard(rename_atoms(Constraint(frozenset({atom})), {name: x}), {x})
+        split_guard(rename_atoms(frozenset({atom}), {name: x}), {x})
     except ModelError as exc:  # it always raises: the atom equates x with a non-number
         return str(exc)
 

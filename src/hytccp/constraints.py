@@ -2,19 +2,25 @@
 
 One concrete instantiation: term equations (atoms, numbers, open-ended
 streams) and comparisons of a single variable against a rational constant.
-A tell or a guard keeps its atoms as written.  A store, made by ``conj``,
-keeps each bound name's term as unified, which may mention other bound names
-(triangular bindings, followed on read).  A store is its bindings: it hashes
-its bound names, compares with another store link by link, and prints each
-bound name's final term off the links.  Conjunction and entailment are the
-lattice operations; inconsistency is a value (FALSE), never an exception.
-Hiding lives in the engine: a scope's bound names become generated ones,
-which its body tells in the one shared store and which ``entails`` matches as
-placeholders.
+A tell or a guard is the frozenset of its atoms as written, or FALSE.  A
+store, made by ``conj``, keeps each bound name's term as unified, which may
+mention other bound names (triangular bindings, followed on read).  A store
+is its bindings: it hashes its bound names, compares with another store link
+by link, and prints each bound name's final term off the links.  ``TRUE`` is
+the empty store.  ``FALSE`` is one value, the inconsistent store and the tell
+or guard ``false``: it has no atom, and only it has ``consistent`` false.
+Conjunction and entailment are the lattice operations; inconsistency is a
+value (FALSE), never an exception.  Hiding lives in the engine: a scope's
+bound names become generated ones, which its body tells in the one shared
+store and which ``entails`` matches as placeholders.
 
-Terms and atomic constraints are immutable; they cache their hash (and their
-variable sets) at construction because stores grow monotonically and the same
-atoms are re-examined on every step.
+The package has no constraint class, and no ``.atoms``: a store is no tell,
+iterating one gives its atoms, and ``constraint_vars`` reads the names of
+either.
+
+Terms and atomic constraints are immutable; they cache their hash at
+construction because stores grow monotonically and the same atoms are
+re-examined on every step.
 """
 from __future__ import annotations
 
@@ -245,18 +251,15 @@ OP_TEST = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator
 class TermEq(Record):
     """Equation: a variable equals a term."""
 
-    __slots__ = ("var", "term", "_hash", "_vars")
+    __slots__ = ("var", "term", "_hash")
 
     def __init__(self, var: str, term: Term):
         self.var = var
         self.term = term
         self._hash = hash((var, term))
-        self._vars: Optional[frozenset] = None
 
     def variables(self) -> frozenset:
-        if self._vars is None:
-            self._vars = frozenset({self.var, *term_vars(self.term)})
-        return self._vars
+        return frozenset({self.var, *term_vars(self.term)})
 
     def __eq__(self, other) -> bool:
         return (
@@ -343,58 +346,24 @@ def compare(value, op: str, bound) -> bool:
 # constraints
 
 
-class Constraint:
-    """Finite conjunction of atomic constraints as written: a tell or a guard.
+class _False:
+    """The inconsistent store, which is also the tell or guard ``false``: it has
+    no atom, and equals only itself."""
 
-    ``consistent=False`` marks the absorbing false element; its atom set is
-    empty by convention.  The hash sums the hashes of the atoms.  A store is
-    the subclass ``_Store``, which equals a constraint as written only when
-    neither has an atom.
-    """
+    __slots__ = ()
+    consistent = False
 
-    __slots__ = ("atoms", "consistent", "_vars", "_hash")
-
-    def __init__(self, atoms: frozenset, consistent: bool = True):
-        self.atoms = atoms
-        self.consistent = consistent
-        self._vars: Optional[set] = None
-        self._hash: Optional[int] = None
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Constraint)
-            and self.consistent == other.consistent
-            and self.atoms == other.atoms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((sum(map(_HASH, self.atoms)), self.consistent))
-        return self._hash
+    def __iter__(self):
+        return iter(())
 
     def __repr__(self) -> str:
-        return f"Constraint({set(self.atoms)!r})" if self.consistent else "FALSE"
+        return "FALSE"
 
     def __str__(self) -> str:
-        if not self.consistent:
-            return "false"
-        if not self.atoms:
-            return "true"
-        return " /\\ ".join(sorted(map(str, self.atoms), key=atom_text_order))
-
-    def variables(self) -> set:
-        if self._vars is None:
-            out: set = set()
-            for a in self.atoms:
-                out |= a.variables()
-            self._vars = out
-        return self._vars
+        return "false"
 
 
-_HASH = operator.attrgetter("_hash")
-
-
-class _Store(Constraint):
+class _Store:
     """A consistent store as triangular bindings (Aït-Kaci, *Warren's Abstract
     Machine: A Tutorial Reconstruction*, 1991).
 
@@ -405,12 +374,13 @@ class _Store(Constraint):
     ``_free`` the set of unbound names the store mentions.  Two stores are equal
     when they bind the same names to the same final terms and hold the same
     comparisons.  A store has two forms, its links and ``_str``, their text
-    with each bound name's final term, kept once printed.  ``atoms``, made on
-    first read, is the links as equations plus the comparisons: the same
-    constraint, unsolved.
+    with each bound name's final term, kept once printed.  Iterating a store
+    gives the links as equations plus the comparisons: the same constraint,
+    unsolved, for ``conj`` of two stores; the engine never does.
     """
 
-    __slots__ = ("_b", "_cmps", "_free", "_sum", "_str")
+    __slots__ = ("_b", "_cmps", "_free", "_sum", "_str", "_hash")
+    consistent = True
 
     def __init__(self, b: dict, cmps: frozenset, free: frozenset, total: int):
         self._b = b
@@ -418,23 +388,17 @@ class _Store(Constraint):
         self._free = free
         self._sum = total
         self._str: Optional[str] = None
-        self.consistent = True
-        self._vars = None
-        self._hash = hash((total + sum(map(_HASH, cmps)), True))
+        self._hash = hash((total + sum(map(hash, cmps)), True))
 
-    def __getattr__(self, name: str):
-        # called only while the ``atoms`` slot is empty: fill it with the links
-        if name != "atoms":
-            raise AttributeError(name)
-        self.atoms = frozenset([*map(TermEq, self._b, self._b.values()), *self._cmps])
-        return self.atoms
+    def __iter__(self):
+        return iter(frozenset([*map(TermEq, self._b, self._b.values()), *self._cmps]))
 
     def __eq__(self, other) -> bool:
         # binding by binding, through both link maps
         if self is other:
             return True
         if not isinstance(other, _Store):
-            return isinstance(other, Constraint) and other.consistent and not other.atoms and not (self._b or self._cmps)
+            return NotImplemented
         b, ob = self._b, other._b
         return (
             self._hash == other._hash
@@ -443,7 +407,11 @@ class _Store(Constraint):
             and all(_same(t, ob[v], b, ob) for v, t in b.items())
         )
 
-    __hash__ = Constraint.__hash__
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"<store {self}>"
 
     def __str__(self) -> str:
         # each bound name with its final term, read off the links once and kept
@@ -454,8 +422,16 @@ class _Store(Constraint):
         return self._str
 
 
-TRUE = _Store({}, frozenset(), frozenset(), 0)  # the empty store, and the guard or tell with no atom
-FALSE = Constraint(frozenset(), consistent=False)
+TRUE = _Store({}, frozenset(), frozenset(), 0)  # the empty store
+FALSE = _False()
+
+
+def constraint_vars(c) -> set:
+    """The names the atoms of ``c`` mention: a tell, a guard, or a store read as its atoms."""
+    out: set = set()
+    for a in c:
+        out |= a.variables()
+    return out
 
 
 class ModelError(Exception):
@@ -563,25 +539,27 @@ def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
 # operations
 
 
-def conj(c: Constraint, d: Constraint) -> Constraint:
-    """The store ``c`` (or FALSE) extended by ``d``, a constraint or a store: the one place atoms are solved.
+def conj(c, d):
+    """The store ``c`` (or FALSE) extended by ``d``, the one place atoms are solved.
 
-    ``c``, like the store of ``entails`` and ``bound_number``, is built with ``conj(TRUE, ...)``.
+    ``d`` is a tell (a frozenset of atoms, or FALSE) or a store, read as its
+    atoms.  ``c``, like the store of ``entails`` and ``bound_number``, is
+    built with ``conj(TRUE, ...)``.
     """
-    if not c.consistent or not d.consistent:
+    if c is FALSE or d is FALSE:
         return FALSE
-    if d is c or not d.atoms:
+    if d is c or not d:
         return c
     return _conj_solved(c, d)
 
 
 @lru_cache(maxsize=16384)
-def _conj_solved(c: Constraint, d: Constraint) -> Constraint:
+def _conj_solved(c: _Store, d) -> Union[_Store, _False]:
     """The store ``c`` extended by the atoms of ``d``."""
-    return _merge(c, d.atoms)
+    return _merge(c, d)
 
 
-def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
+def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Union[_Store, _False]:
     """The store ``c`` extended by ``atoms`` (or FALSE); ``c`` itself if they bind nothing new.
 
     Only the told atoms are unified, into a copy of ``c``'s bindings; no old
@@ -610,15 +588,15 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Constraint:
     return _Store(subst, c._cmps if cmps == c._cmps else frozenset(cmps), free, total)
 
 
-def bound_number(store: Constraint, name: str) -> Optional[Fraction]:
+def bound_number(store, name: str) -> Optional[Fraction]:
     """The number the store (or FALSE) binds ``name`` to, or None."""
     term = _walk(Var(name), store._b) if store.consistent else None
     return term.value if isinstance(term, Num) else None
 
 
 @lru_cache(maxsize=65536)
-def entails(store: Constraint, guard: Constraint) -> bool:
-    """Sound, incomplete entailment check of ``guard``, its atoms as written, by ``store`` (or FALSE).
+def entails(store, guard) -> bool:
+    """Sound, incomplete entailment check of ``guard``, its atoms as written (or FALSE), by ``store`` (or FALSE).
 
     A placeholder, a generated name the store does not mention, takes its
     value only from the store, at its first match; any other name reads its
@@ -631,7 +609,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     """
     if not store.consistent:
         return True
-    if not guard.consistent:
+    if guard is FALSE:
         return False
     sigma = store._b
     theta: dict = {}
@@ -661,7 +639,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
         # a generated name the store leaves unbound waits; if mentioned, only ``_`` matches it
         return a.var in theta or a.var in sigma or not is_fresh_name(a.var)
 
-    todo = {a for a in guard.atoms if isinstance(a, TermEq)}
+    todo = {a for a in guard if isinstance(a, TermEq)}
     while (atom := next(filter(reached, todo), None)) is not None:
         todo.remove(atom)
         var, term = (atom.term.name, Var(atom.var)) if unreached(atom.var) else (atom.var, atom.term)
@@ -670,7 +648,7 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     # of what nothing reached, placeholder = placeholder holds, and so does a mentioned name = _
     if not all(isinstance(a.term, Var) or (isinstance(a.term, Wildcard) and not unreached(a.var)) for a in todo):
         return False
-    for atom in (a for a in guard.atoms if isinstance(a, LinCmp)):
+    for atom in (a for a in guard if isinstance(a, LinCmp)):
         rep = value(atom.var)
         if isinstance(rep, Num):
             if not compare(rep.value, atom.op, atom.bound):
@@ -680,15 +658,17 @@ def entails(store: Constraint, guard: Constraint) -> bool:
     return True
 
 
-def split_guard(guard: Constraint, continuous_vars) -> tuple:
+def split_guard(guard, continuous_vars) -> tuple:
     """Split a guard into (discrete part, continuous comparison list).
 
     Numeric equations on continuous variables become ``=`` comparisons; any
-    other equation that reads one is a model error.
+    other equation that reads one is a model error.  The comparisons come in
+    the order of their text, so the flow solver meets them in one order under
+    every hash seed.
     """
     disc = []
     cont = []
-    for atom in guard.atoms:
+    for atom in guard:
         if atom.var in continuous_vars and isinstance(atom, LinCmp):
             cont.append(atom)
         elif atom.var in continuous_vars and isinstance(atom.term, Num):
@@ -700,4 +680,6 @@ def split_guard(guard: Constraint, continuous_vars) -> tuple:
             raise ModelError(f"a guard equates continuous variable {name} with a non-number: {atom}")
     if not cont:
         return guard, cont  # the guard itself, which keeps its hash
-    return Constraint(frozenset(disc)) if disc else TRUE, cont
+    if len(cont) > 1:
+        cont.sort(key=str)
+    return frozenset(disc), cont

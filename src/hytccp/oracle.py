@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .constraints import Constraint, conj, entails, split_guard
+from .constraints import conj, entails, split_guard
 from .flows import ContinuousStore, Entry, UNBOUNDED, atoms_truth_interval, apply_change, evolve
 from .semantics import (
     Configuration,
@@ -48,12 +48,13 @@ class OracleSizeError(Exception):
 
 def _step(
     agent: Agent,
-    store: Constraint,
+    store,
     cont: ContinuousStore,
     entries: Dict[str, Entry],
     program: Program,
-) -> List[Tuple[Agent, Constraint, ContinuousStore]]:
-    """All single discrete transitions of one agent; guards read ``entries``, the step-start map."""
+) -> List[tuple]:
+    """All single discrete transitions of one agent, each (agent, store, continuous
+    store); guards read ``entries``, the step-start map."""
     if isinstance(agent, Stop):
         return []
     if isinstance(agent, Tell):
@@ -102,7 +103,7 @@ def oracle_successors(cfg: Configuration, program: Program) -> List[Configuratio
     return [Configuration(a, d, c, cfg.clock) for a, d, c in steps]
 
 
-def _can_advance(agent: Agent, store: Constraint, cont: ContinuousStore, tau) -> bool:
+def _can_advance(agent: Agent, store, cont: ContinuousStore, tau) -> bool:
     """Whether one component admits a continuous transition of duration tau."""
     if isinstance(agent, Stop):
         return True  # structural idling

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .constraints import (
-    Constraint,
     FALSE,
     OP_TEXT,
     TermEq,
@@ -249,7 +248,7 @@ class Parser:
                 self.error("only ask/ask~ branches can be joined with '+'")
             return unit
         asks: List[AskBranch] = []
-        invs: List[Constraint] = []
+        invs: List[frozenset] = []
         while True:
             self.expect("ask")
             if self.accept("~"):
@@ -336,8 +335,8 @@ class Parser:
 
     # -- constraints
 
-    def parse_constraint(self, guard: bool = True) -> Constraint:
-        """A constraint, its atoms as written: a guard, or a tell (``guard=False``).
+    def parse_constraint(self, guard: bool = True) -> frozenset:
+        """A constraint, the frozenset of its atoms as written, or FALSE: a guard, or a tell (``guard=False``).
 
         Only a guard may hold wildcards, and only a tell may draw ``random()``.
         """
@@ -350,7 +349,7 @@ class Parser:
                 atoms.append(self.parse_atomic(guard))
             if not self.accept("/\\"):
                 break
-        return FALSE if falsy else Constraint(frozenset(atoms))
+        return FALSE if falsy else frozenset(atoms)
 
     def parse_atomic(self, guard: bool):
         var = self.variable_name()
@@ -533,5 +532,5 @@ def parse_agent(text: str) -> Agent:
     return _parse_whole(text, Parser.parse_agent, "agent")
 
 
-def parse_constraint(text: str) -> Constraint:
+def parse_constraint(text: str) -> frozenset:
     return _parse_whole(text, Parser.parse_constraint, "constraint")

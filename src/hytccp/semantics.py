@@ -13,7 +13,8 @@ the same arguments built (``Declaration._instances``), unless an argument is
 a generated name.  Agents the engine makes obey ``A || stop == A``
 (``syntax.par``), so stopped components do not pile up as a run goes on.  A
 step's increment is the atoms of its tells as written, renamed, draws
-substituted: only ``conj`` solves them, into the store.
+substituted, in one frozenset (FALSE if a tell is false): only ``conj``
+solves them, into the store.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import (
-    Constraint,
     FALSE,
     TRUE,
     Num,
@@ -76,13 +76,18 @@ def no_draw(lo: Fraction, hi: Fraction) -> Fraction:
     raise ModelError("random() needs a seeded generator; explore does not draw random values")
 
 
+NOTHING = frozenset()  # the increment of a step that tells nothing
+
+
 class Configuration(Record):
-    """An agent, its discrete store (built with ``conj(TRUE, ...)``, or FALSE), continuous store and clock."""
+    """An agent, its discrete store (built with ``conj(TRUE, ...)``, or FALSE), continuous store and clock.
+
+    The store is never a tell: ``TRUE`` is only the empty store."""
 
     __slots__ = ("agent", "discrete", "continuous", "clock")
 
     def __init__(
-        self, agent: Agent, discrete: Constraint = TRUE, continuous: ContinuousStore = EMPTY_STORE, clock: Fraction = Fraction(0)
+        self, agent: Agent, discrete=TRUE, continuous: ContinuousStore = EMPTY_STORE, clock: Fraction = Fraction(0)
     ):
         self.agent = agent
         self.discrete = discrete
@@ -100,12 +105,14 @@ class ChoiceRecord(Record):
 
 
 class Outcome(Record):
-    """One possible discrete step of a sub-agent, as increments."""
+    """One possible discrete step of a sub-agent, as increments: ``told`` is a
+    frozenset of atoms as written (``NOTHING`` for a step that tells nothing),
+    or FALSE."""
 
     __slots__ = ("agent", "told", "changes", "choices")
 
     def __init__(
-        self, agent: Agent, told: Constraint, changes: Tuple[tuple, ...], choices: Tuple[ChoiceRecord, ...] = ()
+        self, agent: Agent, told: frozenset, changes: Tuple[tuple, ...], choices: Tuple[ChoiceRecord, ...] = ()
     ):
         self.agent = agent
         self.told = told
@@ -117,14 +124,14 @@ class Outcome(Record):
 # evaluation of change arguments
 
 
-def _lookup_number(name: str, store: Constraint) -> Fraction:
+def _lookup_number(name: str, store) -> Fraction:
     value = bound_number(store, name)
     if value is None:
         raise ModelError(f"variable {name} is not bound to a number")
     return value
 
 
-def eval_flow(x: str, expr: LinExpr, store: Constraint) -> Flow:
+def eval_flow(x: str, expr: LinExpr, store) -> Flow:
     """The flow ``d(x)/dt = expr``, its other variables read from ``store``."""
     a = Fraction(0)
     b = Fraction(0)
@@ -138,7 +145,7 @@ def eval_flow(x: str, expr: LinExpr, store: Constraint) -> Flow:
     return Flow(a, b)
 
 
-def eval_change_value(value, store: Constraint):
+def eval_change_value(value, store):
     if value is KEEP:
         return KEEP
     if isinstance(value, str):
@@ -146,8 +153,12 @@ def eval_change_value(value, store: Constraint):
     return value
 
 
-def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
-    """A tell's atoms with each random(lo,hi) placeholder replaced by a drawn value, not solved."""
+def resolve_random_terms(c: frozenset, draw: DrawFn) -> frozenset:
+    """A tell's atoms with each random(lo,hi) placeholder replaced by a drawn value, not solved.
+
+    Values are drawn in the order of the atoms' text, not of their hashes,
+    so a seed draws the same values in every process.
+    """
     drawn = False
 
     def repl(t: Term) -> Term:
@@ -159,8 +170,8 @@ def resolve_random_terms(c: Constraint, draw: DrawFn) -> Constraint:
             return Cons(repl(t.head), repl(t.tail))
         return t
 
-    atoms = frozenset(TermEq(a.var, repl(a.term)) if isinstance(a, TermEq) else a for a in c.atoms)
-    return Constraint(atoms) if drawn else c
+    atoms = {a: TermEq(a.var, repl(a.term)) for a in sorted(c, key=str) if isinstance(a, TermEq)}
+    return frozenset(atoms.get(a, a) for a in c) if drawn else c
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +202,7 @@ def start_configuration(program: Program) -> Configuration:
     return Configuration(open_scopes(program.initial, program.continuous, {}))
 
 
-def guard_holds(guard: Constraint, store: Constraint, entries: Dict[str, Entry]) -> bool:
+def guard_holds(guard: frozenset, store, entries: Dict[str, Entry]) -> bool:
     """Whether ``store`` entails the guard's discrete part and ``entries`` its comparisons."""
     disc, cont = split_guard(guard, entries.keys())
     return entails(store, disc) and all(a.holds(entries[a.var].value) for a in cont)
@@ -199,7 +210,7 @@ def guard_holds(guard: Constraint, store: Constraint, entries: Dict[str, Entry])
 
 def step_agent(
     agent: Agent,
-    store: Constraint,
+    store,
     entries: Dict[str, Entry],
     program: Program,
     draw: DrawFn = no_draw,
@@ -215,21 +226,21 @@ def step_agent(
     if isinstance(agent, Change):
         value = eval_change_value(agent.value, store)
         flow = agent.flow if agent.flow is KEEP else eval_flow(agent.var, agent.flow, store)
-        return [Outcome(STOP, TRUE, ((agent.var, value, flow),))]
+        return [Outcome(STOP, NOTHING, ((agent.var, value, flow),))]
 
     if isinstance(agent, Choice):
         outs: List[Outcome] = []
         total = len(agent.ask_branches)
         for i, branch in enumerate(agent.ask_branches):
             if guard_holds(branch.guard, store, entries):
-                outs.append(Outcome(branch.body, TRUE, (), (ChoiceRecord(path, i, total),)))
+                outs.append(Outcome(branch.body, NOTHING, (), (ChoiceRecord(path, i, total),)))
         return outs
 
     if isinstance(agent, Now):
         cond = guard_holds(agent.guard, store, entries)
         chosen = agent.then if cond else agent.orelse
         side = "then" if cond else "else"
-        return step_agent(chosen, store, entries, program, draw, path + (side,)) or [Outcome(chosen, TRUE, ())]
+        return step_agent(chosen, store, entries, program, draw, path + (side,)) or [Outcome(chosen, NOTHING, ())]
 
     if isinstance(agent, Parallel):
         left = step_agent(agent.left, store, entries, program, draw, path + ("L",))
@@ -239,7 +250,7 @@ def step_agent(
                 Outcome(
                     par(a.agent, b.agent),
                     # both increments' atoms, unsolved; false if either side is
-                    Constraint(a.told.atoms | b.told.atoms) if a.told.consistent and b.told.consistent else FALSE,
+                    FALSE if a.told is FALSE or b.told is FALSE else a.told | b.told,
                     a.changes + b.changes,
                     a.choices + b.choices,
                 )
@@ -267,7 +278,7 @@ def step_agent(
                 if instances is not None and not any(map(is_fresh_name, agent.args)):
                     instances[agent.args] = body
             record = (ChoiceRecord(path + ("call:" + agent.name,), i, len(decls)),) if len(decls) > 1 else ()
-            outs.append(Outcome(body, TRUE, (), record))
+            outs.append(Outcome(body, NOTHING, (), record))
         return outs
 
     raise TypeError(f"not an agent: {agent!r}")
@@ -301,7 +312,7 @@ def continuous_step(cfg: Configuration, tau) -> Configuration:
 
 def analyze_waiting(
     agent: Agent,
-    store: Constraint,
+    store,
     entries: Dict[str, Entry],
 ) -> Optional[Tuple[list, list]]:
     """What time waits for in a quiescent agent: ``(components, watches)``, or None.

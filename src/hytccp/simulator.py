@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Set, Tuple, Union
 
 from .constraints import (
-    Constraint,
+    FALSE,
     FRESH_NAME,
     LinCmp,
     Record,
@@ -192,10 +192,10 @@ def _describe_changes(changes) -> Tuple[Tuple[str, str, str], ...]:
     return tuple(out)
 
 
-def _told_strings(told: Constraint) -> Tuple[str, ...]:
-    if not told.consistent:
+def _told_strings(told: frozenset) -> Tuple[str, ...]:
+    if told is FALSE:
         return ("false",)
-    return tuple(sorted(str(a) for a in told.atoms))
+    return tuple(sorted(str(a) for a in told))
 
 
 def run(program: Program, options: RunOptions) -> Trace:

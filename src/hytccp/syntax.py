@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence, Tuple, Union
 
 from .constraints import (
-    Constraint,
+    FALSE,
     OP_TEXT,
     Term,
     TermEq,
@@ -25,6 +25,7 @@ from .constraints import (
     Cons,
     Record,
     atom_text_order,
+    constraint_vars,
     format_rational,
 )
 
@@ -127,7 +128,7 @@ class Stop(_Node):
 class Tell(_Node):
     __slots__ = ("constraint",)
 
-    def __init__(self, constraint: Constraint):
+    def __init__(self, constraint: frozenset):
         self.constraint = constraint
 
 
@@ -160,7 +161,7 @@ class Hide(_Node):
 class AskBranch(Record):
     __slots__ = ("guard", "body")
 
-    def __init__(self, guard: Constraint, body: "Agent"):
+    def __init__(self, guard: frozenset, body: "Agent"):
         self.guard = guard
         self.body = body
 
@@ -168,7 +169,7 @@ class AskBranch(Record):
 class Choice(_Node):
     __slots__ = ("ask_branches", "cont_branches")
 
-    def __init__(self, ask_branches: Tuple[AskBranch, ...], cont_branches: Tuple[Constraint, ...] = ()):
+    def __init__(self, ask_branches: Tuple[AskBranch, ...], cont_branches: Tuple[frozenset, ...] = ()):
         self.ask_branches = ask_branches
         self.cont_branches = cont_branches  # ask~ invariants
 
@@ -176,7 +177,7 @@ class Choice(_Node):
 class Now(_Node):
     __slots__ = ("guard", "then", "orelse")
 
-    def __init__(self, guard: Constraint, then: "Agent", orelse: "Agent"):
+    def __init__(self, guard: frozenset, then: "Agent", orelse: "Agent"):
         self.guard = guard
         self.then = then
         self.orelse = orelse
@@ -320,7 +321,7 @@ def uses(agent: Agent) -> list:
         elif isinstance(node, Choice):
             stack += [(b.body, bound) for b in reversed(node.ask_branches)]
             own = [(c, GUARD) for c in (*(b.guard for b in node.ask_branches), *node.cont_branches)]
-            reads = (a.var for c in node.cont_branches for a in c.atoms if isinstance(a, LinCmp) or isinstance(a.term, Num))
+            reads = (a.var for c in node.cont_branches for a in c if isinstance(a, LinCmp) or isinstance(a.term, Num))
             own += [(x, INVARIANT) for x in reads]
         elif isinstance(node, Now):
             stack += ((node.orelse, bound), (node.then, bound))
@@ -328,8 +329,8 @@ def uses(agent: Agent) -> list:
         for item, role in own:
             if not bound or isinstance(item, str) and item not in bound:
                 out.append((item, role))
-            elif isinstance(item, Constraint):
-                names = item.variables()
+            elif not isinstance(item, str):
+                names = constraint_vars(item)
                 out += [(item, role)] if bound.isdisjoint(names) else [(x, role) for x in sorted(names - bound)]
     return out
 
@@ -392,33 +393,34 @@ def _rename_term(t: Term, mapping: dict) -> Term:
     return t
 
 
-def rename_atoms(c: Constraint, mapping: dict) -> Constraint:
-    """``c`` renamed atom by atom, not solved.
+def rename_atoms(c: frozenset, mapping: dict) -> frozenset:
+    """``c``, a tell or a guard, renamed atom by atom, not solved.
 
-    Tells and guards are renamed this way: each is its atoms as written,
-    whether parsed or renamed at a call.  ``conj`` alone solves a tell, and
-    ``entails`` alone says what a guard means.
+    Tells and guards are renamed this way: each is the frozenset of its atoms
+    as written, whether parsed or renamed at a call, or FALSE, which no
+    renaming changes.  ``conj`` alone solves a tell, and ``entails`` alone
+    says what a guard means.
     """
-    if not c.consistent or not mapping:
+    if c is FALSE or not mapping:
         return c
     atoms = []
-    for a in c.atoms:
+    for a in c:
         if isinstance(a, TermEq):
             atoms.append(TermEq(mapping.get(a.var, a.var), _rename_term(a.term, mapping)))
         else:
             atoms.append(LinCmp(mapping.get(a.var, a.var), a.op, a.bound))
-    return Constraint(frozenset(atoms))
+    return frozenset(atoms)
 
 
 # --- pretty printer (inverse of the parser on parsed ASTs)
 
 
-def _pp_constraint(c: Constraint) -> str:
-    if not c.consistent:
+def _pp_constraint(c: frozenset) -> str:
+    if c is FALSE:
         return "false"
-    if not c.atoms:
+    if not c:
         return "true"
-    return " /\\ ".join(sorted(map(_pp_atom, c.atoms), key=atom_text_order))
+    return " /\\ ".join(sorted(map(_pp_atom, c), key=atom_text_order))
 
 
 def _pp_atom(a) -> str:

@@ -25,13 +25,12 @@ from pathlib import Path
 from hytccp.constraints import (
     Atom,
     Cons,
-    Constraint,
     LinCmp,
     Num,
-    TRUE,
     TermEq,
     Var,
     WILDCARD,
+    constraint_vars,
 )
 from hytccp.flows import truth_interval
 from hytccp.parser import parse_program
@@ -88,7 +87,7 @@ def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
             atoms.append(TermEq(var, Num(bound)) if op == "=" else LinCmp(var, op, bound))
         else:
             atoms.append(TermEq(lhs[i], _term(rng, wildcard_ok)))
-    return Constraint(frozenset(atoms))
+    return frozenset(atoms)
 
 
 def _flow(rng: random.Random) -> LinExpr:
@@ -120,10 +119,10 @@ def random_agent(rng: random.Random, depth: int, cont_vars):
         if rng.random() < 0.5:
             if cont_vars and rng.random() < 0.7:
                 invariants = (
-                    Constraint(frozenset({LinCmp(rng.choice(cont_vars), rng.choice(["<=", "<"]), Fraction(rng.randint(1, 10)))})),
+                    frozenset({LinCmp(rng.choice(cont_vars), rng.choice(["<=", "<"]), Fraction(rng.randint(1, 10)))}),
                 )
             else:
-                invariants = (TRUE,)
+                invariants = (frozenset(),)
         return Choice(branches, invariants)
     if r < 0.84:
         return Now(
@@ -143,7 +142,7 @@ def random_program(seed: int, max_depth: int = 3) -> Program:
     rng = random.Random(seed)
     cont_vars = CONT_VARS[: rng.randint(0, 3)]
     body = random_agent(rng, rng.randint(1, max_depth), cont_vars)
-    go = Constraint(frozenset({TermEq("Go", Atom("go"))}))
+    go = frozenset({TermEq("Go", Atom("go"))})
     agent = Tell(go)
     for var in cont_vars:
         agent = Parallel(agent, Change(var, Fraction(rng.randint(0, 5)), _flow(rng)))
@@ -186,18 +185,23 @@ def recursive_program(seed: int) -> Program:
     return parse_program(text)
 
 
-def thermostat_source(seed: int) -> str:
-    """The benchmark's thermostats model, ``bench/workloads.thermostat_source(seed)``."""
+def bench_workloads():
+    """The benchmark's generators, ``bench/workloads.py``, loaded as a module of their own."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.thermostat_source(seed)
+    return module
+
+
+def thermostat_source(seed: int) -> str:
+    """The benchmark's thermostats model, ``bench/workloads.thermostat_source(seed)``."""
+    return bench_workloads().thermostat_source(seed)
 
 
 def free_vars(agent) -> set:
     """The free names of ``agent``, read off ``syntax.uses``."""
-    return set().union(*({item} if isinstance(item, str) else item.variables() for item, _ in uses(agent)))
+    return set().union(*({item} if isinstance(item, str) else constraint_vars(item) for item, _ in uses(agent)))
 
 
 def crossing_time(v0, f, cmp):

@@ -2,6 +2,8 @@
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -531,3 +533,19 @@ def test_runtime_model_error_is_reported_not_raised(tmp_path, capsys, command, s
     assert main([command, path, *out]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {path}:") and message in err
+
+
+def test_run_draws_the_same_values_under_every_hash_seed(tmp_path):
+    # one tell draws twice: the draws go in the order of the atoms' text
+    model = write(tmp_path, "draws.hyt", "init :- tell(X = random(1, 1000) /\\ Y = random(1, 1000)).\n")
+    outputs = []
+    for hashseed in ("0", "12345"):
+        out = tmp_path / f"draws.{hashseed}.jsonl"
+        subprocess.run(
+            [sys.executable, "-m", "hytccp.cli", "run", model, "--seed", "1", "--out", str(out)],
+            check=True,
+            capture_output=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed, "PYTHONPATH": "src"},
+        )
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1] and '"X=' in outputs[0]

@@ -6,6 +6,8 @@ production code never integrates numerically.
 import functools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -621,7 +623,7 @@ def test_run_meets_the_horizon_without_rational_round_trips(monkeypatch):
 
 
 def test_parallel_steps_that_tell_nothing_solve_nothing():
-    # each parallel step joins both sides' increments into a new Constraint;
+    # each parallel step joins both sides' increments into a new frozenset;
     # without atoms, conj returns the store itself and never reaches the cache
     def calls():
         info = constraints._conj_solved.cache_info()
@@ -631,3 +633,44 @@ def test_parallel_steps_that_tell_nothing_solve_nothing():
     trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
     assert trace.terminal.kind == "max_time"
     assert calls() == before
+
+
+# explores the first 300 programs of the benchmark's seed-1 corpus and prints
+# how many times the flow solver solved one comparison
+COUNT_TRUTH_INTERVALS = """
+from pathlib import Path
+from generators import bench_workloads
+from hytccp import flows
+from hytccp.parser import parse_program
+from hytccp.simulator import explore
+
+calls = 0
+solve = flows.truth_interval
+
+def counted(*args):
+    global calls
+    calls += 1
+    return solve(*args)
+
+flows.truth_interval = counted
+job = bench_workloads().corpus_job(Path.cwd(), 1)
+for source in job["sources"][:300]:
+    explore(parse_program(source), job["depth"], job["time_samples"])
+print(calls)
+"""
+
+
+def test_the_guard_work_does_not_depend_on_the_hash_seed():
+    # a guard's comparisons reach the solver in the order of their text, so its
+    # early exits skip the same solves in every process
+    counts = [
+        subprocess.run(
+            [sys.executable, "-c", COUNT_TRUTH_INTERVALS],
+            check=True,
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": hashseed, "PYTHONPATH": "src:tests"},
+        ).stdout
+        for hashseed in ("0", "1")
+    ]
+    assert counts[0] == counts[1] and int(counts[0]) > 0

@@ -4,8 +4,8 @@ parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
-which ``cli.main`` catches once, only ``Record`` and ``Constraint``
-write a ``__repr__``, and every function name the package defines is named
+which ``cli.main`` catches once, only ``Record``, ``_False`` (of ``FALSE``) and
+the store write a ``__repr__``, and every function name the package defines is named
 by the package, outside its own body, or by the benchmark.
 
 No linter ships with the project, so these are the checks that keep dead
@@ -235,6 +235,6 @@ def test_detector_finds_a_repr():
 
 
 def test_every_value_prints_its_repr_through_record():
-    # one repr for every value: its fields, by ``Record``; a constraint prints its atoms
+    # one repr for every value: its fields, by ``Record``; FALSE prints its name, a store its text
     found = sorted(name for path in SRC.glob("*.py") for name in repr_classes(path.read_text()))
-    assert found == ["Constraint", "Record"]
+    assert found == ["Record", "_False", "_Store"]

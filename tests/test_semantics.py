@@ -12,6 +12,7 @@ from hytccp.constraints import (
     LinCmp,
     ModelError,
     conj,
+    constraint_vars,
     entails,
     is_fresh_name,
     reset_fresh_counter,
@@ -148,7 +149,7 @@ def test_call_unfolds_with_parameter_substitution():
     (cfg, _), = succs(cfg, prog)  # tell fires
     from hytccp.constraints import Atom, TermEq, is_fresh_name
 
-    (atom,) = cfg.discrete.atoms
+    (atom,) = cfg.discrete
     assert isinstance(atom, TermEq) and is_fresh_name(atom.var)
     assert atom.term == Atom("done")
 
@@ -199,7 +200,7 @@ def test_a_body_with_a_scope_draws_new_names_at_every_unfolding():
     prog = parse_program("p(A) :- exists Y (tell(A = [a|Y])).  init :- p(X).")
     first, second = unfold(Call("p", ("X",)), prog), unfold(Call("p", ("X",)), prog)
     assert prog.lookup("p", 1)[0]._instances is None
-    (one,), (two,) = first.constraint.atoms, second.constraint.atoms
+    (one,), (two,) = first.constraint, second.constraint
     assert one.term.tail != two.term.tail and is_fresh_name(one.term.tail.name) and is_fresh_name(two.term.tail.name)
 
 
@@ -255,11 +256,11 @@ def test_hide_publishes_under_stable_fresh_names():
     cfg = opened("exists X (tell(X = [a|Y]))")
     (nxt, outcome), = succs(cfg)
     published = outcome.told
-    assert "X" not in published.variables()
+    assert "X" not in constraint_vars(published)
     # the local fact is published under a generated stand-in for X
     from hytccp.constraints import Atom, Cons, Var, is_fresh_name
 
-    (atom,) = published.atoms
+    (atom,) = published
     assert is_fresh_name(atom.var)
     assert atom.term == Cons(Atom("a"), Var("Y"))
 
@@ -268,7 +269,7 @@ def test_hide_local_knowledge_visible_inside_only():
     reset_fresh_counter()
     cfg = opened("exists X (tell(X = a) || (ask(X = a) -> tell(Done = yes)))")
     (cfg1, o1), = succs(cfg)
-    assert "X" not in cfg1.discrete.variables()
+    assert "X" not in constraint_vars(cfg1.discrete)
     (cfg2, _), = succs(cfg1)  # the ask commits to its branch
     (cfg3, _), = succs(cfg2)  # the branch body tells
     assert entails(cfg3.discrete, parse_constraint("Done = yes"))
@@ -300,13 +301,13 @@ def test_hide_publications_are_stable_across_steps():
     # the scope is gone before the first step: its X is generated, the continuous C kept
     assert not any(isinstance(node, Hide) for node in nodes(cfg.agent))
     (nxt, _), = succs(cfg)
-    (x,) = nxt.discrete.variables() - {"R"}
+    (x,) = constraint_vars(nxt.discrete) - {"R"}
     assert is_fresh_name(x) and x.startswith("X#")
     assert "C" in nxt.continuous.entries
     # the ask commits, then its tell publishes the same local fact again: it adds nothing
     (nxt2, _), = succs(nxt)
     (nxt3, outcome), = succs(nxt2)
-    assert outcome.told.atoms and nxt3.discrete == nxt2.discrete == nxt.discrete
+    assert outcome.told and nxt3.discrete == nxt2.discrete == nxt.discrete
 
 
 @pytest.mark.parametrize("init", ["init :- ", ""], ids=["unfolded", "initial_agent"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hytccp import constraints, flows, simulator, syntax
-from hytccp.constraints import FRESH_NAME, Constraint, format_rational, is_fresh_name, reset_fresh_counter
+from hytccp.constraints import FRESH_NAME, atom_text_order, constraint_vars, format_rational, is_fresh_name, reset_fresh_counter
 from hytccp.parser import parse_program
 from hytccp.semantics import Configuration, discrete_successors, start_configuration
 from hytccp.simulator import (
@@ -196,17 +196,18 @@ def test_canonical_key_identifies_renamed_configurations():
 
 # a running agent has no scope, so ``uses`` reports each tell and guard whole
 def constraints_of(cfg):
-    return [cfg.discrete] + [item for item, _ in uses(cfg.agent) if isinstance(item, Constraint)]
+    return [cfg.discrete] + [item for item, _ in uses(cfg.agent) if not isinstance(item, str)]
 
 
 def generated_names(cfg):
-    names = {n for c in constraints_of(cfg) for n in c.variables()}
+    names = {n for c in constraints_of(cfg) for n in constraint_vars(c)}
     names |= {item for item, _ in uses(cfg.agent) if isinstance(item, str)}
     return sorted(n for n in names if is_fresh_name(n) and n not in cfg.continuous.entries)
 
 
 def masked_texts_differ(c):
-    masked = [FRESH_NAME.sub("#", a) for a in str(c).split(" /\\ ")]
+    texts = map(str, c) if isinstance(c, frozenset) else str(c).split(" /\\ ")  # a tell or guard's atoms, a store's text
+    masked = [FRESH_NAME.sub("#", a) for a in texts]
     return len(set(masked)) == len(masked)
 
 
@@ -238,6 +239,13 @@ def renamed(agent, mapping):
     return rebuild(agent, tuple(renamed(kid, mapping) for kid in children(agent)), mapping)
 
 
+class Written(frozenset):
+    """A store's links renamed, as written: printed as a store prints, in ``atom_text_order``."""
+
+    def __str__(self):
+        return " /\\ ".join(sorted(map(str, self), key=atom_text_order)) or "true"
+
+
 def test_key_invariance_pool_is_large():
     assert len(explored_configurations()) >= 200
 
@@ -253,7 +261,7 @@ def test_canonical_key_ignores_how_generated_names_are_numbered(data):
     bases = data.draw(st.lists(st.sampled_from(["A", "Q", "Z"]), min_size=len(names), max_size=len(names)))
     mapping = {name: f"{base}#{n}" for name, base, n in zip(names, bases, numbers)}
     other = Configuration(
-        renamed(cfg.agent, mapping), rename_atoms(cfg.discrete, mapping), cfg.continuous, cfg.clock
+        renamed(cfg.agent, mapping), Written(rename_atoms(cfg.discrete, mapping)), cfg.continuous, cfg.clock
     )
     assert canonical_key(other) == canonical_key(cfg)
 
@@ -268,7 +276,7 @@ def own_atoms(node):
         held = [node.guard]
     else:
         held = []
-    return [a for c in held for a in c.atoms]
+    return [a for c in held for a in c]
 
 
 def test_explore_prints_each_agent_node_once():
@@ -323,15 +331,15 @@ def test_the_engine_reads_no_stores_atoms(monkeypatch):
     # name, would cost the whole store each step (8631 names at hour 960 of the dam)
     built = []
 
-    def atoms(store, name):
-        if name == "atoms" and (store._b or store._cmps):
+    def atoms(store):
+        if store._b or store._cmps:
             built.append(str(store))
-        return getattr_(store, name)
+        return iter_(store)
 
-    getattr_ = constraints._Store.__getattr__
+    iter_ = constraints._Store.__iter__
     constraints._conj_solved.cache_clear()
     constraints.entails.cache_clear()
-    monkeypatch.setattr(constraints._Store, "__getattr__", atoms)
+    monkeypatch.setattr(constraints._Store, "__iter__", atoms)
     thermostat = program(
         "heat(X, L) :- ask~(X =< 22) + ask(X >= 22) -> exists L2 (tell(L = [off|L2]) || change(X, _, der(X) = 0 - X/146) || cool(X, L2)).\n"
         "cool(X, L) :- ask~(X >= 18) + ask(X =< 18) -> exists L2 (tell(L = [on|L2]) || change(X, _, der(X) = 100/146 - X/146) || heat(X, L2)).\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hytccp.constraints import TRUE
 from hytccp.flows import ContinuousStore, DelayCause, DelayOutcome, Entry, Interval
 from hytccp.parser import parse_agent, parse_constraint, parse_program
 from hytccp.semantics import ChoiceRecord, Configuration, Outcome
@@ -91,7 +92,7 @@ def test_values_of_two_classes_are_never_equal():
 def test_defaults_are_fields():
     branches = (AskBranch(parse_constraint("X = a"), STOP),)
     assert Choice(branches) == Choice(branches, ()) and hash(Choice(branches)) == hash(Choice(branches, ()))
-    assert Configuration(STOP) == Configuration(STOP, parse_constraint("true"), ContinuousStore({}), Fraction(0))
+    assert Configuration(STOP) == Configuration(STOP, TRUE, ContinuousStore({}), Fraction(0))
     assert RunOptions(seed=0) == RunOptions()
 
 
