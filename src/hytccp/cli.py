@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, List, Optional
 
-from .constraints import ModelError, Num, TermEq, as_written, constraint_vars, format_rational, fresh_var, split_guard
+from .constraints import ModelError, Num, TermEq, as_written, atom_vars, constraint_vars, format_rational, fresh_var
 from .parser import ParseError, parse_program
-from .semantics import open_scopes
+from .semantics import guard_fault, open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
 from .syntax import GUARD, INVARIANT, KEPT, READ, SET, TELL, Declaration, Program, position_fixpoint, pretty, rename_atoms, uses
 
@@ -107,15 +107,12 @@ def _roles(body) -> Iterator[tuple]:
         if role is GUARD:
             for atom in item:
                 if isinstance(atom, TermEq) and not isinstance(atom.term, Num):
-                    yield from ((x, partial(_guard_fault, atom, x)) for x in atom.variables())
+                    yield from ((x, partial(_guard_fault, atom, x)) for x in atom_vars(atom))
 
 
 def _guard_fault(atom: TermEq, name: str, x: str) -> str:
     """``run``'s error for a guard ``atom`` on continuous ``x``, passed in place of ``name``."""
-    try:
-        split_guard(rename_atoms(frozenset({atom}), {name: x}), {x})
-    except ModelError as exc:  # it always raises: the atom equates x with a non-number
-        return str(exc)
+    return guard_fault(*rename_atoms(frozenset({atom}), {name: x}), x)  # the one atom, renamed
 
 
 def static_diagnostics(program: Program) -> List[str]:

@@ -258,9 +258,6 @@ class TermEq(Record):
         self.term = term
         self._hash = hash((var, term))
 
-    def variables(self) -> frozenset:
-        return frozenset({self.var, *term_vars(self.term)})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TermEq)
@@ -292,9 +289,6 @@ class LinCmp(Record):
         self.op = op
         self.bound = bound
         self._hash = hash(("LinCmp", var, op, bound))
-
-    def variables(self) -> frozenset:
-        return frozenset((self.var,))
 
     def bound_for(self, value):
         """The bound in the domain of ``value``: its float when ``value`` is a
@@ -426,12 +420,14 @@ TRUE = _Store({}, frozenset(), frozenset(), 0)  # the empty store
 FALSE = _False()
 
 
+def atom_vars(a: AtomicConstraint) -> tuple:
+    """The names an atom mentions: its variable, then its term's, repeats included."""
+    return (a.var, *term_vars(a.term)) if isinstance(a, TermEq) else (a.var,)
+
+
 def constraint_vars(c) -> set:
     """The names the atoms of ``c`` mention: a tell, a guard, or a store read as its atoms."""
-    out: set = set()
-    for a in c:
-        out |= a.variables()
-    return out
+    return {name for a in c for name in atom_vars(a)}
 
 
 class ModelError(Exception):
@@ -657,29 +653,3 @@ def entails(store, guard) -> bool:
             return False
     return True
 
-
-def split_guard(guard, continuous_vars) -> tuple:
-    """Split a guard into (discrete part, continuous comparison list).
-
-    Numeric equations on continuous variables become ``=`` comparisons; any
-    other equation that reads one is a model error.  The comparisons come in
-    the order of their text, so the flow solver meets them in one order under
-    every hash seed.
-    """
-    disc = []
-    cont = []
-    for atom in guard:
-        if atom.var in continuous_vars and isinstance(atom, LinCmp):
-            cont.append(atom)
-        elif atom.var in continuous_vars and isinstance(atom.term, Num):
-            cont.append(LinCmp(atom.var, "=", atom.term.value))
-        elif isinstance(atom, LinCmp) or continuous_vars.isdisjoint((atom.var, *term_vars(atom.term))):
-            disc.append(atom)
-        else:
-            name = next(n for n in (atom.var, *term_vars(atom.term)) if n in continuous_vars)
-            raise ModelError(f"a guard equates continuous variable {name} with a non-number: {atom}")
-    if not cont:
-        return guard, cont  # the guard itself, which keeps its hash
-    if len(cont) > 1:
-        cont.sort(key=str)
-    return frozenset(disc), cont

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .constraints import conj, entails, split_guard
+from .constraints import conj
 from .flows import ContinuousStore, Entry, UNBOUNDED, atoms_truth_interval, apply_change, evolve
 from .semantics import (
     Configuration,
@@ -18,6 +18,7 @@ from .semantics import (
     guard_holds,
     no_draw,
     open_scopes,
+    read_guard,
     resolve_random_terms,
 )
 from .simulator import EXPLORE_HORIZON, canonical_key
@@ -113,8 +114,8 @@ def _can_advance(agent: Agent, store, cont: ContinuousStore, tau) -> bool:
         if not agent.cont_branches:
             return True  # suspended pure-ask choice idles
         for inv in agent.cont_branches:
-            disc, cmp_atoms = split_guard(inv, cont.entries.keys())
-            if not entails(store, disc):
+            cmp_atoms = read_guard(inv, store, cont.entries)
+            if cmp_atoms is None:
                 continue
             iv = atoms_truth_interval(tuple(cmp_atoms), cont.entries)
             if iv.empty or iv.start > 0 or (iv.start == 0 and iv.start_open):

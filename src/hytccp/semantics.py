@@ -19,7 +19,7 @@ solves them, into the store.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     FALSE,
@@ -37,7 +37,7 @@ from .constraints import (
     entails,
     fresh_var,
     is_fresh_name,
-    split_guard,
+    term_vars,
 )
 from .flows import (
     ContinuousStore,
@@ -153,25 +153,32 @@ def eval_change_value(value, store):
     return value
 
 
-def resolve_random_terms(c: frozenset, draw: DrawFn) -> frozenset:
-    """A tell's atoms with each random(lo,hi) placeholder replaced by a drawn value, not solved.
+def _draws(t: Term) -> bool:
+    """Whether ``t`` holds a random(lo,hi) placeholder, in a list cell too."""
+    while isinstance(t, Cons):
+        if _draws(t.head):
+            return True
+        t = t.tail
+    return isinstance(t, RandomTerm)
 
-    Values are drawn in the order of the atoms' text, not of their hashes,
-    so a seed draws the same values in every process.
-    """
-    drawn = False
+
+def resolve_random_terms(c: frozenset, draw: DrawFn) -> frozenset:
+    """A tell's atoms with each random(lo,hi) placeholder replaced by a drawn value, not solved,
+    or the tell itself if it draws nothing.  Values are drawn in the order of the drawing
+    atoms' text, not of their hashes, so a seed draws the same values in every process."""
+    drawing = [a for a in c if isinstance(a, TermEq) and _draws(a.term)]
+    if not drawing:
+        return c
 
     def repl(t: Term) -> Term:
-        nonlocal drawn
         if isinstance(t, RandomTerm):
-            drawn = True
             return Num(draw(t.lo, t.hi))
         if isinstance(t, Cons):
             return Cons(repl(t.head), repl(t.tail))
         return t
 
-    atoms = {a: TermEq(a.var, repl(a.term)) for a in sorted(c, key=str) if isinstance(a, TermEq)}
-    return frozenset(atoms.get(a, a) for a in c) if drawn else c
+    drawn = {a: TermEq(a.var, repl(a.term)) for a in sorted(drawing, key=str)}
+    return frozenset(drawn.get(a, a) for a in c)
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +209,36 @@ def start_configuration(program: Program) -> Configuration:
     return Configuration(open_scopes(program.initial, program.continuous, {}))
 
 
+def guard_fault(atom: TermEq, name: str) -> str:
+    """The model error of a guard ``atom`` that equates continuous ``name`` with a non-number."""
+    return f"a guard equates continuous variable {name} with a non-number: {atom}"
+
+
+def read_guard(guard: frozenset, store, entries: Dict[str, Entry]) -> Optional[List[LinCmp]]:
+    """The guard's comparisons on names with a value in ``entries``, in text order under every
+    hash seed, or None when ``store`` does not entail its other atoms.  A numeric equation on such
+    a name is an ``=`` comparison, and any other equation that names one is a model error."""
+    names = entries.keys()
+    disc, cont = [], []
+    for atom in guard:
+        if atom.var in names and isinstance(atom, LinCmp):
+            cont.append(atom)
+        elif atom.var in names and isinstance(atom.term, Num):
+            cont.append(LinCmp(atom.var, "=", atom.term.value))
+        elif isinstance(atom, LinCmp) or names.isdisjoint((atom.var, *term_vars(atom.term))):
+            disc.append(atom)
+        else:
+            raise ModelError(guard_fault(atom, next(n for n in (atom.var, *term_vars(atom.term)) if n in names)))
+    if len(cont) > 1:
+        cont.sort(key=str)
+    # a guard with no comparison is entailed as itself, which keeps its hash
+    return cont if entails(store, frozenset(disc) if cont else guard) else None
+
+
 def guard_holds(guard: frozenset, store, entries: Dict[str, Entry]) -> bool:
-    """Whether ``store`` entails the guard's discrete part and ``entries`` its comparisons."""
-    disc, cont = split_guard(guard, entries.keys())
-    return entails(store, disc) and all(a.holds(entries[a.var].value) for a in cont)
+    """Whether ``store`` and ``entries`` entail the guard."""
+    cont = read_guard(guard, store, entries)
+    return cont is not None and all(a.holds(entries[a.var].value) for a in cont)
 
 
 def step_agent(
@@ -320,11 +353,10 @@ def analyze_waiting(
     Must only be called when ``agent`` has no discrete successor, so its
     active positions are stop and suspended choices, and no ask guard holds
     now.  ``components`` holds one entry per ask~ component: the continuous
-    parts (atoms on names of ``entries``) of its invariants whose discrete
-    part the store entails.  ``watches`` holds those of the ask guards whose
-    discrete part the store entails; a purely discrete guard is left out, as
-    time passing cannot enable it.  None means a component that can neither
-    step nor let time pass.
+    comparisons (``read_guard``) of its invariants whose rest the store
+    entails.  ``watches`` holds those of the ask guards; a purely discrete
+    guard is left out, as time passing cannot enable it.  None means a
+    component that can neither step nor let time pass.
     """
     components: List[List[List[LinCmp]]] = []
     watches: List[Tuple[LinCmp, ...]] = []
@@ -336,24 +368,23 @@ def analyze_waiting(
             todo.append(node.left)
         elif isinstance(node, Choice):
             for branch in node.ask_branches:
-                disc, cont = split_guard(branch.guard, entries.keys())
-                if cont and entails(store, disc):
+                cont = read_guard(branch.guard, store, entries)
+                if cont:
                     watches.append(tuple(cont))
             if node.cont_branches:
-                group = []
-                for inv in node.cont_branches:
-                    disc, cont = split_guard(inv, entries.keys())
-                    if entails(store, disc):  # else this invariant cannot hold
-                        group.append(cont)
-                components.append(group)
+                reads = [read_guard(inv, store, entries) for inv in node.cont_branches]
+                components.append([cont for cont in reads if cont is not None])  # None: it cannot hold
         elif not isinstance(node, Stop):
             return None  # a call to a process with no declaration
     return components, watches
 
 
-class DelayResult(NamedTuple):
-    outcome: Optional[DelayOutcome]
-    kind: str  # "delay" | "all_stop" | "suspended" | "timelock"
+class DelayResult(Record):
+    __slots__ = ("outcome", "kind")
+
+    def __init__(self, outcome: Optional[DelayOutcome], kind: str):
+        self.outcome = outcome
+        self.kind = kind  # "delay" | "all_stop" | "suspended" | "timelock"
 
 
 def compute_delay(cfg: Configuration, program: Program, horizon) -> DelayResult:

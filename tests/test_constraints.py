@@ -10,7 +10,6 @@ from hytccp.constraints import (
     Cons,
     FALSE,
     LinCmp,
-    ModelError,
     NIL,
     Num,
     RandomTerm,
@@ -24,7 +23,6 @@ from hytccp.constraints import (
     constraint_vars,
     entails,
     format_rational,
-    split_guard,
 )
 from hytccp.parser import parse_constraint
 from hytccp.syntax import rename_atoms
@@ -366,21 +364,6 @@ def test_entails_placeholder_takes_its_value_only_from_the_store():
     assert entails(mentions, as_written(TermEq("M#1", WILDCARD)))
     assert not entails(mentions, as_written(TermEq("M#1", Atom("a"))))
     assert not entails(mentions, as_written(TermEq("M#1", Cons(WILDCARD, WILDCARD))))
-
-
-# --- continuous guard helpers
-
-
-def test_split_guard_normalizes_numeric_equations():
-    disc, cont = split_guard(c("T = 3600 /\\ X = a"), {"T"})
-    assert disc == parse_constraint("X = a")
-    assert cont == [LinCmp("T", "=", Fraction(3600))]
-
-
-def test_split_guard_rejects_non_numeric_continuous_binding():
-    for text in ("T = a", "T = X", "X = T", "X = [a|T]"):
-        with pytest.raises(ModelError):
-            split_guard(parse_constraint(text), {"T"})
 
 
 def test_format_rational():

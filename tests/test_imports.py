@@ -1,6 +1,7 @@
 """Importing the package and its CLI loads no ``dataclasses``; every name a
 package module imports is used in that module, only the
 parser, the syntax and ``semantics.open_scopes`` name the scope node ``Hide``,
+only ``constraints`` and ``semantics.read_guard`` call ``entails``,
 only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
@@ -9,9 +10,10 @@ the store write a ``__repr__``, and every function name the package defines is n
 by the package, outside its own body, or by the benchmark.
 
 No linter ships with the project, so these are the checks that keep dead
-imports and functions only tests call out, scopes out of the engine, the
-solved form private to the store, ``check`` on the one name-use walk and
-every model fault on one error path.  ``__init__.py`` is exempt from the
+imports and functions only tests call out, scopes out of the engine, every
+guard read by the one rule for its continuous atoms, the solved form
+private to the store, ``check`` on the one name-use walk and every model
+fault on one error path.  ``__init__.py`` is exempt from the
 first: its imports are the public API.
 """
 import ast
@@ -71,8 +73,8 @@ def test_no_unused_imports(path):
 HIDE_MODULES = {"__init__.py", "parser.py", "syntax.py"}
 
 
-def hide_mentions(source: str, allowed_function: str = "") -> list:
-    """Lines that name ``Hide`` outside the function ``allowed_function``; imports aside."""
+def name_mentions(source: str, name: str, allowed_function: str = "") -> list:
+    """Lines that name ``name`` outside the function ``allowed_function``; imports aside."""
     tree = ast.parse(source)
     allowed = {
         id(inner)
@@ -84,20 +86,38 @@ def hide_mentions(source: str, allowed_function: str = "") -> list:
         node.lineno
         for node in ast.walk(tree)
         if id(node) not in allowed
-        and (isinstance(node, ast.Name) and node.id == "Hide" or isinstance(node, ast.Attribute) and node.attr == "Hide")
+        and (isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.Attribute) and node.attr == name)
     )
 
 
 def test_detector_finds_hide_outside_the_allowed_function():
     source = "from .syntax import Hide\ndef f(a):\n    return Hide\ndef g(a):\n    return syntax.Hide, Hide\n"
-    assert hide_mentions(source, "f") == [5, 5]
+    assert name_mentions(source, "Hide", "f") == [5, 5]
 
 
 def test_only_parser_syntax_and_open_scopes_name_hide():
     mentions = {
-        path.name: hide_mentions(path.read_text(), "open_scopes" if path.name == "semantics.py" else "")
+        path.name: name_mentions(path.read_text(), "Hide", "open_scopes" if path.name == "semantics.py" else "")
         for path in SRC.glob("*.py")
         if path.name not in HIDE_MODULES
+    }
+    assert {name: lines for name, lines in mentions.items() if lines} == {}
+
+
+def test_detector_finds_entails_outside_read_guard():
+    source = (
+        "from .constraints import entails\ndef read_guard(g):\n    return entails(s, g)\n"
+        "def guard_holds(g):\n    return constraints.entails(s, g) and entails(s, g)\n"
+    )
+    assert name_mentions(source, "entails", "read_guard") == [5, 5]
+
+
+def test_only_constraints_and_read_guard_call_entails():
+    # a guard is read by one rule: its continuous atoms against the continuous store, the rest entailed
+    mentions = {
+        path.name: name_mentions(path.read_text(), "entails", "read_guard" if path.name == "semantics.py" else "")
+        for path in SRC.glob("*.py")
+        if path.name not in {"__init__.py", "constraints.py"}
     }
     assert {name: lines for name, lines in mentions.items() if lines} == {}
 

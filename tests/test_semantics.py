@@ -11,6 +11,7 @@ from hytccp.constraints import (
     TRUE,
     LinCmp,
     ModelError,
+    TermEq,
     conj,
     constraint_vars,
     entails,
@@ -26,6 +27,7 @@ from hytccp.semantics import (
     discrete_successors,
     guard_holds,
     open_scopes,
+    read_guard,
     start_configuration,
     step_agent,
 )
@@ -248,6 +250,34 @@ def test_change_unbound_value_is_an_error():
         succs(cfg_of("change(T, N, der(T) = 1)"))
 
 
+def test_only_a_tell_that_draws_is_rebuilt(monkeypatch):
+    # the engine builds an equation only where a random() term, in a list cell too, draws
+    built = []
+
+    class Counted(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, TermEq)
+
+    class CountedTermEq(metaclass=Counted):
+        def __new__(cls, var, term):
+            built.append(var)
+            return TermEq(var, term)
+
+    monkeypatch.setattr(semantics, "TermEq", CountedTermEq)
+    quiet = "p(X) :- tell(X = [a, b|T]) || tell(T = []).  init :- tell(Y = 1) || exists Z (p(Z)) || p(W)."
+    assert run(parse_program(quiet), RunOptions(max_time=Fraction(1))).terminal.kind == "all_stop"
+    assert built == []
+    drawing = "init :- tell(X = [random(1, 3)|T]) || tell(Y = a /\\ Z = [b])."
+    run(parse_program(drawing), RunOptions(max_time=Fraction(1), seed=1))
+    assert built == ["X"]
+
+
+def test_a_tell_of_a_long_list_runs():
+    # whether a tell draws is read along a list's cells in a loop, not a frame per cell
+    text = "init :- tell(X = [" + ", ".join(["1"] * 3000) + "])."
+    assert run(parse_program(text), RunOptions()).terminal.kind == "all_stop"
+
+
 # --- hiding
 
 
@@ -416,3 +446,19 @@ def test_guard_holds_compares_continuous_atoms():
     assert not guard_holds(guard, TRUE, {"T": at(11), "V": at(3)})
     # a name missing from the continuous store's map is a discrete atom, which TRUE does not entail
     assert not guard_holds(guard, TRUE, {"T": at(1)})
+
+
+def test_read_guard_normalizes_numeric_equations():
+    # T has a continuous value: its numeric equation is an = comparison, and the store entails the rest
+    guard = parse_constraint("T = 3600 /\\ X = a")
+    entries = {"T": Entry(Fraction(0), Flow(Fraction(1), Fraction(0)))}
+    assert read_guard(guard, conj(TRUE, parse_constraint("X = a")), entries) == [LinCmp("T", "=", Fraction(3600))]
+    assert read_guard(guard, TRUE, entries) is None
+
+
+def test_read_guard_rejects_non_numeric_continuous_binding():
+    entries = {"T": Entry(Fraction(0), Flow(Fraction(1), Fraction(0)))}
+    for text in ("T = a", "T = X", "X = T", "X = [a|T]"):
+        with pytest.raises(ModelError) as fault:
+            read_guard(parse_constraint(text), TRUE, entries)
+        assert str(fault.value) == f"a guard equates continuous variable T with a non-number: {text.replace(' ', '')}"

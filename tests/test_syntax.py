@@ -7,7 +7,7 @@ import pytest
 from hytccp.constraints import TRUE
 from hytccp.flows import ContinuousStore, DelayCause, DelayOutcome, Entry, Interval
 from hytccp.parser import parse_agent, parse_constraint, parse_program
-from hytccp.semantics import ChoiceRecord, Configuration, Outcome
+from hytccp.semantics import ChoiceRecord, Configuration, DelayResult, Outcome
 from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, TerminalEvent
 from hytccp.syntax import (
     GUARD,
@@ -56,6 +56,7 @@ VALUES = {
     "ContinuousStore": lambda: ContinuousStore({"C": Entry(0.5, Flow(Fraction(0), Fraction(-1)))}),
     "Interval": lambda: Interval(Fraction(0), end=Fraction(5), end_open=True),
     "DelayOutcome": lambda: DelayOutcome(Fraction(7), DelayCause.HORIZON),
+    "DelayResult": lambda: DelayResult(DelayOutcome(Fraction(7), DelayCause.HORIZON), "delay"),
     "Configuration": lambda: Configuration(Call("p", ()), parse_constraint("X = a"), ContinuousStore({}), Fraction(3)),
     "ChoiceRecord": lambda: ChoiceRecord(("L", "then"), 1, 2),
     "Outcome": lambda: Outcome(STOP, parse_constraint("X = a"), (("C", Fraction(0), KEEP),), (ChoiceRecord((), 0, 2),)),
