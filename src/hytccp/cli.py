@@ -54,11 +54,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one trace")
     add_common(p_run)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--policy", choices=["first", "random"], default="first")
-    p_run.add_argument("--max-time", type=_number(Fraction, lambda t: t >= 0, "a non-negative rational"), default=Fraction(3600))
-    p_run.add_argument("--max-steps", type=_count, default=1_000_000)
-    p_run.add_argument("--horizon", type=_number(Fraction, lambda t: t > 0, "a positive rational"), default=None)
+    defaults = RunOptions()
+    p_run.add_argument("--seed", type=int, default=defaults.seed)
+    p_run.add_argument("--policy", choices=["first", "random"], default=defaults.policy)
+    p_run.add_argument("--max-time", type=_number(Fraction, lambda t: t >= 0, "a non-negative rational"), default=defaults.max_time)
+    p_run.add_argument("--max-steps", type=_count, default=defaults.max_discrete_steps)
+    p_run.add_argument("--horizon", type=_number(Fraction, lambda t: t > 0, "a positive rational"), default=defaults.horizon)
     p_run.add_argument("--format", choices=["jsonl", "csv"], default="jsonl")
 
     p_explore = sub.add_parser("explore", help="bounded exhaustive reachability")

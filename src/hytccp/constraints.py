@@ -18,9 +18,10 @@ The package has no constraint class, and no ``.atoms``: a store is no tell,
 iterating one gives its atoms, and ``constraint_vars`` reads the names of
 either.
 
-Terms and atomic constraints are immutable; they cache their hash at
-construction because stores grow monotonically and the same atoms are
-re-examined on every step.
+Terms and atomic constraints are immutable; six of them cache their hash at
+construction (see ``Record``), as stores grow monotonically and the same atoms
+are re-examined on every step.  Every walk over a term loops over its list
+cells, so no list's length nor store's binding depth reaches the Python stack.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ class Record:
     ``__slots__`` that do not start with ``_`` (a slot that does keeps a value computed
     from the fields).  Two records are equal when their classes are the same and their
     fields are equal, so records of two classes with equal fields are never equal.
-    The terms and atoms below keep their own ``==`` and hash, for speed: most read a
-    hash cached at construction."""
+    Six hot classes keep their own ``==`` and hash, for speed: ``Var``, ``Atom``,
+    ``Num``, ``Cons``, ``TermEq`` and ``LinCmp`` read a hash cached at construction."""
 
     __slots__ = ()
 
@@ -125,14 +126,7 @@ class Cons(Record):
         self._hash = hash(("Cons", hash(head), hash(tail)))
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Cons)
-            and self._hash == other._hash
-            and self.head == other.head
-            and self.tail == other.tail
-        )
+        return self is other or isinstance(other, Cons) and self._hash == other._hash and _same(self, other, {}, {})
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,12 +138,6 @@ class Cons(Record):
 class Wildcard(Record):
     __slots__ = ()
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Wildcard)
-
-    def __hash__(self) -> int:
-        return hash("Wildcard")
-
     def __str__(self) -> str:
         return "_"
 
@@ -157,18 +145,11 @@ class Wildcard(Record):
 class RandomTerm(Record):
     """Placeholder for a uniform integer draw; resolved when the tell executes."""
 
-    __slots__ = ("lo", "hi", "_hash")
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
         self.lo = lo
         self.hi = hi
-        self._hash = hash(("RandomTerm", lo, hi))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RandomTerm) and self.lo == other.lo and self.hi == other.hi
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return f"random({format_rational(self.lo)}, {format_rational(self.hi)})"
@@ -199,6 +180,18 @@ def term_vars(t: Term) -> list:
             stack.append(node.tail)
             stack.append(node.head)
     return out
+
+
+def map_term(t: Term, leaf) -> Term:
+    """``t`` rebuilt cell by cell, each part that is no list cell mapped by ``leaf``, heads left to right."""
+    heads = []
+    while isinstance(t, Cons):
+        heads.append(map_term(t.head, leaf))
+        t = t.tail
+    t = leaf(t)
+    for head in reversed(heads):
+        t = Cons(head, t)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +439,20 @@ def _walk(t: Term, subst: dict) -> Term:
 
 def _text(t: Term, subst: dict) -> str:
     """The text of ``t`` with every name bound in ``subst`` replaced by its term."""
-    t = _walk(t, subst)
-    if not isinstance(t, Cons):
-        return str(t)
-    items = []
-    while isinstance(t, Cons):
-        items.append(_text(t.head, subst))
-        t = _walk(t.tail, subst)
-    if t == NIL:
-        return "[" + ", ".join(items) + "]"
-    return "[" + ", ".join(items) + "|" + str(t) + "]"
+    out = []
+    todo = [t]  # terms, and the punctuation between them as text
+    while todo:
+        t = _walk(todo.pop(), subst)
+        if isinstance(t, Cons):
+            parts = ["["]
+            while isinstance(t, Cons):
+                parts += (t.head, ", ")
+                t = _walk(t.tail, subst)
+            parts[-1] = "]" if t == NIL else f"|{t}]"
+            todo += reversed(parts)
+        else:
+            out.append(str(t))
+    return "".join(out)
 
 
 def _occurs(name: str, t: Term, subst: dict) -> bool:
@@ -490,33 +487,29 @@ def _same(a: Term, b: Term, sa: dict, sb: dict) -> bool:
 
 
 def _unify(a: Term, b: Term, subst: dict) -> bool:
-    a = _walk(a, subst)
-    b = _walk(b, subst)
-    if isinstance(a, Wildcard) or isinstance(b, Wildcard):
-        raise ValueError("wildcard is only legal inside ask/now guards")
-    if isinstance(a, Var) and isinstance(b, Var):
-        if a.name == b.name:
-            return True
-        # deterministic orientation: the lexicographically smaller name is kept
-        if a.name < b.name:
-            subst[b.name] = a
-        else:
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        a, b = _walk(a, subst), _walk(b, subst)
+        if isinstance(a, Wildcard) or isinstance(b, Wildcard):
+            raise ValueError("wildcard is only legal inside ask/now guards")
+        if isinstance(b, Var) and not isinstance(a, Var):
+            a, b = b, a
+        if isinstance(a, Var) and isinstance(b, Var):
+            # deterministic orientation: the lexicographically smaller name is kept
+            if a.name < b.name:
+                subst[b.name] = a
+            elif a.name > b.name:
+                subst[a.name] = b
+        elif isinstance(a, Var):
+            if _occurs(a.name, b, subst):
+                return False
             subst[a.name] = b
-        return True
-    if isinstance(a, Var):
-        if _occurs(a.name, b, subst):
+        elif isinstance(a, Cons) and isinstance(b, Cons):
+            todo += ((a.tail, b.tail), (a.head, b.head))
+        elif not (isinstance(a, (Atom, Num)) and a == b):
             return False
-        subst[a.name] = b
-        return True
-    if isinstance(b, Var):
-        return _unify(b, a, subst)
-    if isinstance(a, Atom) and isinstance(b, Atom):
-        return a.symbol == b.symbol
-    if isinstance(a, Num) and isinstance(b, Num):
-        return a.value == b.value
-    if isinstance(a, Cons) and isinstance(b, Cons):
-        return _unify(a.head, b.head, subst) and _unify(a.tail, b.tail, subst)
-    return False
+    return True
 
 
 def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
@@ -617,17 +610,21 @@ def entails(store, guard) -> bool:
         return name not in theta and is_fresh_name(name) and name not in sigma and name not in store._free
 
     def match(sv: Term, gt: Term) -> bool:
-        if isinstance(gt, Wildcard):
-            return True
-        if isinstance(gt, Var):
-            if unreached(gt.name):
-                theta[gt.name] = sv
-                return True
-            return _same(value(gt.name), sv, sigma, sigma)
-        sv = _walk(sv, sigma)
-        if isinstance(gt, Cons):
-            return isinstance(sv, Cons) and match(sv.head, gt.head) and match(sv.tail, gt.tail)
-        return sv == gt
+        todo = [(sv, gt)]
+        while todo:
+            sv, gt = todo.pop()
+            if isinstance(gt, Var):
+                if unreached(gt.name):
+                    theta[gt.name] = sv
+                elif not _same(value(gt.name), sv, sigma, sigma):
+                    return False
+            elif not isinstance(gt, Wildcard):
+                sv = _walk(sv, sigma)
+                if isinstance(gt, Cons) and isinstance(sv, Cons):
+                    todo += ((sv.tail, gt.tail), (sv.head, gt.head))
+                elif sv != gt:
+                    return False
+        return True
 
     def reached(a: TermEq) -> bool:
         if isinstance(a.term, Var):

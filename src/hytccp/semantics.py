@@ -37,6 +37,7 @@ from .constraints import (
     entails,
     fresh_var,
     is_fresh_name,
+    map_term,
     term_vars,
 )
 from .flows import (
@@ -170,14 +171,10 @@ def resolve_random_terms(c: frozenset, draw: DrawFn) -> frozenset:
     if not drawing:
         return c
 
-    def repl(t: Term) -> Term:
-        if isinstance(t, RandomTerm):
-            return Num(draw(t.lo, t.hi))
-        if isinstance(t, Cons):
-            return Cons(repl(t.head), repl(t.tail))
-        return t
+    def leaf(t: Term) -> Term:
+        return Num(draw(t.lo, t.hi)) if isinstance(t, RandomTerm) else t
 
-    drawn = {a: TermEq(a.var, repl(a.term)) for a in sorted(drawing, key=str)}
+    drawn = {a: TermEq(a.var, map_term(a.term, leaf)) for a in sorted(drawing, key=str)}
     return frozenset(drawn.get(a, a) for a in c)
 
 

@@ -22,11 +22,11 @@ from .constraints import (
     LinCmp,
     Num,
     Var,
-    Cons,
     Record,
     atom_text_order,
     constraint_vars,
     format_rational,
+    map_term,
 )
 
 
@@ -385,14 +385,6 @@ def rebuild(agent: Agent, kids: Sequence[Agent], mapping: dict) -> Agent:
     return agent
 
 
-def _rename_term(t: Term, mapping: dict) -> Term:
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Cons):
-        return Cons(_rename_term(t.head, mapping), _rename_term(t.tail, mapping))
-    return t
-
-
 def rename_atoms(c: frozenset, mapping: dict) -> frozenset:
     """``c``, a tell or a guard, renamed atom by atom, not solved.
 
@@ -403,10 +395,14 @@ def rename_atoms(c: frozenset, mapping: dict) -> frozenset:
     """
     if c is FALSE or not mapping:
         return c
+
+    def leaf(t: Term) -> Term:
+        return Var(mapping.get(t.name, t.name)) if isinstance(t, Var) else t
+
     atoms = []
     for a in c:
         if isinstance(a, TermEq):
-            atoms.append(TermEq(mapping.get(a.var, a.var), _rename_term(a.term, mapping)))
+            atoms.append(TermEq(mapping.get(a.var, a.var), map_term(a.term, leaf)))
         else:
             atoms.append(LinCmp(mapping.get(a.var, a.var), a.op, a.bound))
     return frozenset(atoms)

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, exit codes, output formats."""
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from generators import random_program, recursive_program
 from hytccp import cli
 from hytccp.cli import main, static_diagnostics
 from hytccp.parser import parse_program
+from hytccp.simulator import RunOptions
 
 
 def write(tmp_path, name, text):
@@ -108,6 +110,18 @@ def test_run_divergence_budget_env(tmp_path, monkeypatch):
 def test_a_bad_flag_exits_1(argv, capsys):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_defaults_are_those_of_run_options():
+    args = cli.build_arg_parser().parse_args(["run", "models/stop.hyt"])
+    defaults = RunOptions()
+    assert (args.max_time, args.max_steps, args.horizon, args.policy, args.seed) == (
+        defaults.max_time,
+        defaults.max_discrete_steps,
+        defaults.horizon,
+        defaults.policy,
+        defaults.seed,
+    )
 
 
 def test_help_exits_0(capsys):
@@ -556,3 +570,43 @@ def test_run_draws_the_same_values_under_every_hash_seed(tmp_path):
         )
         outputs.append(out.read_text())
     assert outputs[0] == outputs[1] and '"X=' in outputs[0]
+
+
+def test_run_keeps_the_values_a_seed_draws_along_list_cells(tmp_path):
+    # draws go by the atoms' text, then along each list left to right; the digest is pinned
+    model = write(
+        tmp_path,
+        "draws.hyt",
+        "init :- tell(X = [random(1, 1000), random(1, 1000), random(1, 1000)|T] /\\ Y = random(1, 1000))"
+        " || tell(T = [random(1, 1000)]).\n",
+    )
+    out = tmp_path / "draws.jsonl"
+    assert main(["run", model, "--seed", "1", "--out", str(out)]) == 0
+    trace = out.read_text()
+    assert json.loads(trace.splitlines()[2])["told"] == ["T=[783]", "X=[138, 583, 868|T]", "Y=822"]
+    assert hashlib.sha256(trace.encode()).hexdigest() == "2cf5e276f2ca038ab1f1a3103d02013f043b7fb58d7cee8c9cf0c0f4f5b429f2"
+
+
+ONES = ", ".join(["1"] * 3000)
+LONG_TERM_MODELS = {
+    "drawing_list": f"init :- tell(X = [random(1, 2), {ONES[3:]}]).",
+    "two_tells": f"init :- tell(X = [{ONES}]) || tell(X = [{ONES}]).",
+    "list_argument": f"p(Y) :- tell(Y = [{ONES}]).  init :- p(Z).",
+    "link_chain": "init :- tell(" + " /\\ ".join(f"X{i} = [X{i + 1}]" for i in range(1500)) + ").",
+}
+SUMMARY = {"run": "terminal=all_stop", "check": "OK (", "explore": "complete=True"}
+
+
+@pytest.mark.parametrize("command", [["run"], ["check"], ["explore", "--depth", "3"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name", LONG_TERM_MODELS)
+def test_a_model_with_long_terms_runs_checks_and_explores(tmp_path, capsys, name, command):
+    # a list's length, or a store's binding depth, does not reach the Python stack
+    path = write(tmp_path, f"{name}.hyt", LONG_TERM_MODELS[name] + "\n")
+    out = [] if command[0] == "check" else ["--out", str(tmp_path / "out")]
+    status = main([command[0], path, *command[1:], *out])
+    err = capsys.readouterr().err
+    if name == "drawing_list" and command[0] == "explore":
+        # explore draws no value: the model's one error line
+        assert status == 1 and err == f"error: {path}: random() needs a seeded generator; explore does not draw random values\n"
+    else:
+        assert status == 0 and err.startswith(f"hytccp {command[0]}: ") and SUMMARY[command[0]] in err

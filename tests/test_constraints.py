@@ -1,5 +1,6 @@
 """Constraint system: stores, conjunction, entailment."""
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hytccp.constraints import (
     Var,
     WILDCARD,
     atom_text_order,
+    bound_number,
     compare,
     conj,
     constraint_vars,
@@ -415,3 +417,45 @@ def test_float_memo_takes_no_part_in_equality_hashing_or_printing():
     assert atom._float == 22.0
     assert (atom == twin, twin == atom, hash(atom), repr(atom), str(atom)) == before
     assert before[:3] == (True, True, hash(twin))
+
+
+# ---------------------------------------------------------------------------
+# terms longer than the Python stack is deep: every walk loops over list cells
+
+LONG = sys.getrecursionlimit() + 100
+ONES = [Num(Fraction(1))] * LONG
+
+
+def cells(heads, tail=NIL):
+    """The list of ``heads`` ending in ``tail``, built cell by cell."""
+    for head in reversed(heads):
+        tail = Cons(head, tail)
+    return tail
+
+
+def test_long_lists_built_apart_are_equal():
+    assert cells(ONES) is not cells(ONES) and cells(ONES) == cells(ONES)
+    assert TermEq("X", cells(ONES)) == TermEq("X", cells(ONES))
+
+
+def test_conj_unifies_two_long_lists():
+    store = solve([TermEq("X", cells(ONES)), TermEq("X", cells(ONES[1:] + [Var("Y")]))])
+    assert bound_number(store, "Y") == 1
+    assert conj(store, frozenset([TermEq("X", cells(ONES))])) is store
+
+
+def test_entails_matches_a_long_list_guard():
+    store = solve([TermEq("X", cells(ONES))])
+    assert entails(store, frozenset([TermEq("X", cells([WILDCARD] * (LONG - 1) + [Var("Y#1")]))]))
+    assert not entails(store, frozenset([TermEq("X", cells([WILDCARD] * (LONG - 1) + [Num(Fraction(2))]))]))
+
+
+def test_rename_atoms_renames_every_cell_of_a_long_list():
+    told = frozenset([TermEq("X", cells([Var("A")] * LONG, Var("A")))])
+    assert rename_atoms(told, {"X": "Y", "A": "B"}) == {TermEq("Y", cells([Var("B")] * LONG, Var("B")))}
+
+
+def test_a_store_prints_links_nested_deeper_than_the_stack():
+    # X0 = [X1], X1 = [X2], ...: X0's final term nests once per link
+    store = solve(TermEq(f"X{i}", Cons(Var(f"X{i + 1}"), NIL)) for i in range(LONG))
+    assert f"X0={'[' * LONG}X{LONG}{']' * LONG}" in str(store).split(" /\\ ")

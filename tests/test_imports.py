@@ -6,14 +6,15 @@ only ``constraints`` names the solved form (``solve``, ``_merge``,
 ``bindings``), the CLI reads names through ``syntax.uses`` alone,
 the package defines three exception classes, one of them ``ModelError``,
 which ``cli.main`` catches once, only ``Record``, ``_False`` (of ``FALSE``) and
-the store write a ``__repr__``, and every function name the package defines is named
-by the package, outside its own body, or by the benchmark.
+the store write a ``__repr__``, every function name the package defines is named
+by the package, outside its own body, or by the benchmark, and no function calls
+itself on a list's tail.
 
 No linter ships with the project, so these are the checks that keep dead
 imports and functions only tests call out, scopes out of the engine, every
 guard read by the one rule for its continuous atoms, the solved form
-private to the store, ``check`` on the one name-use walk and every model
-fault on one error path.  ``__init__.py`` is exempt from the
+private to the store, ``check`` on the one name-use walk, every model
+fault on one error path and every list walked in a loop.  ``__init__.py`` is exempt from the
 first: its imports are the public API.
 """
 import ast
@@ -258,3 +259,43 @@ def test_every_value_prints_its_repr_through_record():
     # one repr for every value: its fields, by ``Record``; FALSE prints its name, a store its text
     found = sorted(name for path in SRC.glob("*.py") for name in repr_classes(path.read_text()))
     assert found == ["Record", "_False", "_Store"]
+
+
+def tail_recursions(source: str) -> list:
+    """Names of the functions ``source`` defines, nested ones included, that call
+    themselves with an argument reading ``.tail``: one Python frame per list cell."""
+    found = []
+    for definition in ast.walk(ast.parse(source)):
+        if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for call in ast.walk(definition):
+            called = getattr(call, "func", None)
+            if (
+                isinstance(call, ast.Call)
+                and definition.name in (getattr(called, "id", None), getattr(called, "attr", None))
+                and any(
+                    isinstance(part, ast.Attribute) and part.attr == "tail"
+                    for arg in (*call.args, *(k.value for k in call.keywords))
+                    for part in ast.walk(arg)
+                )
+            ):
+                found.append(definition.name)
+                break
+    return sorted(found)
+
+
+def test_detector_finds_a_call_on_a_tail():
+    source = (
+        "def length(t):\n    return 1 + length(t.tail) if t else 0\n"
+        "def outer(t):\n    def inner(t):\n        return inner(t=t.head.tail)\n    return inner(t)\n"
+        "class C:\n    def walk(self, t):\n        return self.walk(t.tail)\n"
+        "def heads(t):\n    return heads(t.head)\n"
+        "def loop(t):\n    while t:\n        t = t.tail\n    return length(t.tail)\n"
+    )
+    assert tail_recursions(source) == ["inner", "length", "walk"]
+
+
+def test_no_function_calls_itself_on_a_tail():
+    # a list's length must not reach the Python stack: walk its cells in a loop
+    found = {path.name: tail_recursions(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: functions for name, functions in found.items() if functions} == {}

@@ -1,5 +1,6 @@
 """Transition engine: discrete step rules, hiding, continuous steps, delays."""
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -276,6 +277,24 @@ def test_a_tell_of_a_long_list_runs():
     # whether a tell draws is read along a list's cells in a loop, not a frame per cell
     text = "init :- tell(X = [" + ", ".join(["1"] * 3000) + "])."
     assert run(parse_program(text), RunOptions()).terminal.kind == "all_stop"
+
+
+def test_draws_go_by_the_atoms_text_then_along_each_list():
+    # pinned values: the drawing atoms in text order, each list's heads left to right, nested lists in place
+    tell = parse_agent(
+        "tell(X = [random(1, 1000), random(1, 1000), [random(1, 5), random(6, 9)]|T]"
+        " /\\ Y = random(1, 1000) /\\ T = [random(1, 1000)] /\\ Z = [a, b])"
+    )
+    rng = random.Random(1)
+    drawn = semantics.resolve_random_terms(tell.constraint, lambda lo, hi: Fraction(rng.randint(int(lo), int(hi))))
+    assert sorted(map(str, drawn)) == ["T=[138]", "X=[583, 868, [1, 8]|T]", "Y=121", "Z=[a, b]"]
+
+
+def test_a_long_list_draws_in_every_cell():
+    n = sys.getrecursionlimit() + 100
+    tell = parse_agent("tell(X = [" + ", ".join(["random(1, 3)"] * n) + "])")
+    (drawn,) = semantics.resolve_random_terms(tell.constraint, lambda lo, hi: hi)
+    assert str(drawn) == "X=[" + ", ".join(["3"] * n) + "]"
 
 
 # --- hiding
