@@ -7,9 +7,7 @@ from .constraints import (
     ModelError,
     TermEq,
     LinCmp,
-    Var,
     Atom,
-    Num,
     Cons,
     NIL,
     WILDCARD,

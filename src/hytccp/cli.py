@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Iterator, List, Optional
 
-from .constraints import ModelError, Num, TermEq, as_written, atom_vars, constraint_vars, format_rational, fresh_var
+from .constraints import ModelError, TermEq, as_written, atom_vars, constraint_vars, fresh_var
 from .parser import ParseError, parse_program
 from .semantics import guard_fault, open_scopes
 from .simulator import DEFAULT_DIVERGENCE_BUDGET, RunOptions, explore, run
@@ -107,7 +107,7 @@ def _roles(body) -> Iterator[tuple]:
         yield from ((x, role) for x in constraint_vars(item))
         if role is GUARD:
             for atom in item:
-                if isinstance(atom, TermEq) and not isinstance(atom.term, Num):
+                if isinstance(atom, TermEq) and not isinstance(atom.term, Fraction):
                     yield from ((x, partial(_guard_fault, atom, x)) for x in atom_vars(atom))
 
 
@@ -194,7 +194,7 @@ def cmd_check(args, program: Program) -> int:
 def cmd_parse(args, program: Program) -> int:
     lines = []
     for name, value in program.constants.items():
-        lines.append(f"const {name} = {format_rational(value)};")
+        lines.append(f"const {name} = {value};")
     for decl in program.declarations:
         params = f"({', '.join(decl.params)})" if decl.params else ""
         lines.append(f"{decl.name}{params} :- {pretty(decl.body)}.")

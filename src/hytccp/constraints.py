@@ -18,10 +18,12 @@ The package has no constraint class, and no ``.atoms``: a store is no tell,
 iterating one gives its atoms, and ``constraint_vars`` reads the names of
 either.
 
-Terms and atomic constraints are immutable; six of them cache their hash at
-construction (see ``Record``), as stores grow monotonically and the same atoms
-are re-examined on every step.  Every walk over a term loops over its list
-cells, so no list's length nor store's binding depth reaches the Python stack.
+A variable in a term is its name, a ``str``, and a number its ``Fraction``.
+Terms and atomic constraints are immutable; four classes of them cache their
+hash at construction (see ``Record``), as stores grow monotonically and the
+same atoms are re-examined on every step.  Every walk over a term loops over
+its list cells, so no list's length nor store's binding depth reaches the
+Python stack.
 """
 from __future__ import annotations
 
@@ -38,8 +40,8 @@ class Record:
     ``__slots__`` that do not start with ``_`` (a slot that does keeps a value computed
     from the fields).  Two records are equal when their classes are the same and their
     fields are equal, so records of two classes with equal fields are never equal.
-    Six hot classes keep their own ``==`` and hash, for speed: ``Var``, ``Atom``,
-    ``Num``, ``Cons``, ``TermEq`` and ``LinCmp`` read a hash cached at construction."""
+    Four hot classes keep their own ``==`` and hash, for speed: ``Atom``, ``Cons``,
+    ``TermEq`` and ``LinCmp`` read a hash cached at construction."""
 
     __slots__ = ()
 
@@ -66,23 +68,6 @@ class Record:
 # terms
 
 
-class Var(Record):
-    __slots__ = ("name", "_hash")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("Var", name))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Var) and self.name == other.name
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return self.name
-
-
 class Atom(Record):
     __slots__ = ("symbol", "_hash")
 
@@ -98,23 +83,6 @@ class Atom(Record):
 
     def __str__(self) -> str:
         return self.symbol
-
-
-class Num(Record):
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: Fraction):
-        self.value = value
-        self._hash = hash(("Num", value))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Num) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __str__(self) -> str:
-        return format_rational(self.value)
 
 
 class Cons(Record):
@@ -152,20 +120,14 @@ class RandomTerm(Record):
         self.hi = hi
 
     def __str__(self) -> str:
-        return f"random({format_rational(self.lo)}, {format_rational(self.hi)})"
+        return f"random({self.lo}, {self.hi})"
 
 
-Term = Union[Var, Atom, Num, Cons, Wildcard, RandomTerm]
+Term = Union[str, Atom, Fraction, Cons, Wildcard, RandomTerm]
 
 NIL = Atom("[]")
 
 WILDCARD = Wildcard()
-
-
-def format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def term_vars(t: Term) -> list:
@@ -174,8 +136,8 @@ def term_vars(t: Term) -> list:
     stack = [t]
     while stack:
         node = stack.pop()
-        if isinstance(node, Var):
-            out.append(node.name)
+        if isinstance(node, str):
+            out.append(node)
         elif isinstance(node, Cons):
             stack.append(node.tail)
             stack.append(node.head)
@@ -310,7 +272,7 @@ class LinCmp(Record):
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.var}{OP_TEXT[self.op]}{format_rational(self.bound)}"
+        return f"{self.var}{OP_TEXT[self.op]}{self.bound}"
 
 
 AtomicConstraint = Union[TermEq, LinCmp]
@@ -432,15 +394,17 @@ class ModelError(Exception):
 
 
 def _walk(t: Term, subst: dict) -> Term:
-    while isinstance(t, Var) and t.name in subst:
-        t = subst[t.name]
+    while isinstance(t, str) and t in subst:
+        t = subst[t]
     return t
 
 
 def _text(t: Term, subst: dict) -> str:
     """The text of ``t`` with every name bound in ``subst`` replaced by its term."""
     out = []
-    todo = [t]  # terms, and the punctuation between them as text
+    # terms, and the punctuation between them as text: no name is "[", ", ", "]" or "|…]",
+    # so walking punctuation finds no binding
+    todo = [t]
     while todo:
         t = _walk(todo.pop(), subst)
         if isinstance(t, Cons):
@@ -459,7 +423,7 @@ def _occurs(name: str, t: Term, subst: dict) -> bool:
     todo = [t]
     while todo:
         t = _walk(todo.pop(), subst)
-        if isinstance(t, Var) and t.name == name:
+        if t == name:
             return True
         if isinstance(t, Cons):
             todo += (t.tail, t.head)
@@ -493,33 +457,33 @@ def _unify(a: Term, b: Term, subst: dict) -> bool:
         a, b = _walk(a, subst), _walk(b, subst)
         if isinstance(a, Wildcard) or isinstance(b, Wildcard):
             raise ValueError("wildcard is only legal inside ask/now guards")
-        if isinstance(b, Var) and not isinstance(a, Var):
+        if isinstance(b, str) and not isinstance(a, str):
             a, b = b, a
-        if isinstance(a, Var) and isinstance(b, Var):
+        if isinstance(a, str) and isinstance(b, str):
             # deterministic orientation: the lexicographically smaller name is kept
-            if a.name < b.name:
-                subst[b.name] = a
-            elif a.name > b.name:
-                subst[a.name] = b
-        elif isinstance(a, Var):
-            if _occurs(a.name, b, subst):
+            if a < b:
+                subst[b] = a
+            elif a > b:
+                subst[a] = b
+        elif isinstance(a, str):
+            if _occurs(a, b, subst):
                 return False
-            subst[a.name] = b
+            subst[a] = b
         elif isinstance(a, Cons) and isinstance(b, Cons):
             todo += ((a.tail, b.tail), (a.head, b.head))
-        elif not (isinstance(a, (Atom, Num)) and a == b):
+        elif not (isinstance(a, (Atom, Fraction)) and a == b):
             return False
     return True
 
 
 def _resolve_cmp(c: LinCmp, subst: dict, solved: set) -> bool:
     """Normalize one comparison against the substitution; False means FALSE."""
-    rep = _walk(Var(c.var), subst)
-    if isinstance(rep, Num):
+    rep = _walk(c.var, subst)
+    if isinstance(rep, Fraction):
         # satisfied ground comparisons carry no information and are dropped
-        return compare(rep.value, c.op, c.bound)
-    if isinstance(rep, Var):
-        solved.add(c if rep.name == c.var else LinCmp(rep.name, c.op, c.bound))
+        return compare(rep, c.op, c.bound)
+    if isinstance(rep, str):
+        solved.add(c if rep == c.var else LinCmp(rep, c.op, c.bound))
         return True
     return False  # comparing a non-numeric term against a number
 
@@ -558,7 +522,7 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Union[_Store, _False
     told_cmps = []
     for a in atoms:
         if isinstance(a, TermEq):
-            if not _unify(Var(a.var), a.term, subst):
+            if not _unify(a.var, a.term, subst):
                 return FALSE
         elif isinstance(a, LinCmp):
             told_cmps.append(a)
@@ -579,8 +543,8 @@ def _merge(c: _Store, atoms: Iterable[AtomicConstraint]) -> Union[_Store, _False
 
 def bound_number(store, name: str) -> Optional[Fraction]:
     """The number the store (or FALSE) binds ``name`` to, or None."""
-    term = _walk(Var(name), store._b) if store.consistent else None
-    return term.value if isinstance(term, Num) else None
+    term = _walk(name, store._b) if store.consistent else None
+    return term if isinstance(term, Fraction) else None
 
 
 @lru_cache(maxsize=65536)
@@ -604,7 +568,8 @@ def entails(store, guard) -> bool:
     theta: dict = {}
 
     def value(name: str) -> Term:
-        return _walk(theta.get(name) or Var(name), sigma)
+        # no ``or`` here: a placeholder's value may be Fraction(0), which is falsy
+        return _walk(theta.get(name, name), sigma)
 
     def unreached(name: str) -> bool:
         return name not in theta and is_fresh_name(name) and name not in sigma and name not in store._free
@@ -613,10 +578,10 @@ def entails(store, guard) -> bool:
         todo = [(sv, gt)]
         while todo:
             sv, gt = todo.pop()
-            if isinstance(gt, Var):
-                if unreached(gt.name):
-                    theta[gt.name] = sv
-                elif not _same(value(gt.name), sv, sigma, sigma):
+            if isinstance(gt, str):
+                if unreached(gt):
+                    theta[gt] = sv
+                elif not _same(value(gt), sv, sigma, sigma):
                     return False
             elif not isinstance(gt, Wildcard):
                 sv = _walk(sv, sigma)
@@ -627,26 +592,26 @@ def entails(store, guard) -> bool:
         return True
 
     def reached(a: TermEq) -> bool:
-        if isinstance(a.term, Var):
-            return not unreached(a.var) or not unreached(a.term.name)
+        if isinstance(a.term, str):
+            return not unreached(a.var) or not unreached(a.term)
         # a generated name the store leaves unbound waits; if mentioned, only ``_`` matches it
         return a.var in theta or a.var in sigma or not is_fresh_name(a.var)
 
     todo = {a for a in guard if isinstance(a, TermEq)}
     while (atom := next(filter(reached, todo), None)) is not None:
         todo.remove(atom)
-        var, term = (atom.term.name, Var(atom.var)) if unreached(atom.var) else (atom.var, atom.term)
+        var, term = (atom.term, atom.var) if unreached(atom.var) else (atom.var, atom.term)
         if not match(value(var), term):
             return False
     # of what nothing reached, placeholder = placeholder holds, and so does a mentioned name = _
-    if not all(isinstance(a.term, Var) or (isinstance(a.term, Wildcard) and not unreached(a.var)) for a in todo):
+    if not all(isinstance(a.term, str) or (isinstance(a.term, Wildcard) and not unreached(a.var)) for a in todo):
         return False
     for atom in (a for a in guard if isinstance(a, LinCmp)):
         rep = value(atom.var)
-        if isinstance(rep, Num):
-            if not compare(rep.value, atom.op, atom.bound):
+        if isinstance(rep, Fraction):
+            if not compare(rep, atom.op, atom.bound):
                 return False
-        elif not isinstance(rep, Var) or LinCmp(rep.name, atom.op, atom.bound) not in store._cmps:
+        elif not isinstance(rep, str) or LinCmp(rep, atom.op, atom.bound) not in store._cmps:
             return False
     return True
 

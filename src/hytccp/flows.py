@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .constraints import LinCmp, ModelError, Record, compare, format_rational
+from .constraints import LinCmp, ModelError, Record, compare
 from .syntax import Flow, KEEP, Keep
 
 Value = Union[Fraction, float]
@@ -31,7 +31,7 @@ OUT_OF_RANGE = "a value or bound of an exponential flow is beyond the float rang
 
 def value_json(v: Value) -> Union[str, float]:
     """A value as traces and state keys print it: a rational's text, or a float."""
-    return format_rational(v) if isinstance(v, Fraction) else float(v)
+    return str(v) if isinstance(v, Fraction) else float(v)
 
 
 class Entry(Record):

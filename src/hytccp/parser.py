@@ -24,9 +24,7 @@ from .constraints import (
     TermEq,
     LinCmp,
     Term,
-    Var,
     Atom,
-    Num,
     Cons,
     NIL,
     WILDCARD,
@@ -385,13 +383,13 @@ class Parser:
                 self.error(f"no integer in random range [{lo}, {hi}]", start)
             return RandomTerm(lo, hi)
         if tok[:1] in _DIGITS or tok == "-":
-            return Num(self.parse_number())
+            return self.parse_number()
         if tok[:1] in _IDENT_START:
             self.pos += 1
             if tok in self.constants:
-                return Num(self.constants[tok])
+                return self.constants[tok]
             if _is_variable(tok):
-                return Var(tok)
+                return tok
             return Atom(tok)
         self.error(f"expected a term, found {tok!r}")
 

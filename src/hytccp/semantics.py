@@ -24,7 +24,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .constraints import (
     FALSE,
     TRUE,
-    Num,
     Cons,
     RandomTerm,
     Term,
@@ -172,7 +171,7 @@ def resolve_random_terms(c: frozenset, draw: DrawFn) -> frozenset:
         return c
 
     def leaf(t: Term) -> Term:
-        return Num(draw(t.lo, t.hi)) if isinstance(t, RandomTerm) else t
+        return draw(t.lo, t.hi) if isinstance(t, RandomTerm) else t
 
     drawn = {a: TermEq(a.var, map_term(a.term, leaf)) for a in sorted(drawing, key=str)}
     return frozenset(drawn.get(a, a) for a in c)
@@ -220,8 +219,8 @@ def read_guard(guard: frozenset, store, entries: Dict[str, Entry]) -> Optional[L
     for atom in guard:
         if atom.var in names and isinstance(atom, LinCmp):
             cont.append(atom)
-        elif atom.var in names and isinstance(atom.term, Num):
-            cont.append(LinCmp(atom.var, "=", atom.term.value))
+        elif atom.var in names and isinstance(atom.term, Fraction):
+            cont.append(LinCmp(atom.var, "=", atom.term))
         elif isinstance(atom, LinCmp) or names.isdisjoint((atom.var, *term_vars(atom.term))):
             disc.append(atom)
         else:

@@ -20,12 +20,9 @@ from .constraints import (
     Term,
     TermEq,
     LinCmp,
-    Num,
-    Var,
     Record,
     atom_text_order,
     constraint_vars,
-    format_rational,
     map_term,
 )
 
@@ -73,7 +70,7 @@ class Flow(Record):
 
     @cached_property
     def text(self) -> str:
-        return f"{format_rational(self.a)}+{format_rational(self.b)}*x"
+        return f"{self.a}+{self.b}*x"
 
     def __str__(self) -> str:
         return self.text
@@ -99,11 +96,11 @@ class LinExpr(Record):
             sign = "-" if coef < 0 else "+"
             mag = abs(coef)
             if var is None:
-                body = format_rational(mag)
+                body = str(mag)
             elif mag == 1:
                 body = var
             else:
-                body = f"{format_rational(mag)}*{var}"
+                body = f"{mag}*{var}"
             parts.append(body if i == 0 and sign == "+" else f"{sign} {body}" if i else f"-{body}")
         return " ".join(parts)
 
@@ -321,7 +318,7 @@ def uses(agent: Agent) -> list:
         elif isinstance(node, Choice):
             stack += [(b.body, bound) for b in reversed(node.ask_branches)]
             own = [(c, GUARD) for c in (*(b.guard for b in node.ask_branches), *node.cont_branches)]
-            reads = (a.var for c in node.cont_branches for a in c if isinstance(a, LinCmp) or isinstance(a.term, Num))
+            reads = (a.var for c in node.cont_branches for a in c if isinstance(a, LinCmp) or isinstance(a.term, Fraction))
             own += [(x, INVARIANT) for x in reads]
         elif isinstance(node, Now):
             stack += ((node.orelse, bound), (node.then, bound))
@@ -397,7 +394,7 @@ def rename_atoms(c: frozenset, mapping: dict) -> frozenset:
         return c
 
     def leaf(t: Term) -> Term:
-        return Var(mapping.get(t.name, t.name)) if isinstance(t, Var) else t
+        return mapping.get(t, t) if isinstance(t, str) else t
 
     atoms = []
     for a in c:
@@ -422,7 +419,7 @@ def _pp_constraint(c: frozenset) -> str:
 def _pp_atom(a) -> str:
     if isinstance(a, TermEq):
         return f"{a.var} = {a.term}"
-    return f"{a.var} {OP_TEXT[a.op]} {format_rational(a.bound)}"
+    return f"{a.var} {OP_TEXT[a.op]} {a.bound}"
 
 
 def pretty(agent: Agent) -> str:
@@ -458,7 +455,7 @@ def _pretty(agent: Agent) -> str:
     if isinstance(agent, Call):
         return f"{agent.name}({', '.join(agent.args)})" if agent.args else agent.name
     if isinstance(agent, Change):
-        val = agent.value if isinstance(agent.value, str) else "_" if agent.value is KEEP else format_rational(agent.value)
+        val = "_" if agent.value is KEEP else agent.value
         flow = "_" if agent.flow is KEEP else f"der({agent.var}) = {agent.flow}"
         return f"change({agent.var}, {val}, {flow})"
 

@@ -26,9 +26,7 @@ from hytccp.constraints import (
     Atom,
     Cons,
     LinCmp,
-    Num,
     TermEq,
-    Var,
     WILDCARD,
     constraint_vars,
 )
@@ -59,11 +57,11 @@ def _term(rng: random.Random, wildcard_ok: bool):
     if r < 0.40:
         return Atom(rng.choice(ATOM_NAMES))
     if r < 0.70:
-        tail = WILDCARD if wildcard_ok and rng.random() < 0.5 else Var(rng.choice(DISCRETE_VARS))
+        tail = WILDCARD if wildcard_ok and rng.random() < 0.5 else rng.choice(DISCRETE_VARS)
         return Cons(Atom(rng.choice(ATOM_NAMES)), tail)
     if r < 0.85:
-        return Num(Fraction(rng.randint(0, 5)))
-    return Var(rng.choice(DISCRETE_VARS))
+        return Fraction(rng.randint(0, 5))
+    return rng.choice(DISCRETE_VARS)
 
 
 def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
@@ -84,7 +82,7 @@ def random_constraint(rng: random.Random, cont_vars, wildcard_ok: bool):
             bound = Fraction(rng.randint(0, 8))
             # equations on continuous variables are written as term equations,
             # matching what the parser produces for `V = 7`
-            atoms.append(TermEq(var, Num(bound)) if op == "=" else LinCmp(var, op, bound))
+            atoms.append(TermEq(var, bound) if op == "=" else LinCmp(var, op, bound))
         else:
             atoms.append(TermEq(lhs[i], _term(rng, wildcard_ok)))
     return frozenset(atoms)

@@ -394,6 +394,16 @@ def test_run_guard_renamed_onto_one_argument(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_a_placeholder_whose_value_is_zero(tmp_path):
+    # the guard's A takes the store's Z, 0, which a number equals however falsy it is
+    text = "init :- tell(Z = 0) || exists A (ask(A = Z /\\ A = 0) -> tell(Done = yes))."
+    out = str(tmp_path / "t.jsonl")
+    assert main(["run", write(tmp_path, "p.hyt", text), "--out", out]) == 0
+    events = [json.loads(line) for line in open(out).read().strip().split("\n")]
+    assert events[-1]["cause"] == "all_stop"
+    assert any("Done=yes" in ev.get("told", ()) for ev in events)
+
+
 @pytest.mark.parametrize("bound, outer", [("A", "Z"), ("Z", "A")])
 def test_run_var_var_guard_on_a_bound_name(tmp_path, bound, outer):
     # alpha-variants: the guard fires however the names are spelled

@@ -204,7 +204,7 @@ def test_a_body_with_a_scope_draws_new_names_at_every_unfolding():
     first, second = unfold(Call("p", ("X",)), prog), unfold(Call("p", ("X",)), prog)
     assert prog.lookup("p", 1)[0]._instances is None
     (one,), (two,) = first.constraint, second.constraint
-    assert one.term.tail != two.term.tail and is_fresh_name(one.term.tail.name) and is_fresh_name(two.term.tail.name)
+    assert one.term.tail != two.term.tail and is_fresh_name(one.term.tail) and is_fresh_name(two.term.tail)
 
 
 def test_a_call_with_a_generated_argument_keeps_no_instance():
@@ -307,11 +307,11 @@ def test_hide_publishes_under_stable_fresh_names():
     published = outcome.told
     assert "X" not in constraint_vars(published)
     # the local fact is published under a generated stand-in for X
-    from hytccp.constraints import Atom, Cons, Var, is_fresh_name
+    from hytccp.constraints import Atom, Cons, is_fresh_name
 
     (atom,) = published
     assert is_fresh_name(atom.var)
-    assert atom.term == Cons(Atom("a"), Var("Y"))
+    assert atom.term == Cons(Atom("a"), "Y")
 
 
 def test_hide_local_knowledge_visible_inside_only():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hytccp import constraints, flows, simulator, syntax
-from hytccp.constraints import FRESH_NAME, atom_text_order, constraint_vars, format_rational, is_fresh_name, reset_fresh_counter
+from hytccp.constraints import FRESH_NAME, atom_text_order, constraint_vars, is_fresh_name, reset_fresh_counter
 from hytccp.parser import parse_program
 from hytccp.semantics import Configuration, discrete_successors, start_configuration
 from hytccp.simulator import (
@@ -310,14 +310,14 @@ def test_a_configuration_keyed_again_formats_only_its_clock(monkeypatch):
     [(succ, _)] = discrete_successors(cfg, prog)  # the ask
     assert succ.continuous is cfg.continuous
     formatted = []
+    value_json = flows.value_json
 
     def probe(q):
         formatted.append(q)
-        return format_rational(q)
+        return value_json(q)
 
-    for module in (constraints, syntax, flows, simulator):
-        if getattr(module, "format_rational", None) is format_rational:
-            monkeypatch.setattr(module, "format_rational", probe)
+    for module in (flows, simulator):
+        monkeypatch.setattr(module, "value_json", probe)
     key = canonical_key(cfg)
     assert len(formatted) > 1
     formatted.clear()
