@@ -6,8 +6,8 @@
 Exit codes: 0 normal termination (all-stop, suspension, max-time/steps),
 1 tool, input or model error (a model or --out path that is missing,
 unreadable or a directory, a model that is not UTF-8 text, a parse error,
-a bad flag or HYTCCP_DIVERGENCE_BUDGET, a ``ModelError``), 2 model
-pathology (timelock, instantaneous divergence).
+a model nested too deep, a bad flag or HYTCCP_DIVERGENCE_BUDGET, a
+``ModelError``), 2 model pathology (timelock, instantaneous divergence).
 """
 from __future__ import annotations
 
@@ -170,8 +170,8 @@ def cmd_run(args, program: Program) -> int:
     payload = trace.to_jsonl() if args.format == "jsonl" else trace.to_csv()
     _write(payload, args.out)
     terminal = trace.terminal  # run always ends its trace with one
-    print(f"hytccp run: {len(trace.events)} events, terminal={terminal.kind}, clock={terminal.clock}", file=sys.stderr)
-    return 2 if terminal.kind in ("timelock", "instant_divergence") else 0
+    print(f"hytccp run: {len(trace.events)} events, terminal={terminal['cause']}, clock={terminal['t']}", file=sys.stderr)
+    return 2 if terminal["cause"] in ("timelock", "instant_divergence") else 0
 
 
 def cmd_explore(args, program: Program) -> int:
@@ -222,6 +222,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except ModelError as exc:
         print(f"error: {args.input}: {as_written(str(exc))}", file=sys.stderr)
+        return 1
+    except RecursionError:  # a walk over the agent takes stack frames per level of nesting
+        print(f"error: {args.input}: nesting too deep", file=sys.stderr)
         return 1
 
 

@@ -11,7 +11,8 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from typing import List, Optional, Set, Tuple, Union
+from itertools import pairwise
+from typing import List, Optional, Set, Tuple
 
 from .constraints import (
     FALSE,
@@ -22,7 +23,6 @@ from .constraints import (
 )
 from .flows import ContinuousStore, value_json
 from .semantics import (
-    ChoiceRecord,
     Configuration,
     compute_delay,
     continuous_step,
@@ -64,118 +64,45 @@ class RunOptions(Record):
         self.divergence_budget = divergence_budget
 
     def to_json(self) -> dict:
-        return {
-            "max_time": value_json(self.max_time),
-            "max_discrete_steps": self.max_discrete_steps,
-            "horizon": value_json(self.horizon) if self.horizon is not None else None,
-            "policy": self.policy,
-            "seed": self.seed,
-            "divergence_budget": self.divergence_budget,
-        }
+        """The options as the trace header prints them: a Fraction as ``value_json``, None as null."""
+        return {name: value_json(v) if isinstance(v, Fraction) else v for name, v in zip(self._fields, self._values())}
 
 
 def vars_json(store: ContinuousStore) -> dict:
     return {name: {"v": value, "flow": flow} for name, value, flow in store.texts()}
 
 
-class DiscreteEvent(Record):
-    __slots__ = ("clock", "told", "changes", "choices")
-
-    def __init__(
-        self, clock: Fraction, told: Tuple[str, ...], changes: Tuple[Tuple[str, str, str], ...], choices: Tuple[ChoiceRecord, ...]
-    ):
-        self.clock = clock
-        self.told = told
-        self.changes = changes
-        self.choices = choices
-
-    def to_json(self) -> dict:
-        return {
-            "t": value_json(self.clock),
-            "kind": "discrete",
-            "tau": None,
-            "cause": None,
-            "told": list(self.told),
-            "changes": [list(c) for c in self.changes],
-            "choices": [
-                {"site": "/".join(c.site), "picked": c.picked, "alternatives": c.alternatives}
-                for c in self.choices
-            ],
-        }
-
-
-class ContinuousEvent(Record):
-    __slots__ = ("clock_start", "tau", "cause", "before", "after")
-
-    def __init__(self, clock_start: Fraction, tau: Fraction, cause: str, before: dict, after: dict):
-        self.clock_start = clock_start
-        self.tau = tau
-        self.cause = cause
-        self.before = before
-        self.after = after
-
-    def to_json(self) -> dict:
-        return {
-            "t": value_json(self.clock_start),
-            "kind": "continuous",
-            "tau": value_json(self.tau),
-            "cause": self.cause,
-            "told": [],
-            "vars": self.after,
-            "vars_before": self.before,
-        }
-
-
-class TerminalEvent(Record):
-    __slots__ = ("kind", "clock")
-
-    def __init__(self, kind: str, clock: Fraction):
-        self.kind = kind  # all_stop | suspended | timelock | instant_divergence | max_time | max_steps
-        self.clock = clock
-
-    def to_json(self) -> dict:
-        return {"t": value_json(self.clock), "kind": "terminal", "tau": None, "cause": self.kind, "told": []}
-
-
-TraceEvent = Union[DiscreteEvent, ContinuousEvent, TerminalEvent]
-
-
 class Trace:
+    """A run's header fields and its ``events``: each the JSON object of one line of ``to_jsonl``,
+    discrete, continuous or, last, terminal."""
+
     __slots__ = ("program_hash", "options", "events")
 
     def __init__(self, program_hash: str, options: RunOptions):
         self.program_hash = program_hash
         self.options = options
-        self.events: List[TraceEvent] = []
+        self.events: List[dict] = []
 
     @property
-    def terminal(self) -> Optional[TerminalEvent]:
-        if self.events and isinstance(self.events[-1], TerminalEvent):
+    def terminal(self) -> Optional[dict]:
+        if self.events and self.events[-1]["kind"] == "terminal":
             return self.events[-1]
         return None
 
-    def header_json(self) -> dict:
-        return {
-            "kind": "header",
-            "program": self.program_hash,
-            "options": self.options.to_json(),
-            "seed": self.options.seed,
-        }
-
     def to_jsonl(self) -> str:
-        lines = [json.dumps(self.header_json(), sort_keys=True)]
-        lines += [json.dumps(ev.to_json(), sort_keys=True) for ev in self.events]
+        header = {"kind": "header", "program": self.program_hash, "options": self.options.to_json(), "seed": self.options.seed}
+        lines = [json.dumps(ev, sort_keys=True) for ev in (header, *self.events)]
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
+        """Each continuous step's values after it, at the time of the next event (a trace ends with its terminal)."""
         lines = ["t,var,value,flow_a,flow_b"]
-        for ev in self.events:
-            if isinstance(ev, ContinuousEvent):
-                for name, info in sorted(ev.after.items()):
+        for ev, nxt in pairwise(self.events):
+            if ev["kind"] == "continuous":
+                for name, info in sorted(ev["vars"].items()):
                     a, b = info["flow"].split("+", 1)
                     b = b[: -len("*x")]
-                    t = value_json(ev.clock_start + ev.tau)
-                    lines.append(f"{t},{name},{info['v']},{a},{b}")
+                    lines.append(f"{nxt['t']},{name},{info['v']},{a},{b}")
         return "\n".join(lines) + "\n"
 
 
@@ -183,19 +110,25 @@ def program_hash(program: Program) -> str:
     return hashlib.sha256(program.source.encode("utf-8")).hexdigest()
 
 
-def _describe_changes(changes) -> Tuple[Tuple[str, str, str], ...]:
+def _describe_changes(changes) -> List[List[str]]:
     out = []
     for x, v, f in changes:
         vs = "_" if v is KEEP else value_json(v) if not isinstance(v, str) else v
         fs = "_" if f is KEEP else str(f)
-        out.append((x, str(vs), fs))
-    return tuple(out)
+        out.append([x, str(vs), fs])
+    return out
 
 
-def _told_strings(told: frozenset) -> Tuple[str, ...]:
+def _told_strings(told: frozenset) -> List[str]:
     if told is FALSE:
-        return ("false",)
-    return tuple(sorted(str(a) for a in told))
+        return ["false"]
+    return sorted(str(a) for a in told)
+
+
+def _ended(trace: Trace, cause: str, clock: Fraction) -> Trace:
+    """``trace`` with its terminal event appended."""
+    trace.events.append({"t": value_json(clock), "kind": "terminal", "tau": None, "cause": cause, "told": []})
+    return trace
 
 
 def run(program: Program, options: RunOptions) -> Trace:
@@ -215,11 +148,9 @@ def run(program: Program, options: RunOptions) -> Trace:
         successors = discrete_successors(cfg, program, draw)
         if successors:
             if steps_at_instant >= options.divergence_budget:
-                trace.events.append(TerminalEvent("instant_divergence", cfg.clock))
-                return trace
+                return _ended(trace, "instant_divergence", cfg.clock)
             if steps_total >= options.max_discrete_steps:
-                trace.events.append(TerminalEvent("max_steps", cfg.clock))
-                return trace
+                return _ended(trace, "max_steps", cfg.clock)
             if options.policy == "random" and len(successors) > 1:
                 pick = rng.randrange(len(successors))
             else:
@@ -227,32 +158,32 @@ def run(program: Program, options: RunOptions) -> Trace:
             cfg, outcome = successors[pick]
             steps_total += 1
             steps_at_instant += 1
-            choices = outcome.choices
+            choices = [{"site": "/".join(c.site), "picked": c.picked, "alternatives": c.alternatives} for c in outcome.choices]
             if len(successors) > 1:
-                choices = (ChoiceRecord(("scheduler",), pick, len(successors)),) + choices
-            trace.events.append(
-                DiscreteEvent(cfg.clock, _told_strings(outcome.told), _describe_changes(outcome.changes), choices)
-            )
+                choices.insert(0, {"site": "scheduler", "picked": pick, "alternatives": len(successors)})
+            trace.events.append({
+                "t": value_json(cfg.clock), "kind": "discrete", "tau": None, "cause": None,
+                "told": _told_strings(outcome.told), "changes": _describe_changes(outcome.changes), "choices": choices,
+            })
             continue
 
         # discretely quiescent
         max_time = end.bound_for(cfg.clock)
         if cfg.clock >= max_time:
-            kind = "all_stop" if isinstance(cfg.agent, Stop) else "max_time"
-            trace.events.append(TerminalEvent(kind, cfg.clock))
-            return trace
+            return _ended(trace, "all_stop" if isinstance(cfg.agent, Stop) else "max_time", cfg.clock)
         remaining = max_time - cfg.clock
         horizon = remaining if options.horizon is None else min(options.horizon, remaining)
         result = compute_delay(cfg, program, horizon)
         if result.kind != "delay":
-            trace.events.append(TerminalEvent(result.kind, cfg.clock))
-            return trace
+            return _ended(trace, result.kind, cfg.clock)
         tau = result.outcome.tau
         if tau >= remaining:
             tau = remaining  # a float tau that reaches the end lands on it exactly
-        before = vars_json(cfg.continuous)
         nxt = continuous_step(cfg, tau)
-        trace.events.append(ContinuousEvent(cfg.clock, tau, result.outcome.cause.value, before, vars_json(nxt.continuous)))
+        trace.events.append({
+            "t": value_json(cfg.clock), "kind": "continuous", "tau": value_json(tau), "cause": result.outcome.cause.value,
+            "told": [], "vars": vars_json(nxt.continuous), "vars_before": vars_json(cfg.continuous),
+        })
         cfg = nxt
         steps_at_instant = 0
 

@@ -32,7 +32,7 @@ from hytccp.semantics import (
     discrete_successors,
     start_configuration,
 )
-from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, explore, run
+from hytccp.simulator import RunOptions, explore, run
 from hytccp.syntax import Flow
 
 from generators import crossing_time, random_program
@@ -57,7 +57,7 @@ def dam_trace(dam, seed, max_time, policy="first"):
 
 def timer_resets(trace):
     """Clocks of the discrete events that reset the supplier's timer T."""
-    return [ev.clock for ev in trace.events if isinstance(ev, DiscreteEvent) and any(c[0] == "T" for c in ev.changes)]
+    return [Fraction(ev["t"]) for ev in trace.events if ev["kind"] == "discrete" and any(c[0] == "T" for c in ev["changes"])]
 
 
 def test_criterion_1_dam_timer_exactness(dam):
@@ -70,7 +70,7 @@ def test_criterion_1_dam_timer_exactness(dam):
         resets = timer_resets(trace)
         # the initial change plus one exact firing per period
         ok = ok and resets == [Fraction(0), Fraction(3600), Fraction(7200), Fraction(10800), Fraction(14400)]
-        ok = ok and trace.terminal.clock == Fraction(14400)
+        ok = ok and Fraction(trace.terminal["t"]) == Fraction(14400)
     verdict(1, "dam timer exactness", ok, f"seed-0 run {elapsed * 1000:.0f} ms")
 
 
@@ -120,18 +120,18 @@ def _parse_flow(text):
 def _check_continuous_events(trace):
     """R2/R3 shape: shared tau, flows unchanged, values follow the closed form."""
     for ev in trace.events:
-        if not isinstance(ev, ContinuousEvent):
+        if ev["kind"] != "continuous":
             continue
-        if ev.to_json()["told"] != []:
+        if ev["told"] != []:
             return False
-        if set(ev.before) != set(ev.after):
+        if set(ev["vars_before"]) != set(ev["vars"]):
             return False
-        for name in ev.before:
-            flow = _parse_flow(ev.before[name]["flow"])
-            if ev.after[name]["flow"] != ev.before[name]["flow"]:
+        for name in ev["vars_before"]:
+            flow = _parse_flow(ev["vars_before"][name]["flow"])
+            if ev["vars"][name]["flow"] != ev["vars_before"][name]["flow"]:
                 return False
-            expected = solve_flow(Fraction(ev.before[name]["v"]), flow, ev.tau)
-            if Fraction(ev.after[name]["v"]) != expected:
+            expected = solve_flow(Fraction(ev["vars_before"][name]["v"]), flow, Fraction(ev["tau"]))
+            if Fraction(ev["vars"][name]["v"]) != expected:
                 return False
     return True
 
@@ -141,7 +141,7 @@ def test_criterion_4_continuous_step_shape(dam):
     for seed in range(150):
         traces.append(run(random_program(seed), RunOptions(max_time=Fraction(30), divergence_budget=100)))
     ok = all(_check_continuous_events(t) for t in traces)
-    checked = sum(1 for t in traces for ev in t.events if isinstance(ev, ContinuousEvent))
+    checked = sum(1 for t in traces for ev in t.events if ev["kind"] == "continuous")
     verdict(4, "continuous step shape", ok and checked > 0, f"{checked} continuous events over {len(traces)} traces")
 
 
@@ -224,12 +224,12 @@ def test_criterion_7_dam_safety_and_branch_coverage(dam):
     for seed in seeds:
         trace = dam_trace(dam, seed, max_time=25200)
         for ev in trace.events:
-            if isinstance(ev, ContinuousEvent):
-                for snap in (ev.before, ev.after):
+            if ev["kind"] == "continuous":
+                for snap in (ev["vars_before"], ev["vars"]):
                     if Fraction(snap["Vol"]["v"]) > 1000:
                         safe = False
-            elif isinstance(ev, DiscreteEvent):
-                heads = GATE_HEAD.findall(" ".join(ev.told))
+            elif ev["kind"] == "discrete":
+                heads = GATE_HEAD.findall(" ".join(ev["told"]))
                 if len(heads) == 2:
                     configs.add(tuple(sorted(heads)))
     expected = {("close", "close"), ("half", "half"), ("half", "open"), ("open", "open")}

@@ -620,3 +620,30 @@ def test_a_model_with_long_terms_runs_checks_and_explores(tmp_path, capsys, name
         assert status == 1 and err == f"error: {path}: random() needs a seeded generator; explore does not draw random values\n"
     else:
         assert status == 0 and err.startswith(f"hytccp {command[0]}: ") and SUMMARY[command[0]] in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["models/timer.hyt"], "hytccp run: 183 events, terminal=max_time, clock=3600"),
+        (["models/thermostat.hyt", "--max-time", "600"], "hytccp run: 196 events, terminal=max_time, clock=600.0"),
+    ],
+    ids=["rational", "float"],
+)
+def test_run_summary_line(tmp_path, capsys, argv, line):
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("command", [["run"], ["check"], ["explore", "--depth", "3"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("components", [400, 500])
+def test_a_model_nested_too_deep_for_a_walk_is_one_error_line(tmp_path, capsys, components, command):
+    # the walks over an agent recurse once per ||: 500 components pass the parser but not them
+    path = write(tmp_path, "deep.hyt", "init :- " + " || ".join(f"tell(X{i} = a)" for i in range(components)) + ".\n")
+    out = [] if command[0] == "check" else ["--out", str(tmp_path / "out")]
+    status = main([command[0], path, *command[1:], *out])
+    err = capsys.readouterr().err
+    if components == 500:
+        assert (status, err) == (1, f"error: {path}: nesting too deep\n")
+    else:
+        assert status == 0 and err.startswith(f"hytccp {command[0]}: ")

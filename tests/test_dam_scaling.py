@@ -5,7 +5,7 @@ import pytest
 
 from hytccp import constraints, semantics, simulator
 from hytccp.parser import parse_program
-from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, run
+from hytccp.simulator import RunOptions, run
 from hytccp.syntax import Hide, children, nodes
 
 PERIOD = 3600
@@ -111,21 +111,21 @@ def test_dam_48h(dam, monkeypatch):
 
     monkeypatch.setattr(simulator, "continuous_step", probe)
     trace = run(dam, RunOptions(max_time=Fraction(48 * PERIOD)))
-    assert trace.terminal.kind == "max_time" and trace.terminal.clock == 48 * PERIOD
-    resets = [ev.clock for ev in trace.events if isinstance(ev, DiscreteEvent) and any(c[0] == "T" for c in ev.changes)]
+    assert trace.terminal["cause"] == "max_time" and Fraction(trace.terminal["t"]) == 48 * PERIOD
+    resets = [Fraction(ev["t"]) for ev in trace.events if ev["kind"] == "discrete" and any(c[0] == "T" for c in ev["changes"])]
     assert resets == [k * PERIOD for k in range(49)]
-    steps = [ev for ev in trace.events if isinstance(ev, ContinuousEvent)]
-    assert {name for ev in steps for name in ev.after} == {"T", "Vol"}
+    steps = [ev for ev in trace.events if ev["kind"] == "continuous"]
+    assert {name for ev in steps for name in ev["vars"]} == {"T", "Vol"}
     for ev in steps:
-        for values in (ev.before, ev.after):
+        for values in (ev["vars_before"], ev["vars"]):
             assert 0 <= Fraction(values["Vol"]["v"]) <= 1000, ev
     # nothing grows per period: stopped components are dropped and no scope
     # is left at run time, so the agent and the choice sites of every hour match hour 7
     sites = {}
     for ev in trace.events:
-        if isinstance(ev, DiscreteEvent):
-            hour = int(ev.clock) // PERIOD
-            sites[hour] = max([sites.get(hour, 0)] + [len(c.site) for c in ev.choices])
+        if ev["kind"] == "discrete":
+            hour = int(Fraction(ev["t"])) // PERIOD
+            sites[hour] = max([sites.get(hour, 0)] + [len(c["site"].split("/")) for c in ev["choices"]])
     assert sorted(shapes) == list(range(1, 49))
     for hour in range(7, 49):
         assert (shapes[hour], sites[hour]) == (shapes[7], sites[7]), hour

@@ -523,7 +523,7 @@ def test_truth_intervals_per_delay_are_components_plus_watched_guards(n, monkeyp
             monkeypatch.setattr(module, "truth_interval", counting_truth_interval)
     monkeypatch.setattr(simulator, "compute_delay", counting_compute_delay)
     trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
-    assert trace.terminal.kind == "max_time"
+    assert trace.terminal["cause"] == "max_time"
     assert len(per_delay) > n and per_delay == [2 * n] * len(per_delay)
 
 
@@ -550,7 +550,7 @@ def test_a_level_shared_by_invariant_and_guard_is_solved_once_per_delay(n, monke
     monkeypatch.setattr(flows, "_refine_hit", counting_refine_hit)
     monkeypatch.setattr(simulator, "compute_delay", counting_compute_delay)
     trace = run(thermostats(n), RunOptions(max_time=Fraction(300)))
-    assert trace.terminal.kind == "max_time"
+    assert trace.terminal["cause"] == "max_time"
     assert len(per_delay) > n and per_delay == [n] * len(per_delay)
 
 
@@ -570,7 +570,7 @@ def test_exact_float_calls_do_not_grow_with_the_horizon(monkeypatch):
     for max_time in (750, 1500):
         before = calls
         trace = run(parse_program(thermostat_source(1)), RunOptions(max_time=Fraction(max_time), seed=1))
-        assert trace.terminal.kind == "max_time"
+        assert trace.terminal["cause"] == "max_time"
         counts.append(calls - before)
     assert 0 < counts[0] == counts[1]
 
@@ -597,7 +597,7 @@ def test_exponential_run_compares_floats_without_rational_round_trips(monkeypatc
     monkeypatch.setattr(Fraction, "from_float", classmethod(counting_from_float))
     monkeypatch.setattr(simulator, "continuous_step", counting_continuous_step)
     trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
-    assert trace.terminal.kind == "max_time"
+    assert trace.terminal["cause"] == "max_time"
     assert steps > 100 and calls <= 4 * steps
 
 
@@ -617,7 +617,7 @@ def test_run_meets_the_horizon_without_rational_round_trips(monkeypatch):
     for max_time in (750, 1500):
         before = calls
         trace = run(thermostats(2), RunOptions(max_time=Fraction(max_time)))
-        assert trace.terminal.kind == "max_time" and trace.terminal.clock == max_time
+        assert trace.terminal["cause"] == "max_time" and Fraction(trace.terminal["t"]) == max_time
         counts.append(calls - before)
     assert counts[0] == counts[1]
 
@@ -631,7 +631,7 @@ def test_parallel_steps_that_tell_nothing_solve_nothing():
 
     before = calls()
     trace = run(thermostats(2), RunOptions(max_time=Fraction(1500)))
-    assert trace.terminal.kind == "max_time"
+    assert trace.terminal["cause"] == "max_time"
     assert calls() == before
 
 

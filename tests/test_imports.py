@@ -237,7 +237,7 @@ def test_main_handles_model_faults_in_one_except_model_error():
     tree = ast.parse((SRC / "cli.py").read_text())
     main = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main")
     handled = [ast.unparse(handler.type) for node in ast.walk(main) if isinstance(node, ast.Try) for handler in node.handlers]
-    assert handled == ["SystemExit", "OSError", "ParseError", "ModelError"]
+    assert handled == ["SystemExit", "OSError", "ParseError", "ModelError", "RecursionError"]
 
 
 def repr_classes(source: str) -> list:

@@ -122,7 +122,7 @@ def test_open_guard_bound_does_not_carry_time_past_an_expiring_invariant():
     )
     prog = parse_program(text)
     terminal = run(prog, RunOptions(max_time=Fraction(100))).terminal
-    assert (terminal.kind, terminal.clock) == ("timelock", 6)
+    assert (terminal["cause"], Fraction(terminal["t"])) == ("timelock", 6)
     report = explore(prog, 6)
     reset_fresh_counter()
     assert oracle_reachable(Configuration(prog.initial), prog, 6) == report.states

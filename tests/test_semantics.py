@@ -32,7 +32,7 @@ from hytccp.semantics import (
     start_configuration,
     step_agent,
 )
-from hytccp.simulator import ContinuousEvent, RunOptions, run
+from hytccp.simulator import RunOptions, run
 from hytccp.syntax import (
     Call,
     Change,
@@ -192,7 +192,7 @@ def test_one_declaration_serving_two_variables_keeps_both_instances(monkeypatch)
     for max_time in (300, 600):
         prog = parse_program(text)
         before = visits
-        assert run(prog, RunOptions(max_time=Fraction(max_time))).terminal.kind == "max_time"
+        assert run(prog, RunOptions(max_time=Fraction(max_time))).terminal["cause"] == "max_time"
         counts.append(visits - before)
         for name in ("heat", "cool"):
             assert prog.lookup(name, 1)[0]._instances.keys() == {("A",), ("B",)}
@@ -210,11 +210,11 @@ def test_a_body_with_a_scope_draws_new_names_at_every_unfolding():
 def test_a_call_with_a_generated_argument_keeps_no_instance():
     prog = parse_program("p(A) :- tell(A = done).  init :- exists V (p(V)).")
     trace = run(prog, RunOptions(max_time=Fraction(1)))
-    assert trace.terminal.kind == "all_stop"
+    assert trace.terminal["cause"] == "all_stop"
     assert prog.lookup("p", 1)[0]._instances == {}  # p(V#1) unfolded, and kept nothing
     # every dam body opens a scope, and its calls pass generated names
     dam = parse_program((MODELS / "dam.hyt").read_text())
-    assert run(dam, RunOptions(max_time=Fraction(48 * 3600))).terminal.kind == "max_time"
+    assert run(dam, RunOptions(max_time=Fraction(48 * 3600))).terminal["cause"] == "max_time"
     assert not any(decl._instances for decl in dam.declarations)
 
 
@@ -266,7 +266,7 @@ def test_only_a_tell_that_draws_is_rebuilt(monkeypatch):
 
     monkeypatch.setattr(semantics, "TermEq", CountedTermEq)
     quiet = "p(X) :- tell(X = [a, b|T]) || tell(T = []).  init :- tell(Y = 1) || exists Z (p(Z)) || p(W)."
-    assert run(parse_program(quiet), RunOptions(max_time=Fraction(1))).terminal.kind == "all_stop"
+    assert run(parse_program(quiet), RunOptions(max_time=Fraction(1))).terminal["cause"] == "all_stop"
     assert built == []
     drawing = "init :- tell(X = [random(1, 3)|T]) || tell(Y = a /\\ Z = [b])."
     run(parse_program(drawing), RunOptions(max_time=Fraction(1), seed=1))
@@ -276,7 +276,7 @@ def test_only_a_tell_that_draws_is_rebuilt(monkeypatch):
 def test_a_tell_of_a_long_list_runs():
     # whether a tell draws is read along a list's cells in a loop, not a frame per cell
     text = "init :- tell(X = [" + ", ".join(["1"] * 3000) + "])."
-    assert run(parse_program(text), RunOptions()).terminal.kind == "all_stop"
+    assert run(parse_program(text), RunOptions()).terminal["cause"] == "all_stop"
 
 
 def test_draws_go_by_the_atoms_text_then_along_each_list():
@@ -369,9 +369,9 @@ def test_unstepped_scope_does_not_read_the_outer_binding_of_its_name(init):
     )
     prog = parse_program(text)
     trace = run(prog, RunOptions(max_time=Fraction(20)))
-    steps = [ev for ev in trace.events if isinstance(ev, ContinuousEvent)]
-    assert [(ev.tau, ev.cause) for ev in steps] == [(20, "horizon")]
-    assert trace.terminal.kind == "max_time"
+    steps = [ev for ev in trace.events if ev["kind"] == "continuous"]
+    assert [(Fraction(ev["tau"]), ev["cause"]) for ev in steps] == [(20, "horizon")]
+    assert trace.terminal["cause"] == "max_time"
 
 
 # --- monotonicity and continuous steps

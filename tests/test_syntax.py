@@ -8,7 +8,7 @@ from hytccp.constraints import TRUE
 from hytccp.flows import ContinuousStore, DelayCause, DelayOutcome, Entry, Interval
 from hytccp.parser import parse_agent, parse_constraint, parse_program
 from hytccp.semantics import ChoiceRecord, Configuration, DelayResult, Outcome
-from hytccp.simulator import ContinuousEvent, DiscreteEvent, RunOptions, TerminalEvent
+from hytccp.simulator import RunOptions
 from hytccp.syntax import (
     GUARD,
     INVARIANT,
@@ -61,12 +61,9 @@ VALUES = {
     "ChoiceRecord": lambda: ChoiceRecord(("L", "then"), 1, 2),
     "Outcome": lambda: Outcome(STOP, parse_constraint("X = a"), (("C", Fraction(0), KEEP),), (ChoiceRecord((), 0, 2),)),
     "RunOptions": lambda: RunOptions(max_time=Fraction(60), seed=4),
-    "DiscreteEvent": lambda: DiscreteEvent(Fraction(1), ("X=a",), (("C", "0", "_"),), (ChoiceRecord((), 0, 2),)),
-    "ContinuousEvent": lambda: ContinuousEvent(Fraction(0), Fraction(1), "guard", {"C": {"v": "0"}}, {"C": {"v": "1"}}),
-    "TerminalEvent": lambda: TerminalEvent("max_time", Fraction(60)),
 }
 # fields of these hold a dict, so they compare but do not hash, as frozen dataclasses did
-UNHASHABLE = {"Program", "ContinuousEvent"}
+UNHASHABLE = {"Program"}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))

@@ -1,5 +1,5 @@
-"""Golden outputs: the SHA-256 of `hytccp run` and `hytccp parse` on the shipped
-models, and the state counts of `explore` on the generator corpora.
+"""Golden outputs: the SHA-256 of `hytccp run` (JSONL and CSV) and `hytccp parse`
+on the shipped models, and the state counts of `explore` on the generator corpora.
 
 A change that means to keep behaviour keeps every value here.  A change that
 means to alter one says so in CHANGES.md, with the reason.
@@ -35,6 +35,10 @@ GOLDEN = {
         "a2aa6d3f3369c372a73994a8734944e5448ffd5b94767904996e30429f9c3195",
     ("run", "models/walk.hyt", "--max-time", "100", "--policy", "random", "--seed", "2"):
         "b315257643e09f43ff4a04bdb5dc647b2860963163948f37f786f3284d1a9253",
+    # the CSV format: rational times, then float times from exponential flows (this digest depends on libm)
+    ("run", "models/timer.hyt", "--format", "csv"): "d80a5a6636de200339a3cefc4793a1b6f195a2324609729cbf83be4df29ff9f9",
+    ("run", "models/thermostat.hyt", "--max-time", "600", "--format", "csv"):
+        "8d952ed1a066d0d0444142c9a5f933dc83faf196311686578febd04ef1ba2cff",
     ("parse", "models/dam.hyt"): "030a25e06cf8b94b4c9ef03bfec8f18f332983d4f74d9484ed239fb742952bcb",
     ("parse", "models/timer.hyt"): "95f7fdf130405207ea1eb803bdb6a5f9f0764e30180dc64c554e4c0b7100bc9b",
     ("parse", "models/stop.hyt"): "36a609bd609420fbcc3b1fb730273ca3dffbd34231f2d3db96adb0610f05e29d",
