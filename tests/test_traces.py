@@ -1,18 +1,23 @@
-"""Golden outputs: the SHA-256 of `hytccp run` (JSONL and CSV) and `hytccp parse`
-on the shipped models, and the state counts of `explore` on the generator corpora.
+"""Golden outputs: the SHA-256 of `hytccp run` (JSONL and CSV), `hytccp explore` and
+`hytccp parse` on the shipped models, and the state counts and reports of `explore`
+on the generator corpora.
 
 A change that means to keep behaviour keeps every value here.  A change that
 means to alter one says so in CHANGES.md, with the reason.
 """
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from hytccp.cli import main
+from hytccp.parser import parse_program
 from hytccp.simulator import explore
 
-from generators import random_program, recursive_program, thermostat_source
+from generators import bench_workloads, random_program, recursive_program, thermostat_source
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN = {
     ("run", "models/dam.hyt", "--max-time", "86400"):
@@ -39,6 +44,14 @@ GOLDEN = {
     ("run", "models/timer.hyt", "--format", "csv"): "d80a5a6636de200339a3cefc4793a1b6f195a2324609729cbf83be4df29ff9f9",
     ("run", "models/thermostat.hyt", "--max-time", "600", "--format", "csv"):
         "8d952ed1a066d0d0444142c9a5f933dc83faf196311686578febd04ef1ba2cff",
+    # explore with one time sample: a time step keeps its parent's agent and discrete store
+    # (thermostat's exponential flows are evaluated in floats: its digest depends on libm)
+    ("explore", "models/thermostat.hyt", "--depth", "10", "--time-samples", "1"):
+        "2599fa30e1aeb46acb6d66f19b8cb144c2554d345e4172c1ad171b1a75c75402",
+    ("explore", "models/timer.hyt", "--depth", "10", "--time-samples", "1"):
+        "f996f69f8af77b75561bb30f540d13b40021d11c8003da186afed5f79311e832",
+    ("explore", "models/walk.hyt", "--depth", "10", "--time-samples", "1"):
+        "7cc8442ce5c6d606120483026b9d03b406fe993d85f54283cf3bd93d43dfa92f",
     ("parse", "models/dam.hyt"): "030a25e06cf8b94b4c9ef03bfec8f18f332983d4f74d9484ed239fb742952bcb",
     ("parse", "models/timer.hyt"): "95f7fdf130405207ea1eb803bdb6a5f9f0764e30180dc64c554e4c0b7100bc9b",
     ("parse", "models/stop.hyt"): "36a609bd609420fbcc3b1fb730273ca3dffbd34231f2d3db96adb0610f05e29d",
@@ -67,6 +80,11 @@ RECURSIVE_REPORTS_DIGEST = "1abb47c7b53aee87c4d35b2bcb5c88630488f8384e4a20dbbb21
 # SHA-256 of the explore reports of random_program(s), s = 0..299, at depth 5:
 # each report as sorted JSON, one a line
 RANDOM_REPORTS_DIGEST = "6d711986e24f2ce70ee9df66007515896c75fc8bcddaa6edf8c8d752d5dd02ec"
+
+# SHA-256 of the explore reports of the benchmark's corpus_explore programs
+# (bench/workloads.corpus_job, seed 1), at depth 10 with one time sample:
+# each report as sorted JSON, one a line
+CORPUS_REPORTS_DIGEST = "edf60d954d7b5f922265f114b6663805293f30863884928ee86c2b5d7242ed65"
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
@@ -102,3 +120,9 @@ def test_recursive_program_reports_digest():
 def test_random_program_reports_digest():
     reports = (json.dumps(explore(random_program(s), 5).to_json(), sort_keys=True) for s in range(300))
     assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == RANDOM_REPORTS_DIGEST
+
+
+def test_corpus_explore_reports_digest():
+    sources = bench_workloads().corpus_job(ROOT, 1)["sources"]
+    reports = (json.dumps(explore(parse_program(s), 10, time_samples=1).to_json(), sort_keys=True) for s in sources)
+    assert hashlib.sha256("\n".join(reports).encode()).hexdigest() == CORPUS_REPORTS_DIGEST
