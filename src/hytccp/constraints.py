@@ -186,7 +186,7 @@ def atom_text_order(text: str) -> tuple:
     Printed constraints list their atoms in this order, so the order does not
     depend on which numbers the generated names got.
     """
-    return (FRESH_NAME.sub("#", text), text)
+    return (FRESH_NAME.sub("#", text) if "#" in text else text, text)
 
 
 def reset_fresh_counter() -> None:

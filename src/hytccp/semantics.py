@@ -214,6 +214,8 @@ def read_guard(guard: frozenset, store, entries: Dict[str, Entry]) -> Optional[L
     """The guard's comparisons on names with a value in ``entries``, in text order under every
     hash seed, or None when ``store`` does not entail its other atoms.  A numeric equation on such
     a name is an ``=`` comparison, and any other equation that names one is a model error."""
+    if not entries:  # no name has a value: the guard is entailed as itself
+        return [] if entails(store, guard) else None
     names = entries.keys()
     disc, cont = [], []
     for atom in guard:

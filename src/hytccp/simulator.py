@@ -42,6 +42,8 @@ DEFAULT_DIVERGENCE_BUDGET = 10000
 EXPLORE_HORIZON = Fraction(10**6)
 # the most states explore keeps; a search that meets more reports itself incomplete
 STATE_CAP = 100_000
+# encodes each trace line: json.dumps(..., sort_keys=True) would build an encoder per line
+_LINE = json.JSONEncoder(sort_keys=True)
 
 
 class RunOptions(Record):
@@ -91,8 +93,7 @@ class Trace:
 
     def to_jsonl(self) -> str:
         header = {"kind": "header", "program": self.program_hash, "options": self.options.to_json(), "seed": self.options.seed}
-        lines = [json.dumps(ev, sort_keys=True) for ev in (header, *self.events)]
-        return "\n".join(lines) + "\n"
+        return "\n".join(map(_LINE.encode, (header, *self.events))) + "\n"
 
     def to_csv(self) -> str:
         """Each continuous step's values after it, at the time of the next event (a trace ends with its terminal)."""
@@ -200,13 +201,20 @@ def canonical_key(cfg: Configuration) -> Tuple:
     each constraint's atoms in the order of their text with generated names
     masked; generated names are then numbered c1, c2, ... in order of first
     occurrence.  Atoms whose masked texts are equal are still ordered by
-    their numbers.
+    their numbers.  Text with no generated name needs no numbering pass.
+
+    The two numbered texts depend only on the agent and the store, so the
+    agent's root node keeps them, with the store they were printed with: a
+    time step, which keeps both, prints only its continuous store and clock.
     """
-    numbers: dict = {}
-    number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")
-    agent = FRESH_NAME.sub(number, pretty(cfg.agent))
-    store = FRESH_NAME.sub(number, str(cfg.discrete))
-    return (agent, (), store, cfg.continuous.texts(), value_json(cfg.clock))
+    agent, store = cfg.agent, cfg.discrete
+    kept = getattr(agent, "_key", None)
+    if kept is None or kept[0] is not store:
+        numbers: dict = {}
+        number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")
+        texts = [pretty(agent), str(store)]  # numbered in this order
+        agent._key = kept = (store, *[FRESH_NAME.sub(number, t) if "#" in t else t for t in texts])
+    return (kept[1], (), kept[2], cfg.continuous.texts(), value_json(cfg.clock))
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,12 @@ class LinExpr(Record):
 
 class _Node(Record):
     """An agent node.  Its text (``pretty``) is printed once and kept in the slot
-    ``_text``; like ``Flow``'s floats it takes no part in equality, hash or repr."""
+    ``_text``.  The root of a keyed configuration keeps, in ``_key``, the discrete
+    store it was keyed with and the key's two numbered texts
+    (``simulator.canonical_key``).  Like ``Flow``'s floats, neither slot takes
+    part in equality, hash or repr."""
 
-    __slots__ = ("_text",)
+    __slots__ = ("_text", "_key")
 
 
 class Stop(_Node):
@@ -413,6 +416,8 @@ def _pp_constraint(c: frozenset) -> str:
         return "false"
     if not c:
         return "true"
+    if len(c) == 1:
+        return _pp_atom(*c)
     return " /\\ ".join(sorted(map(_pp_atom, c), key=atom_text_order))
 
 

@@ -475,6 +475,19 @@ def test_read_guard_normalizes_numeric_equations():
     assert read_guard(guard, TRUE, entries) is None
 
 
+def test_read_guard_with_no_continuous_value_answers_as_the_loop():
+    # an entry whose name no guard mentions sends every atom through the loop as a discrete atom
+    unnamed = {"Unnamed": Entry(Fraction(0), Flow(Fraction(1), Fraction(0)))}
+    answers = []
+    for store in ("true", "X = a /\\ Y = [b|W]", "X = a /\\ C =< 3", "false"):
+        store = conj(TRUE, parse_constraint(store))
+        for text in ("true", "false", "X = a", "X = a /\\ Y = [b|_]", "C =< 3", "C =< 3 /\\ X = a", "X = b"):
+            guard = parse_constraint(text)
+            answers.append(read_guard(guard, store, {}))
+            assert answers[-1] == read_guard(guard, store, unnamed)
+    assert answers.count(None) and answers.count([])
+
+
 def test_read_guard_rejects_non_numeric_continuous_binding():
     entries = {"T": Entry(Fraction(0), Flow(Fraction(1), Fraction(0)))}
     for text in ("T = a", "T = X", "X = T", "X = [a|T]"):

@@ -1,5 +1,6 @@
 """Scheduling loop, trace formats, canonical keys, bounded exploration."""
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,7 @@ from hytccp.simulator import (
 )
 from hytccp.syntax import Choice, Now, Tell, children, nodes, rebuild, rename_atoms, uses
 
-from generators import random_program, recursive_program
+from generators import CONT_VARS, random_constraint, random_program, recursive_program
 
 
 def program(text):
@@ -321,6 +322,48 @@ def test_a_configuration_keyed_again_formats_only_its_clock(monkeypatch):
     assert canonical_key(cfg) == key and formatted == [cfg.clock]
     formatted.clear()
     assert canonical_key(succ)[3] == key[3] and formatted == [succ.clock]
+
+
+def formula_key(cfg):
+    """The key as printed whole each time: the agent and then the store, generated names numbered."""
+    numbers = {}
+    number = lambda m: numbers.setdefault(m.group(), f"c{len(numbers) + 1}")
+    agent = FRESH_NAME.sub(number, syntax.pretty(cfg.agent))
+    store = FRESH_NAME.sub(number, str(cfg.discrete))
+    return (agent, (), store, cfg.continuous.texts(), flows.value_json(cfg.clock))
+
+
+def test_explore_keys_a_kept_agent_and_store_from_their_kept_texts():
+    # a time step keeps its parent's agent and discrete store, so its key reuses their numbered texts
+    kept, keys = [], []
+
+    def key(cfg):
+        kept.append(getattr(cfg.agent, "_key", (None,))[0] is cfg.discrete)
+        keys.append(canonical_key(cfg))
+        assert keys[-1] == formula_key(cfg)
+        return keys[-1]
+
+    with mock.patch.object(simulator, "canonical_key", key):
+        for seed in range(100):
+            explore(random_program(seed), 5, time_samples=1)
+        for seed in range(12):
+            explore(recursive_program(seed), 8, time_samples=1)
+    assert sum(kept) >= len(kept) / 3  # 286 of 765
+    assert any("c1" in k[0] or "c1" in k[2] for k in keys)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32), st.booleans(), st.data())
+def test_constraint_texts_take_their_general_form(seed, guard, data):
+    # a one-atom constraint is printed without a sort, and text with no '#' is not masked
+    c = random_constraint(random.Random(seed), CONT_VARS, guard)
+    names = sorted(constraint_vars(c))
+    fresh = data.draw(st.lists(st.sampled_from(names), unique=True))
+    c = rename_atoms(c, {name: f"{name}#{i + 1}" for i, name in enumerate(fresh)})
+    texts = list(map(syntax._pp_atom, c))
+    general = lambda text: (FRESH_NAME.sub("#", text), text)
+    assert [atom_text_order(t) for t in texts] == [general(t) for t in texts]
+    assert syntax._pp_constraint(c) == " /\\ ".join(sorted(texts, key=general))
 
 
 def test_the_engine_reads_no_stores_atoms(monkeypatch):
